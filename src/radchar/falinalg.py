@@ -1,8 +1,11 @@
 """Matrices over the small finite fields, as arrays of element codes.
 
 An FfMatrix wraps a read-only numpy int16 array of codes together with
-its FieldCtx; all arithmetic is table lookup, so a matrix product or a
-Gaussian elimination step never leaves exact field arithmetic.
+its FieldCtx.  The one matrix product, matmul, works on code arrays and
+broadcasts over leading stack axes: over a prime field it is an int64
+integer product reduced mod p, over an extension field a loop of
+add/mul table lookups.  Entrywise operations and Gaussian elimination
+are table lookups.  No step ever leaves exact field arithmetic.
 
 The three symmetry classes used downstream are plain symmetric
 (M^t = M), skew-symmetric (M^t = -M, zero diagonal since the
@@ -24,6 +27,7 @@ from .gf import FieldCtx, FieldElement, frobenius, norm, relative_trace
 
 __all__ = [
     "FfMatrix",
+    "matmul",
     "SymmetryClass",
     "rank",
     "conj_transpose",
@@ -110,13 +114,7 @@ class FfMatrix:
 
     def __matmul__(self, other: "FfMatrix") -> "FfMatrix":
         self._check_field(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        ADD, MUL = self.field._add, self.field._mul
-        out = np.zeros((self.rows, other.cols), dtype=np.int16)
-        for t in range(self.cols):
-            out = ADD[out, MUL[self.codes[:, t][:, None], other.codes[t, :][None, :]]]
-        return FfMatrix.from_codes(self.field, out, copy=False)
+        return FfMatrix.from_codes(self.field, matmul(self.field, self.codes, other.codes), copy=False)
 
     def __add__(self, other: "FfMatrix") -> "FfMatrix":
         self._check_field(other)
@@ -194,6 +192,30 @@ def _codes_from(field: FieldCtx, data) -> np.ndarray:
         a = a.reshape(len(rows), 0)
     a.setflags(write=False)
     return a
+
+
+def matmul(field: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product of code arrays A[..., m, k] and B[..., k, n] over a field.
+
+    Leading stack axes broadcast as in numpy.matmul; the result is int16.
+    Over a prime field codes are below p < 2^15, so each int64 term is
+    below 2^30 and a sum over k < 2^33 terms cannot overflow: one
+    reduction mod p suffices.  Over an extension field the inner index is
+    summed with the add/mul tables.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
+        raise ValueError("shape mismatch in matrix product")
+    if field.base is None:
+        out = A.astype(np.int64) @ B.astype(np.int64)
+        out %= field.p
+        return out.astype(np.int16)
+    ADD, MUL = field._add, field._mul
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+    out = np.zeros(shape, dtype=np.int16)
+    for t in range(A.shape[-1]):
+        out = ADD[out, MUL[A[..., :, t, None], B[..., None, t, :]]]
+    return out
 
 
 def rank(M: FfMatrix) -> int:

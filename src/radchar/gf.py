@@ -11,7 +11,9 @@ order, and the code of a base-field element is unchanged under the
 embedding into the extension.
 
 Since q never exceeds a few thousand here, full q-by-q tables for
-add/sub/mul are cheap and make matrix arithmetic a pure table lookup.
+add/sub/mul are cheap.  Entrywise arithmetic is a table lookup; matrix
+products (falinalg.matmul) use these tables over an extension field and
+an integer product reduced mod p over a prime field.
 
 There is no global field registry: contexts are plain immutable
 objects, and two contexts built the same way compare equal, so

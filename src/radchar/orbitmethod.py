@@ -24,7 +24,10 @@ C and D, of the B2 block for U); its rank e determines the orbit size
 
 Everything in this module is exhaustively verifiable: brute-force
 orbit enumeration, conjugacy class counting and the pairing checks are
-the oracles the symbolic layer is tested against.
+the oracles the symbolic layer is tested against.  Orbit enumeration
+and class counting run on one engine: all points stacked as code
+matrices, each generator applied to the whole stack in blocks, and
+orbits labelled by their least point index.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .falinalg import (
     SymmetryClass,
     enumerate_class,
     gram_matrix,
+    matmul,
     rank,
     trace_pairing,
     twisted_trace_pairing,
@@ -71,6 +75,10 @@ TYPES = ("C", "D", "U")
 
 DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
+
+# matrices per stacked product: bounds the int64 and index temporaries,
+# which set the peak memory of the oracles (1024 was no faster)
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -125,17 +133,27 @@ def radical_order(params: RadicalParams) -> QPoly:
     return QPoly.q_power(params.order_exponent)
 
 
-def _mm(field: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    ADD, MUL = field._add, field._mul
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
-    for t in range(A.shape[1]):
-        out = ADD[out, MUL[A[:, t][:, None], B[t, :][None, :]]]
-    return out
+# Block builders and the enumerations below act on the last two axes, so
+# they take a single matrix or a stack of them alike.
+
+
+def _t(X: np.ndarray) -> np.ndarray:
+    return np.swapaxes(X, -1, -2)
 
 
 def _j_conj_t(field: FieldCtx, X: np.ndarray) -> np.ndarray:
     # -J conj(X)^t J, with the reversal sizes read off from the shape
-    return field._neg[field._frob[X].T[::-1, ::-1]]
+    return field._neg[field._frob[_t(X)[..., ::-1, ::-1]]]
+
+
+def _identity_stack(size: int, lead: tuple) -> np.ndarray:
+    return np.broadcast_to(np.eye(size, dtype=np.int16), lead + (size, size)).copy()
+
+
+def _grid(*stacks: np.ndarray) -> tuple:
+    """Every choice of one matrix per stack, the last stack varying fastest."""
+    picks = np.indices([len(s) for s in stacks]).reshape(len(stacks), -1)
+    return tuple(s[i] for s, i in zip(stacks, picks))
 
 
 class RadicalContext:
@@ -184,29 +202,29 @@ class RadicalContext:
 
     def _h_ambient(self, A: np.ndarray) -> np.ndarray:
         n, d = self.n, self.d
-        M = np.eye(2 * n, dtype=np.int16)
-        M[0:d, d:n] = A
+        M = _identity_stack(2 * n, A.shape[:-2])
+        M[..., 0:d, d:n] = A
         if self.params.x == "U":
-            M[n : 2 * n - d, 2 * n - d : 2 * n] = _j_conj_t(self.field, A)
+            M[..., n : 2 * n - d, 2 * n - d : 2 * n] = _j_conj_t(self.field, A)
         else:
-            M[n + d : 2 * n, n : n + d] = self.field._neg[A.T]
+            M[..., n + d : 2 * n, n : n + d] = self.field._neg[_t(A)]
         return M
 
     def _a_ambient(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
         n, d = self.n, self.d
-        M = np.eye(2 * n, dtype=np.int16)
+        M = _identity_stack(2 * n, b2.shape[:-2])
         if self.params.x == "C":
-            M[0:d, n : n + d] = b1
-            M[0:d, n + d : 2 * n] = b2
-            M[d:n, n : n + d] = b2.T
+            M[..., 0:d, n : n + d] = b1
+            M[..., 0:d, n + d : 2 * n] = b2
+            M[..., d:n, n : n + d] = _t(b2)
         elif self.params.x == "D":
-            M[0:d, n : n + d] = b1
-            M[0:d, n + d : 2 * n] = b2
-            M[d:n, n : n + d] = self.field._neg[b2.T]
+            M[..., 0:d, n : n + d] = b1
+            M[..., 0:d, n + d : 2 * n] = b2
+            M[..., d:n, n : n + d] = self.field._neg[_t(b2)]
         else:
-            M[0:d, n : 2 * n - d] = b1
-            M[0:d, 2 * n - d : 2 * n] = b2
-            M[d:n, 2 * n - d : 2 * n] = _j_conj_t(self.field, b1)
+            M[..., 0:d, n : 2 * n - d] = b1
+            M[..., 0:d, 2 * n - d : 2 * n] = b2
+            M[..., d:n, 2 * n - d : 2 * n] = _j_conj_t(self.field, b1)
         return M
 
     # -- element constructors -------------------------------------------
@@ -254,39 +272,43 @@ class RadicalContext:
         n, d = self.n, self.d
         return self.element(b1, b2, np.zeros((d, n - d), dtype=np.int16))
 
-    def _free_matrix_blocks(self, shape):
-        from itertools import product as iproduct
+    # -- stacked enumerations -------------------------------------------
 
-        rows, cols = shape
-        codes = range(self.field.q)
-        for combo in iproduct(codes, repeat=rows * cols):
-            yield np.array(combo, dtype=np.int16).reshape(shape)
+    def _free_stack(self, rows: int, cols: int) -> np.ndarray:
+        """Every rows-by-cols matrix; the first entry is the most significant digit."""
+        k, q = rows * cols, self.field.q
+        digits = np.arange(q ** k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
+        return digits.astype(np.int16).reshape(q ** k, rows, cols)
 
-    def _a_block_pairs(self):
-        n, d = self.n, self.d
-        if self.params.x == "C":
-            first = (M.codes for M in enumerate_class(d, SymmetryClass.SYMMETRIC, self.field))
-            second = list(self._free_matrix_blocks((d, n - d)))
-        elif self.params.x == "D":
-            first = (M.codes for M in enumerate_class(d, SymmetryClass.SKEW_SYMMETRIC, self.field))
-            second = list(self._free_matrix_blocks((d, n - d)))
-        else:
-            first = self._free_matrix_blocks((d, n - d))
-            second = [S.codes[:, ::-1] for S in enumerate_class(d, SymmetryClass.SKEW_HERMITIAN, self.field)]
-        for b1 in first:
-            for b2 in second:
-                yield b1, b2
+    def _class_stack(self, cls: SymmetryClass) -> np.ndarray:
+        return np.stack([M.codes for M in enumerate_class(self.d, cls, self.field)])
+
+    def _v_class(self) -> SymmetryClass:
+        return SymmetryClass.SYMMETRIC if self.params.x == "C" else SymmetryClass.SKEW_SYMMETRIC
+
+    def _element_blocks(self) -> tuple:
+        """Stacked free blocks (b1, b2, a) of all elements, in enumeration order."""
+        free = self._free_stack(self.d, self.n - self.d)
+        if self.params.x == "U":
+            return _grid(free, self._class_stack(SymmetryClass.SKEW_HERMITIAN)[..., ::-1], free)
+        return _grid(self._class_stack(self._v_class()), free, free)
+
+    def _element_stack(self) -> np.ndarray:
+        """Ambient codes of all elements, in enumeration order."""
+        b1, b2, a = self._element_blocks()
+        out = np.empty((len(a), 2 * self.n, 2 * self.n), dtype=np.int16)
+        for s in range(0, len(a), _BLOCK):
+            block = slice(s, s + _BLOCK)
+            out[block] = matmul(self.field, self._a_ambient(b1[block], b2[block]), self._h_ambient(a[block]))
+        return out
 
     def elements(self):
         """All group elements, in a fixed enumeration order."""
-        n, d = self.n, self.d
-        h_blocks = list(self._free_matrix_blocks((d, n - d)))
-        for b1, b2 in self._a_block_pairs():
-            for a in h_blocks:
-                yield RadicalElement(self, b1, b2, a)
+        for b1, b2, a in zip(*self._element_blocks()):
+            yield RadicalElement(self, b1, b2, a)
 
     def h_elements(self):
-        for a in self._free_matrix_blocks((self.d, self.n - self.d)):
+        for a in self._free_stack(self.d, self.n - self.d):
             yield self.h_element(a)
 
     def h_generators(self) -> list["RadicalElement"]:
@@ -400,36 +422,39 @@ class RadicalContext:
             if not np.array_equal(b1, _j_conj_t(f, b3)):
                 raise ValueError("b1 must be the twisted transpose of b3")
 
+    def _dual_blocks(self) -> tuple:
+        """Stacked blocks (b1, b3, b2) of all duals, in enumeration order."""
+        n, d = self.n, self.d
+        f = self.field
+        if self.params.x == "U":
+            b2, b3 = _grid(self._class_stack(SymmetryClass.SKEW_HERMITIAN)[..., ::-1], self._free_stack(d, n - d))
+            return _j_conj_t(f, b3), b3, b2
+        b1, b2 = _grid(self._class_stack(self._v_class()), self._free_stack(n - d, d))
+        return b1, _t(b2) if self.params.x == "C" else f._neg[_t(b2)], b2
+
+    def _dual_stack(self) -> np.ndarray:
+        """Ambient codes of all duals, in enumeration order."""
+        return self._dual_ambient(*self._dual_blocks())
+
     def duals(self):
         """All dual elements, in a fixed enumeration order."""
-        n, d = self.n, self.d
-        if self.params.x == "U":
-            b3s = list(self._free_matrix_blocks((d, n - d)))
-            for S in enumerate_class(d, SymmetryClass.SKEW_HERMITIAN, self.field):
-                b2 = S.codes[:, ::-1]
-                for b3 in b3s:
-                    yield self.dual_from_free(b2, b3)
-        else:
-            cls = SymmetryClass.SYMMETRIC if self.params.x == "C" else SymmetryClass.SKEW_SYMMETRIC
-            b2s = list(self._free_matrix_blocks((n - d, d)))
-            for M in enumerate_class(self.d, cls, self.field):
-                for b2 in b2s:
-                    yield self.dual_from_free(M.codes, b2)
+        for b1, b3, b2 in zip(*self._dual_blocks()):
+            yield DualElement(self, b1, b3, b2)
 
     def dual_count(self) -> int:
         return self.q ** self.params.a_exponent
 
     def _dual_ambient(self, b1, b3, b2) -> np.ndarray:
         n, d = self.n, self.d
-        M = np.zeros((2 * n, 2 * n), dtype=np.int16)
+        M = np.zeros(b2.shape[:-2] + (2 * n, 2 * n), dtype=np.int16)
         if self.params.x == "U":
-            M[n : 2 * n - d, 0:d] = b1
-            M[2 * n - d : 2 * n, 0:d] = b2
-            M[2 * n - d : 2 * n, d:n] = b3
+            M[..., n : 2 * n - d, 0:d] = b1
+            M[..., 2 * n - d : 2 * n, 0:d] = b2
+            M[..., 2 * n - d : 2 * n, d:n] = b3
         else:
-            M[n : n + d, 0:d] = b1
-            M[n : n + d, d:n] = b3
-            M[n + d : 2 * n, 0:d] = b2
+            M[..., n : n + d, 0:d] = b1
+            M[..., n : n + d, d:n] = b3
+            M[..., n + d : 2 * n, 0:d] = b2
         return M
 
     def _decompose_dual(self, M: np.ndarray) -> "DualElement":
@@ -465,7 +490,7 @@ class RadicalContext:
             Ninv = np.eye(n, dtype=np.int16)
             Ninv[d:n, 0:d] = A.T
         assert np.array_equal(R, self._h_ambient(A)[n : 2 * n, n : 2 * n]), "lower-right block is not of the expected form"
-        V = _mm(f, Q, Ninv)
+        V = matmul(f, Q, Ninv)
         if self.params.x == "U":
             assert not V[d:n, 0 : n - d].any(), "V block support violation"
             b1 = V[0:d, 0 : n - d]
@@ -517,7 +542,7 @@ class RadicalElement:
 
     def _ambient_codes(self) -> np.ndarray:
         ctx = self.ctx
-        return _mm(ctx.field, ctx._a_ambient(self._b1, self._b2), ctx._h_ambient(self._a))
+        return matmul(ctx.field, ctx._a_ambient(self._b1, self._b2), ctx._h_ambient(self._a))
 
     def key(self) -> bytes:
         return self._b1.tobytes() + self._b2.tobytes() + self._a.tobytes()
@@ -599,7 +624,7 @@ def _same_ctx(a, b) -> RadicalContext:
 def group_mul(g: RadicalElement, h: RadicalElement) -> RadicalElement:
     """Product in R_u, with closure of the block shape asserted."""
     ctx = _same_ctx(g, h)
-    return ctx._decompose(_mm(ctx.field, g._ambient_codes(), h._ambient_codes()))
+    return ctx._decompose(matmul(ctx.field, g._ambient_codes(), h._ambient_codes()))
 
 
 def group_inv(g: RadicalElement) -> RadicalElement:
@@ -608,14 +633,14 @@ def group_inv(g: RadicalElement) -> RadicalElement:
     f = ctx.field
     ha = ctx._h_ambient(f._neg[g._a])
     aa = ctx._a_ambient(f._neg[g._b1], f._neg[g._b2])
-    return ctx._decompose(_mm(f, ha, aa))
+    return ctx._decompose(matmul(f, ha, aa))
 
 
 def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
     """g . alpha = projection of g alpha g^(-1) onto the dual support."""
     ctx = _same_ctx(g, alpha)
     gi = group_inv(g)
-    M = _mm(ctx.field, _mm(ctx.field, g._ambient_codes(), alpha._ambient_codes()), gi._ambient_codes())
+    M = matmul(ctx.field, matmul(ctx.field, g._ambient_codes(), alpha._ambient_codes()), gi._ambient_codes())
     P = np.where(ctx._mask, M, np.int16(0))
     return ctx._decompose_dual(P)
 
@@ -658,58 +683,128 @@ def _h_gen_ambients(ctx: RadicalContext) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in ctx.h_generators()]
 
 
-def _orbit_member_keys(alpha: DualElement, gen_codes) -> set[bytes]:
-    ctx = alpha.ctx
-    f = ctx.field
-    start = alpha._ambient_codes()
-    seen = {start.tobytes()}
-    queue = [start]
-    while queue:
-        S = queue.pop()
-        for gm, gi in gen_codes:
-            M = _mm(f, _mm(f, gm, S), gi)
-            P = np.where(ctx._mask, M, np.int16(0))
-            k = P.tobytes()
-            if k not in seen:
-                seen.add(k)
-                queue.append(P)
-    return seen
+# -- the action engine: generators act on a stack of points ----------------
+
+
+def _row_keys(stack: np.ndarray) -> np.ndarray:
+    """One opaque comparable key per matrix of a stack."""
+    flat = np.ascontiguousarray(stack, dtype=np.int16).reshape(len(stack), -1)
+    return flat.view(np.dtype((np.void, 2 * flat.shape[1]))).ravel()
+
+
+class _StackIndex:
+    """Positions of the matrices of a stack of distinct points, by sorted key."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        keys = _row_keys(points)
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+        if (self._keys[1:] == self._keys[:-1]).any():
+            raise ValueError("points must be distinct")
+
+    def lookup(self, images: np.ndarray) -> np.ndarray:
+        """The position of every image; raises if one is not a point."""
+        keys = _row_keys(images)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        if not (self._keys[pos] == keys).all():
+            raise ValueError("an image escapes the point set")
+        return self._order[pos]
+
+
+def _conjugates(field: FieldCtx, points: np.ndarray, g: np.ndarray, g_inv: np.ndarray, support=None):
+    """g X g^-1 for the X of a stack, projected onto support if given.
+
+    Yields one stack per block of _BLOCK consecutive points.
+    """
+    for s in range(0, len(points), _BLOCK):
+        block = matmul(field, matmul(field, g, points[s : s + _BLOCK]), g_inv)
+        yield block if support is None else np.where(support, block, np.int16(0))
+
+
+def _permutation(field: FieldCtx, index: _StackIndex, g: np.ndarray, g_inv: np.ndarray, support=None) -> np.ndarray:
+    """perm[i] = position of the image of point i under X -> g X g^-1."""
+    perm = np.concatenate([index.lookup(b) for b in _conjugates(field, index.points, g, g_inv, support)])
+    if (np.bincount(perm, minlength=len(perm)) != 1).any():
+        raise ValueError("a generator does not permute the points")
+    return perm
+
+
+def _orbit_labels(field: FieldCtx, points: np.ndarray, gens, support=None) -> np.ndarray:
+    """For every point of a stack, the least index in its orbit.
+
+    points is an int16 stack of distinct matrices; gens is a list of
+    (g, g^-1) code pairs acting by X -> g X g^-1, followed by projection
+    onto support if given.  Each generator must permute the points: an
+    image outside the stack, or two points with one image, raises
+    ValueError.  Orbits are the connected components of the generator
+    edges, found by min-label propagation with pointer jumping
+    (Shiloach-Vishkin 1982).
+    """
+    index = _StackIndex(points)
+    images = [_permutation(field, index, g, g_inv, support) for g, g_inv in gens]
+    labels = np.arange(len(points))
+    while True:
+        before = labels
+        for image in images:
+            # a point and its image both take the smaller of their labels
+            low = np.minimum(labels, labels[image])
+            low[image] = np.minimum(low[image], low)
+            labels = low
+        # every label is a smaller index of the same orbit, so following
+        # labels stays inside the orbit
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+        if np.array_equal(labels, before):
+            return labels
 
 
 def _record_for(alpha: DualElement, size: int) -> OrbitRecord:
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     e = _exact_log(size, ctx.k_order)
-    assert h_order % size == 0, "orbit size must divide the acting group order"
-    assert e == rank(coefficient_matrix(alpha)), "orbit size must match the stabilizer system rank"
+    if h_order % size:
+        raise ValueError("orbit size must divide the acting group order")
+    if e != rank(coefficient_matrix(alpha)):
+        raise ValueError("orbit size must match the stabilizer system rank")
     return OrbitRecord(alpha, size, h_order // size, e)
 
 
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
-    """BFS orbit of a dual element under the H-coadjoint action."""
+    """Orbit of a dual element under the H-coadjoint action, by frontier BFS."""
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     if h_order > budget:
         raise ValueError(f"enumeration too large: orbit bound {h_order} exceeds budget {budget}")
-    members = _orbit_member_keys(alpha, _h_gen_ambients(ctx))
-    return _record_for(alpha, len(members))
+    gens = _h_gen_ambients(ctx)
+    frontier = alpha._ambient_codes()[None]
+    seen = _row_keys(frontier)
+    while len(frontier):
+        found = [b for g, g_inv in gens for b in _conjugates(ctx.field, frontier, g, g_inv, ctx._mask)]
+        images = np.concatenate([frontier[:0], *found])
+        keys, first = np.unique(_row_keys(images), return_index=True)
+        fresh = ~np.isin(keys, seen)
+        frontier = images[first[fresh]]
+        seen = np.concatenate([seen, keys[fresh]])
+    return _record_for(alpha, len(seen))
 
 
 def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> list[OrbitRecord]:
-    """Partition of the whole dual space into coadjoint orbits."""
+    """Partition of the whole dual space into coadjoint orbits.
+
+    One record per orbit, in the order of its first dual in ctx.duals(),
+    which is also its representative.
+    """
     if ctx.dual_count() > budget:
         raise ValueError(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
-    gen_codes = _h_gen_ambients(ctx)
-    records = []
-    seen: set[bytes] = set()
-    for alpha in ctx.duals():
-        if alpha._ambient_codes().tobytes() in seen:
-            continue
-        members = _orbit_member_keys(alpha, gen_codes)
-        records.append(_record_for(alpha, len(members)))
-        seen |= members
-    assert sum(r.size for r in records) == ctx.dual_count(), "orbits must partition the dual space"
-    return records
+    b1, b3, b2 = ctx._dual_blocks()
+    labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), _h_gen_ambients(ctx), ctx._mask)
+    roots = np.flatnonzero(labels == np.arange(len(labels)))
+    sizes = np.bincount(labels)[roots]
+    if sizes.sum() != ctx.dual_count():
+        raise ValueError("orbits must partition the dual space")
+    return [_record_for(ctx.dual(b1[i], b3[i], b2[i]), int(size)) for i, size in zip(roots, sizes)]
 
 
 @dataclass(frozen=True)
@@ -779,9 +874,11 @@ def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -
 def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDGET) -> int:
     """Number of conjugacy classes of R_u by exhaustive enumeration.
 
-    Completely independent of the orbit machinery: enumerates all group
-    elements as ambient matrices and partitions them into conjugacy
-    classes under one-parameter generators.
+    Independent of the coadjoint orbit machinery (duals, stabilizer
+    ranks): stacks all group elements as ambient matrices, conjugates the
+    stack by every one-parameter generator of R_u, and counts the orbits
+    of that action with the same generic labelling engine orbit_partition
+    uses.  The orbits of conjugation are the conjugacy classes.
     """
     ctx = q if isinstance(q, RadicalContext) else RadicalContext(params, q)
     if ctx.params != params:
@@ -789,28 +886,12 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     order = ctx.q ** params.order_exponent
     if order > budget:
         raise ValueError(f"enumeration too large: group order {order} exceeds budget {budget}")
-    f = ctx.field
-    gen_codes = [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in ctx.generators()]
-    all_keys: dict[bytes, np.ndarray] = {}
-    for el in ctx.elements():
-        M = el._ambient_codes()
-        all_keys[M.tobytes()] = M
-    assert len(all_keys) == order, "element enumeration must hit the full group order"
-    unvisited = set(all_keys)
-    classes = 0
-    while unvisited:
-        start_key = unvisited.pop()
-        classes += 1
-        queue = [all_keys[start_key]]
-        while queue:
-            X = queue.pop()
-            for gm, gi in gen_codes:
-                Y = _mm(f, _mm(f, gm, X), gi)
-                k = Y.tobytes()
-                if k in unvisited:
-                    unvisited.remove(k)
-                    queue.append(all_keys[k])
-    return classes
+    points = ctx._element_stack()
+    if len(points) != order:
+        raise ValueError("element enumeration must hit the full group order")
+    gens = [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in ctx.generators()]
+    labels = _orbit_labels(ctx.field, points, gens)
+    return int(np.count_nonzero(labels == np.arange(order)))
 
 
 def pairing_nondegeneracy_check(params: RadicalParams, q) -> bool:
@@ -886,22 +967,17 @@ def _lie_a_basis(ctx: RadicalContext) -> list[FfMatrix]:
 
 
 def dual_index(ctx: RadicalContext):
-    """All duals in enumeration order plus a key -> position lookup."""
-    duals = list(ctx.duals())
-    index = {alpha._ambient_codes().tobytes(): i for i, alpha in enumerate(duals)}
-    return duals, index
+    """All duals in enumeration order, plus a position lookup over them."""
+    return list(ctx.duals()), _StackIndex(ctx._dual_stack())
 
 
 def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, duals=None, index=None) -> np.ndarray:
-    """The permutation a dual index experiences under one group element."""
-    if duals is None or index is None:
-        duals, index = dual_index(ctx)
-    gi = group_inv(g)
-    gm, gic = g._ambient_codes(), gi._ambient_codes()
-    f = ctx.field
-    perm = np.empty(len(duals), dtype=np.int64)
-    for i, alpha in enumerate(duals):
-        M = _mm(f, _mm(f, gm, alpha._ambient_codes()), gic)
-        P = np.where(ctx._mask, M, np.int16(0))
-        perm[i] = index[P.tobytes()]
-    return perm
+    """The permutation a dual index experiences under one group element.
+
+    duals and index are the pair dual_index returns; only index is read,
+    and it is built when not given.
+    """
+    if index is None:
+        index = _StackIndex(ctx._dual_stack())
+    g_codes, g_inv = g._ambient_codes(), group_inv(g)._ambient_codes()
+    return _permutation(ctx.field, index, g_codes, g_inv, ctx._mask)

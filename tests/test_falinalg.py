@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radchar.falinalg import (
     FfMatrix,
@@ -13,6 +15,7 @@ from radchar.falinalg import (
     enumerate_class,
     gram_matrix,
     is_in_class,
+    matmul,
     rank,
     reversal_matrix,
     skew_hermitian_normal_form,
@@ -64,6 +67,60 @@ def test_matmul_and_add():
     assert 2 * X == FfMatrix(F3, [[2, 1], [0, 2]])
     with pytest.raises(ValueError, match="shape mismatch"):
         X @ FfMatrix.zeros(F3, 3, 3)
+
+
+def _mm_reference(field, A, B):
+    """The former per-matrix product: add/mul table lookups, inner index looped."""
+    ADD, MUL = field._add, field._mul
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int16)
+    for t in range(A.shape[1]):
+        out = ADD[out, MUL[A[:, t][:, None], B[t, :][None, :]]]
+    return out
+
+
+def _stacked_reference(field, A, B):
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A = np.broadcast_to(A, lead + A.shape[-2:])
+    B = np.broadcast_to(B, lead + B.shape[-2:])
+    out = np.zeros(lead + (A.shape[-2], B.shape[-1]), dtype=np.int16)
+    for idx in np.ndindex(*lead):
+        out[idx] = _mm_reference(field, A[idx], B[idx])
+    return out
+
+
+FIELDS = {3: F3, 5: field_create(5), 9: F9, 25: field_create(5, 2)}
+
+
+@st.composite
+def matmul_operands(draw):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    m, k, n = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    # B's stack axes: the same, absent, or broadcast along size-1 axes
+    lead_b = draw(st.sampled_from([lead, (), tuple(1 for _ in lead), lead[1:]]))
+    codes = st.integers(0, field.q - 1)
+    A = draw(arrays(np.int16, lead + (m, k), elements=codes))
+    B = draw(arrays(np.int16, lead_b + (k, n), elements=codes))
+    return field, A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(matmul_operands())
+def test_matmul_matches_table_lookup_reference(operands):
+    field, A, B = operands
+    got = matmul(field, A, B)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, _stacked_reference(field, A, B))
+    if A.ndim == 2 and B.ndim == 2:
+        product = FfMatrix.from_codes(field, A) @ FfMatrix.from_codes(field, B)
+        assert np.array_equal(product.codes, got)
+
+
+def test_matmul_shape_errors():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matmul(F3, np.zeros((2, 3), dtype=np.int16), np.zeros((2, 3), dtype=np.int16))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        matmul(F9, np.zeros(3, dtype=np.int16), np.zeros((3, 3), dtype=np.int16))
 
 
 def test_conj_transpose():

@@ -10,7 +10,8 @@ import random
 import numpy as np
 import pytest
 
-from radchar.falinalg import FfMatrix, conj_transpose, reversal_matrix
+from radchar import orbitmethod
+from radchar.falinalg import FfMatrix, conj_transpose, rank, reversal_matrix
 from radchar.qpoly import QPoly
 from radchar.orbitmethod import (
     DualElement,
@@ -28,6 +29,7 @@ from radchar.orbitmethod import (
     orbit_partition,
     pairing_nondegeneracy_check,
     radical_order,
+    _orbit_labels,
 )
 
 
@@ -405,3 +407,63 @@ def test_trivial_group_u_d0():
     census = orbit_census(params, 3)
     assert census.total_chars() == 1
     assert class_count_brute(params, 3) == 1
+
+
+def test_class_count_reaches_3_to_the_9():
+    # both groups have q^9 elements; the closed form gives 6563 classes
+    for x, n, d in [("D", 4, 2), ("U", 3, 1)]:
+        assert class_count_brute(RadicalParams(x, n, d), 3, budget=3 ** 9) == 6563
+
+
+def _pair(g):
+    return g._ambient_codes(), group_inv(g)._ambient_codes()
+
+
+def test_orbit_engine_labels_least_index():
+    # classes of the extraspecial group of order 27: 3 central singletons
+    # and 8 classes of size 3, each labelled by its first element
+    ctx = ctx_for("C", 2, 1, 3)
+    points = ctx._element_stack()
+    labels = _orbit_labels(ctx.field, points, [_pair(g) for g in ctx.generators()])
+    roots = np.flatnonzero(labels == np.arange(len(points)))
+    assert len(roots) == 11
+    assert sorted(np.bincount(labels)[roots]) == [1] * 3 + [3] * 8
+    assert all(np.flatnonzero(labels == r)[0] == r for r in roots)
+
+
+def test_orbit_engine_rejects_escaping_images():
+    # conjugating H by a(V) with b2 != 0 leaves H
+    ctx = ctx_for("C", 2, 1, 3)
+    points = np.stack([h._ambient_codes() for h in ctx.h_elements()])
+    g = ctx.a_element([[0]], [[1]])
+    with pytest.raises(ValueError, match="escapes the point set"):
+        _orbit_labels(ctx.field, points, [_pair(g)])
+
+
+def test_orbit_engine_rejects_non_permutations():
+    ctx = ctx_for("C", 2, 1, 3)
+    duals = ctx._dual_stack()
+    one = np.eye(4, dtype=np.int16)
+    # projecting onto an empty support sends every dual to zero
+    with pytest.raises(ValueError, match="does not permute"):
+        _orbit_labels(ctx.field, duals, [(one, one)], np.zeros((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match="distinct"):
+        _orbit_labels(ctx.field, np.stack([duals[0], duals[0]]), [])
+
+
+def test_oracle_checks_raise_value_error(monkeypatch):
+    # the checks behind the oracle results are exceptions, not asserts,
+    # so they also hold under python -O
+    ctx = ctx_for("C", 3, 2, 3)
+    with monkeypatch.context() as m:
+        m.setattr(orbitmethod, "rank", lambda M: rank(M) + 1)
+        with pytest.raises(ValueError, match="stabilizer system rank"):
+            orbit_partition(ctx)
+    with monkeypatch.context() as m:
+        m.setattr(ctx, "dual_count", lambda: 3 ** 5 + 1)
+        with pytest.raises(ValueError, match="partition the dual space"):
+            orbit_partition(ctx, budget=10 ** 3)
+    with monkeypatch.context() as m:
+        m.setattr(ctx, "_element_stack", lambda: ctx_for("C", 3, 2, 3)._element_stack()[1:])
+        with pytest.raises(ValueError, match="full group order"):
+            class_count_brute(ctx.params, ctx)
