@@ -24,6 +24,7 @@ from .charcensus import (
 )
 from .falinalg import FfMatrix, rank, trace_pairing, twisted_trace_pairing
 from .gf import (
+    BudgetExceeded,
     FieldCtx,
     FieldElement,
     field_create,

@@ -9,13 +9,15 @@ Three subcommands:
     verify  - named invariant suites over small parameter grids
 
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict
-failed, 2 usage or parameter error.  Output formats: md (default,
-human), json (schema-stable, byte-identical across reruns once --no-timing
-is passed), csv (fixed column order).  Polynomial coefficients in JSON
+failed, 2 usage or parameter error, including every request over an
+enumeration budget or the field-order cap (gf.MAX_FIELD_ORDER).  Output
+formats: md (default, human), json (schema-stable, byte-identical across
+reruns once --no-timing is passed), csv (fixed column order).  Polynomial coefficients in JSON
 are decimal strings, constant term first.
 
 All configuration is by flags; enumeration sizes are guarded by --budget
-with a hard ceiling of 10^8.
+with a hard ceiling of 10^8.  The library raises gf.BudgetExceeded for
+an oversized request, and main() alone maps it to exit code 2.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ import time
 
 from .census import VARIANTS, brute_rank_census, census_polynomial
 from .charcensus import census_table, qminus1_report
-from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass, class_size
-from .gf import field_for_order, quadratic_extension
+from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass
+from .gf import BudgetExceeded, field_for_order, odd_prime_power, quadratic_extension
 from .orbitmethod import (
     DEFAULT_CLASS_BUDGET,
     DEFAULT_ORBIT_BUDGET,
+    RadicalContext,
     RadicalParams,
     class_count_brute,
     orbit_census,
@@ -61,21 +64,9 @@ class UsageError(Exception):
     """Parameter or flag problem; maps to exit code 2."""
 
 
-def check_q(q: int) -> int:
-    """Validate q as an odd prime power (arithmetically, no field built)."""
-    if q < 3 or q % 2 == 0:
-        raise UsageError("odd prime power required")
-    m = q
-    p = None
-    for cand in range(3, int(q ** 0.5) + 1, 2):
-        if m % cand == 0:
-            p = cand
-            break
-    if p is None:
-        return q
-    while m % p == 0:
-        m //= p
-    if m != 1:
+def _checked_q(q: int) -> int:
+    """q itself if it is an odd prime power; no field is built."""
+    if odd_prime_power(q) is None:
         raise UsageError("odd prime power required")
     return q
 
@@ -87,14 +78,17 @@ def _field_for(q: int):
         raise UsageError(str(exc)) from exc
 
 
-def resolve_budget(args, default: int) -> int:
-    if args.budget is None:
-        return default
-    if args.budget < 1:
+def _check_budget(budget) -> None:
+    if budget is None:
+        return
+    if budget < 1:
         raise UsageError("budget must be positive")
-    if args.budget > HARD_BUDGET_CEILING:
+    if budget > HARD_BUDGET_CEILING:
         raise UsageError(f"budget exceeds the hard ceiling {HARD_BUDGET_CEILING}")
-    return args.budget
+
+
+def resolve_budget(args, default: int) -> int:
+    return default if args.budget is None else args.budget
 
 
 def _params(args) -> RadicalParams:
@@ -135,23 +129,12 @@ def _count_str(row: dict, basis: str) -> str:
 
 
 def _census_oracle(params: RadicalParams, q: int, variant: str, args) -> dict:
-    orbit_budget = resolve_budget(args, DEFAULT_ORBIT_BUDGET)
-    class_budget = resolve_budget(args, DEFAULT_CLASS_BUDGET)
-    duals = q ** params.a_exponent
-    order = q ** params.order_exponent
-    if duals > orbit_budget:
-        raise UsageError(
-            f"oracle needs {duals} dual functionals, over the orbit budget "
-            f"{orbit_budget}; raise --budget (ceiling {HARD_BUDGET_CEILING})"
-        )
-    if order > class_budget:
-        raise UsageError(
-            f"oracle needs {order} group elements, over the class budget "
-            f"{class_budget}; raise --budget (ceiling {HARD_BUDGET_CEILING})"
-        )
-    _field_for(q)
-    orbits = orbit_census(params, q, budget=orbit_budget)
-    classes = class_count_brute(params, q, budget=class_budget)
+    ctx = RadicalContext(params, _field_for(q))
+    # classes first: there are never more duals than group elements and the
+    # orbit budget is never below the class budget, so an oversized request
+    # fails here, before anything is enumerated
+    classes = class_count_brute(params, ctx, budget=resolve_budget(args, DEFAULT_CLASS_BUDGET))
+    orbits = orbit_census(params, ctx, budget=resolve_budget(args, DEFAULT_ORBIT_BUDGET))
     table = census_table(params, variant)
     symbolic = table.counts_at(q)
     orbital = {r.e: (r.degree, r.char_count) for r in orbits.rows}
@@ -178,7 +161,7 @@ def _census_oracle(params: RadicalParams, q: int, variant: str, args) -> dict:
 
 def cmd_census(args):
     params = _params(args)
-    q = check_q(args.q) if args.q is not None else None
+    q = _checked_q(args.q) if args.q is not None else None
     if args.oracle and q is None:
         raise UsageError("--oracle requires --q")
     census = census_table(params, args.variant)
@@ -220,7 +203,7 @@ def cmd_census(args):
 def cmd_ranks(args):
     kind = args.cls
     n = args.n
-    q = check_q(args.q) if args.q is not None else None
+    q = _checked_q(args.q) if args.q is not None else None
     if args.brute and q is None:
         raise UsageError("--brute requires --q")
     if args.r is not None:
@@ -247,16 +230,9 @@ def cmd_ranks(args):
     record = {"command": "ranks", "class": kind, "n": n, "q": q, "rows": rows}
     code = 0
     if args.brute:
-        budget = resolve_budget(args, DEFAULT_ENUM_BUDGET)
         base = _field_for(q)
         field = quadratic_extension(base) if kind == "herm" else base
-        total = class_size(n, RANK_CLASSES[kind], field)
-        if total > budget:
-            raise UsageError(
-                f"brute enumeration needs {total} matrices, over the budget "
-                f"{budget}; raise --budget (ceiling {HARD_BUDGET_CEILING})"
-            )
-        hist = brute_rank_census(n, RANK_CLASSES[kind], field, budget=budget)
+        hist = brute_rank_census(n, RANK_CLASSES[kind], field, budget=resolve_budget(args, DEFAULT_ENUM_BUDGET))
         expected = {r: polys[r].eval_at(q) for r in rank_list}
         got = {r: hist.get(r, 0) for r in rank_list}
         match = got == expected
@@ -329,14 +305,7 @@ def _suite_orbits(args, qs):
     checks = []
     for x, n, d, q in _radical_instances(ORBIT_TRIPLES, qs, [("C", 2, 1, 5)], args.max_n):
         params = RadicalParams(x, n, d)
-        duals = q ** params.a_exponent
-        if duals > budget:
-            raise UsageError(
-                f"orbit check ({x}, n={n}, d={d}, q={q}) needs {duals} dual "
-                f"functionals, over the budget {budget}; raise --budget"
-            )
-        _field_for(q)
-        orbits = orbit_census(params, q, budget=budget)
+        orbits = orbit_census(params, _field_for(q), budget=budget)
         symbolic = census_table(params).counts_at(q)
         orbital = {r.e: (r.degree, r.char_count) for r in orbits.rows}
         ok = symbolic == orbital
@@ -354,14 +323,7 @@ def _suite_classes(args, qs):
     checks = []
     for x, n, d, q in _radical_instances(CLASS_TRIPLES, qs, [("C", 2, 1, 5)], args.max_n):
         params = RadicalParams(x, n, d)
-        order = q ** params.order_exponent
-        if order > budget:
-            raise UsageError(
-                f"class count ({x}, n={n}, d={d}, q={q}) needs {order} group "
-                f"elements, over the budget {budget}; raise --budget"
-            )
-        _field_for(q)
-        classes = class_count_brute(params, q, budget=budget)
+        classes = class_count_brute(params, _field_for(q), budget=budget)
         total = census_table(params).total_poly().eval_at(q)
         ok = classes == total
         detail = (
@@ -423,7 +385,7 @@ SUITES = {
 
 
 def cmd_verify(args):
-    qs = tuple(check_q(v) for v in args.q) if args.q else None
+    qs = tuple(_checked_q(v) for v in args.q) if args.q else None
     names = tuple(sorted(SUITES)) if args.suite == "all" else (args.suite,)
     checks = []
     for name in names:
@@ -625,8 +587,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        _check_budget(args.budget)
         record, code = COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render(record, args, time.perf_counter() - start))

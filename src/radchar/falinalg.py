@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import FieldCtx, FieldElement, frobenius, norm, relative_trace
+from .gf import BudgetExceeded, FieldCtx, FieldElement, frobenius, norm, relative_trace
 
 __all__ = [
     "FfMatrix",
@@ -290,7 +290,7 @@ def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = D
     """
     total = class_size(n, cls, field)
     if total > budget:
-        raise ValueError(f"enumeration too large: {total} matrices exceeds budget {budget}")
+        raise BudgetExceeded(f"enumeration too large: {total} matrices exceeds budget {budget}")
     all_codes = list(range(field.q))
     if cls is SymmetryClass.SKEW_HERMITIAN:
         diag_codes = field.trace_zero_codes()

@@ -10,10 +10,12 @@ Iterating codes therefore walks the elements in a fixed canonical
 order, and the code of a base-field element is unchanged under the
 embedding into the extension.
 
-Since q never exceeds a few thousand here, full q-by-q tables for
-add/sub/mul are cheap.  Entrywise arithmetic is a table lookup; matrix
-products (falinalg.matmul) use these tables over an extension field and
-an integer product reduced mod p over a prime field.
+Field construction refuses orders above MAX_FIELD_ORDER (1,024) with
+BudgetExceeded before it allocates anything, so the full q-by-q tables
+for add/sub/mul stay cheap (a few MB) and int16 codes cannot overflow.
+Entrywise arithmetic is a table lookup; matrix products
+(falinalg.matmul) use these tables over an extension field and an
+integer product reduced mod p over a prime field.
 
 There is no global field registry: contexts are plain immutable
 objects, and two contexts built the same way compare equal, so
@@ -22,11 +24,16 @@ elements are value objects.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "FieldCtx",
     "FieldElement",
+    "BudgetExceeded",
+    "MAX_FIELD_ORDER",
+    "odd_prime_power",
     "field_create",
     "quadratic_extension",
     "field_for_order",
@@ -36,15 +43,23 @@ __all__ = [
 ]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+MAX_FIELD_ORDER = 1024
+
+
+class BudgetExceeded(ValueError):
+    """A requested field or enumeration is larger than its cap or budget."""
+
+
+def odd_prime_power(q) -> tuple[int, int] | None:
+    """(p, m) with q = p^m for an odd prime p, or None if q is no such power."""
+    if not isinstance(q, int) or q < 3 or q % 2 == 0:
+        return None
+    p = next((f for f in range(3, math.isqrt(q) + 1, 2) if q % f == 0), q)
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
 
 
 # generator symbols for successive quadratic extensions, used only in repr
@@ -61,16 +76,17 @@ class FieldCtx:
     def __init__(self, p: int, base: "FieldCtx | None", _token: object = None):
         if _token is not _CTX_TOKEN:
             raise TypeError("use field_create or quadratic_extension")
+        self.q = p if base is None else base.q * base.q
+        if self.q > MAX_FIELD_ORDER:
+            raise BudgetExceeded(f"field order {self.q} exceeds the cap {MAX_FIELD_ORDER}")
         self.p = p
         self.base = base
         if base is None:
-            self.q = p
             self.degree = 1
             self.nonresidue_code = None
             self._key = ("prime", p)
             self._build_prime_tables()
         else:
-            self.q = base.q * base.q
             self.degree = 2 * base.degree
             self.nonresidue_code = self._least_nonresidue(base)
             self._key = ("ext", base._key, self.nonresidue_code)
@@ -320,7 +336,7 @@ class FieldElement:
 
 def field_create(p: int, m: int = 1) -> FieldCtx:
     """Build F_(p^m) for an odd prime p, with m in {1, 2}."""
-    if not isinstance(p, int) or not _is_prime(p) or p == 2:
+    if odd_prime_power(p) != (p, 1):
         raise ValueError("odd prime required")
     if m == 1:
         return FieldCtx(p, None, _CTX_TOKEN)
@@ -338,23 +354,10 @@ def quadratic_extension(field: FieldCtx) -> FieldCtx:
 
 def field_for_order(q: int) -> FieldCtx:
     """F_q for q an odd prime or the square of an odd prime."""
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
+    power = odd_prime_power(q)
+    if power is None:
         raise ValueError("odd prime power required")
-    if _is_prime(q):
-        return field_create(q, 1)
-    r = int(round(q ** 0.5))
-    if r * r == q and _is_prime(r):
-        return field_create(r, 2)
-    raise ValueError("odd prime power required" if not _prime_power(q) else "unsupported extension degree")
-
-
-def _prime_power(q: int) -> bool:
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
+    return field_create(*power)
 
 
 def frobenius(a: FieldElement) -> FieldElement:

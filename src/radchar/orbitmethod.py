@@ -42,12 +42,13 @@ from .falinalg import (
     SymmetryClass,
     enumerate_class,
     gram_matrix,
+    is_in_class,
     matmul,
     rank,
     trace_pairing,
     twisted_trace_pairing,
 )
-from .gf import FieldCtx, field_for_order, quadratic_extension
+from .gf import BudgetExceeded, FieldCtx, field_for_order, quadratic_extension
 from .qpoly import QPoly
 
 __all__ = [
@@ -79,6 +80,14 @@ DEFAULT_CLASS_BUDGET = 10 ** 4
 # matrices per stacked product: bounds the int64 and index temporaries,
 # which set the peak memory of the oracles (1024 was no faster)
 _BLOCK = 256
+
+# the symmetry class of the constrained block of V (b1 for C and D,
+# b2 J_d for U), with the message that rejects a block outside it
+_V_CLASS = {
+    "C": (SymmetryClass.SYMMETRIC, "b1 must be symmetric"),
+    "D": (SymmetryClass.SKEW_SYMMETRIC, "b1 must be skew-symmetric"),
+    "U": (SymmetryClass.SKEW_HERMITIAN, "b2 J must be skew-Hermitian"),
+}
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,25 @@ def _grid(*stacks: np.ndarray) -> tuple:
     return tuple(s[i] for s, i in zip(stacks, picks))
 
 
+def _fp_basis(field: FieldCtx) -> list[int]:
+    """Codes of an F_p-basis of a field: 1, p, ..., p^(degree-1)."""
+    return [field.p ** k for k in range(field.degree)]
+
+
+def _unit(shape: tuple, i: int, j: int, s: int, mirror=None) -> np.ndarray:
+    """The matrix with s at (i, j) and, if a mirror table is given, mirror[s] at (j, i)."""
+    M = np.zeros(shape, dtype=np.int16)
+    M[i, j] = s
+    if mirror is not None:
+        M[j, i] = mirror[s]
+    return M
+
+
+def _units(shape: tuple, scalars) -> list[np.ndarray]:
+    """Every single-entry matrix, entry positions row by row, scalar fastest."""
+    return [_unit(shape, i, j, s) for i, j in np.ndindex(*shape) for s in scalars]
+
+
 class RadicalContext:
     """A radical group realized over a concrete field F_q."""
 
@@ -167,23 +195,25 @@ class RadicalContext:
             self.field = quadratic_extension(self.base_field)
         else:
             self.field = self.base_field
-        self.k_order = self.base_field.q ** params.k_exponent
-        assert self.k_order == (self.field.q if params.x == "U" else self.base_field.q)
+        self.k_order = self.field.q
         n, d = params.n, params.d
         self.n, self.d = n, d
-        self._mask = self._build_mask()
-
-    def _build_mask(self) -> np.ndarray:
-        n, d = self.n, self.d
-        mask = np.zeros((2 * n, 2 * n), dtype=bool)
-        if self.params.x == "U":
-            mask[n : 2 * n - d, 0:d] = True
-            mask[2 * n - d : 2 * n, 0:n] = True
+        s = np.s_
+        # where the blocks sit in the ambient matrices: (b1, b2, linked
+        # block) in a(V), (b1, b3, b2) in a dual
+        if params.x == "U":
+            self._a_slots = (s[..., 0:d, n : 2 * n - d], s[..., 0:d, 2 * n - d :], s[..., d:n, 2 * n - d :])
+            self._dual_slots = (s[..., n : 2 * n - d, 0:d], s[..., 2 * n - d :, d:n], s[..., 2 * n - d :, 0:d])
         else:
-            mask[n : n + d, 0:n] = True
-            mask[n + d : 2 * n, 0:d] = True
-        mask.setflags(write=False)
-        return mask
+            self._a_slots = (s[..., 0:d, n : n + d], s[..., 0:d, n + d :], s[..., d:n, n : n + d])
+            self._dual_slots = (s[..., n : n + d, 0:d], s[..., n : n + d, d:n], s[..., n + d :, 0:d])
+        ambient = np.empty((2 * n, 2 * n))
+        self._v_shapes = [ambient[slot].shape for slot in self._a_slots[:2]]
+        self._dual_shapes = [ambient[slot].shape for slot in self._dual_slots]
+        self._mask = np.zeros((2 * n, 2 * n), dtype=bool)
+        for slot in self._dual_slots:
+            self._mask[slot] = True
+        self._mask.setflags(write=False)
 
     # -- raw ambient builders (arrays of codes) -------------------------
 
@@ -210,21 +240,19 @@ class RadicalContext:
             M[..., n + d : 2 * n, n : n + d] = self.field._neg[_t(A)]
         return M
 
-    def _a_ambient(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-        n, d = self.n, self.d
-        M = _identity_stack(2 * n, b2.shape[:-2])
+    def _link(self, X: np.ndarray) -> np.ndarray:
+        """The block tied to a free block: X^t (C), -X^t (D), -J conj(X)^t J (U)."""
         if self.params.x == "C":
-            M[..., 0:d, n : n + d] = b1
-            M[..., 0:d, n + d : 2 * n] = b2
-            M[..., d:n, n : n + d] = _t(b2)
-        elif self.params.x == "D":
-            M[..., 0:d, n : n + d] = b1
-            M[..., 0:d, n + d : 2 * n] = b2
-            M[..., d:n, n : n + d] = self.field._neg[_t(b2)]
-        else:
-            M[..., 0:d, n : 2 * n - d] = b1
-            M[..., 0:d, 2 * n - d : 2 * n] = b2
-            M[..., d:n, 2 * n - d : 2 * n] = _j_conj_t(self.field, b1)
+            return _t(X)
+        if self.params.x == "D":
+            return self.field._neg[_t(X)]
+        return _j_conj_t(self.field, X)
+
+    def _a_ambient(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+        M = _identity_stack(2 * self.n, b2.shape[:-2])
+        s1, s2, s_link = self._a_slots
+        M[s1], M[s2] = b1, b2
+        M[s_link] = self._link(b1 if self.params.x == "U" else b2)
         return M
 
     # -- element constructors -------------------------------------------
@@ -237,32 +265,21 @@ class RadicalContext:
         d-by-(n-d) block, b2 the d-by-d block with b2 J_d
         skew-Hermitian.  a is the H-parameter (A or A1).
         """
-        n, d = self.n, self.d
-        b1c = self._coerce_block(b1, (d, d) if self.params.x != "U" else (d, n - d))
-        b2c = self._coerce_block(b2, (d, n - d) if self.params.x != "U" else (d, d))
-        ac = self._coerce_block(a, (d, n - d))
-        self._validate_group_blocks(b1c, b2c)
+        b1c, b2c = (self._coerce_block(b, shape) for b, shape in zip((b1, b2), self._v_shapes))
+        ac = self._coerce_block(a, (self.d, self.n - self.d))
+        self._check_v_class(b1c, b2c)
         return RadicalElement(self, b1c, b2c, ac)
 
-    def _validate_group_blocks(self, b1: np.ndarray, b2: np.ndarray) -> None:
-        f = self.field
-        if self.params.x == "C":
-            if not np.array_equal(b1, b1.T):
-                raise ValueError("b1 must be symmetric")
-        elif self.params.x == "D":
-            if not np.array_equal(b1, f._neg[b1.T]):
-                raise ValueError("b1 must be skew-symmetric")
-        else:
-            b2j = b2[:, ::-1]  # B2 J_d
-            if not np.array_equal(b2j, f._neg[f._frob[b2j.T]]):
-                raise ValueError("b2 J must be skew-Hermitian")
+    def _check_v_class(self, b1: np.ndarray, b2: np.ndarray) -> None:
+        """Raise unless the constrained block (b1, or b2 J_d for U) lies in its class."""
+        cls, message = _V_CLASS[self.params.x]
+        block = b2[:, ::-1] if self.params.x == "U" else b1
+        if not is_in_class(FfMatrix.from_codes(self.field, block), cls):
+            raise ValueError(message)
 
     def identity(self) -> "RadicalElement":
-        n, d = self.n, self.d
-        z = np.zeros
-        if self.params.x == "U":
-            return RadicalElement(self, z((d, n - d), dtype=np.int16), z((d, d), dtype=np.int16), z((d, n - d), dtype=np.int16))
-        return RadicalElement(self, z((d, d), dtype=np.int16), z((d, n - d), dtype=np.int16), z((d, n - d), dtype=np.int16))
+        shapes = (*self._v_shapes, (self.d, self.n - self.d))
+        return RadicalElement(self, *(np.zeros(shape, dtype=np.int16) for shape in shapes))
 
     def h_element(self, a) -> "RadicalElement":
         e = self.identity()
@@ -283,15 +300,17 @@ class RadicalContext:
     def _class_stack(self, cls: SymmetryClass) -> np.ndarray:
         return np.stack([M.codes for M in enumerate_class(self.d, cls, self.field)])
 
-    def _v_class(self) -> SymmetryClass:
-        return SymmetryClass.SYMMETRIC if self.params.x == "C" else SymmetryClass.SKEW_SYMMETRIC
+    def _v_stack(self) -> np.ndarray:
+        """Every constrained block of V: b1 for C and D, b2 for U."""
+        stack = self._class_stack(_V_CLASS[self.params.x][0])
+        return stack[..., ::-1] if self.params.x == "U" else stack
 
     def _element_blocks(self) -> tuple:
         """Stacked free blocks (b1, b2, a) of all elements, in enumeration order."""
         free = self._free_stack(self.d, self.n - self.d)
         if self.params.x == "U":
-            return _grid(free, self._class_stack(SymmetryClass.SKEW_HERMITIAN)[..., ::-1], free)
-        return _grid(self._class_stack(self._v_class()), free, free)
+            return _grid(free, self._v_stack(), free)
+        return _grid(self._v_stack(), free, free)
 
     def _element_stack(self) -> np.ndarray:
         """Ambient codes of all elements, in enumeration order."""
@@ -313,124 +332,76 @@ class RadicalContext:
 
     def h_generators(self) -> list["RadicalElement"]:
         """One-parameter H-elements generating H as a group."""
-        n, d = self.n, self.d
-        gens = []
-        basis_codes = [self.field.p ** k for k in range(self.field.degree)]
-        for i in range(d):
-            for j in range(n - d):
-                for b in basis_codes:
-                    A = np.zeros((d, n - d), dtype=np.int16)
-                    A[i, j] = b
-                    gens.append(self.h_element(A))
-        return gens
+        return [self.h_element(A) for A in _units((self.d, self.n - self.d), _fp_basis(self.field))]
 
     def generators(self) -> list["RadicalElement"]:
         """One-parameter elements generating all of R_u."""
-        gens = list(self.h_generators())
-        zero1 = np.zeros_like(self.identity()._b1)
-        zero2 = np.zeros_like(self.identity()._b2)
-        basis_codes = [self.field.p ** k for k in range(self.field.degree)]
-        # b1 directions
+        trace_zero = [self.base_field.q * c for c in _fp_basis(self.base_field)]
+        directions = self._a_directions(_fp_basis(self.field), trace_zero)
+        return self.h_generators() + [self.a_element(b1, b2) for b1, b2 in directions]
+
+    def _a_directions(self, scalars, trace_zero) -> list[tuple]:
+        """One-parameter directions (b1, b2) of A, b1 directions first.
+
+        Each entry of the free block and of the upper triangle of the
+        constrained block (b1 for C and D, S = b2 J_d for U) takes every
+        code in scalars, the entry it is tied to following; the diagonal of
+        S takes trace_zero instead.  So an F_p-basis of k gives generators
+        of A, and an F_q-basis gives an F_q-basis of Lie(A).
+        """
+        n, d, f = self.n, self.d, self.field
+        free = _units((d, n - d), scalars)
+        zero_free, zero_v = np.zeros((d, n - d), dtype=np.int16), np.zeros((d, d), dtype=np.int16)
         if self.params.x == "U":
-            for i in range(self.d):
-                for j in range(self.n - self.d):
-                    for b in basis_codes:
-                        b1 = zero1.copy()
-                        b1[i, j] = b
-                        gens.append(self.a_element(b1, zero2))
+            mirror, diagonal = f._neg[f._frob], trace_zero
         else:
-            f = self.field
-            for i in range(self.d):
-                for j in range(i, self.d):
-                    if i == j and self.params.x == "D":
-                        continue
-                    for b in basis_codes:
-                        b1 = zero1.copy()
-                        b1[i, j] = b
-                        b1[j, i] = b if self.params.x == "C" else f._neg[b]
-                        gens.append(self.a_element(b1, zero2))
-        # b2 directions
+            mirror = np.arange(f.q) if self.params.x == "C" else f._neg
+            diagonal = scalars if self.params.x == "C" else []
+        v = [
+            _unit((d, d), i, j, s, mirror)
+            for i in range(d)
+            for j in range(i, d)
+            for s in (diagonal if i == j else scalars)
+        ]
         if self.params.x == "U":
-            f = self.field
-            Q = self.base_field.q
-            for i in range(self.d):
-                for j in range(i, self.d):
-                    scalars = [c * Q for c in [self.base_field.p ** k for k in range(self.base_field.degree)]] if i == j else [f.p ** k for k in range(f.degree)]
-                    for s in scalars:
-                        S = np.zeros((self.d, self.d), dtype=np.int16)
-                        S[i, j] = s
-                        if i != j:
-                            S[j, i] = f._neg[f._frob[s]]
-                        gens.append(self.a_element(zero1, S[:, ::-1]))
-        else:
-            for i in range(self.d):
-                for j in range(self.n - self.d):
-                    for b in basis_codes:
-                        b2 = zero2.copy()
-                        b2[i, j] = b
-                        gens.append(self.a_element(zero1, b2))
-        return gens
+            return [(b1, zero_v) for b1 in free] + [(zero_free, S[:, ::-1]) for S in v]
+        return [(b1, zero_free) for b1 in v] + [(zero_v, b2) for b2 in free]
 
     # -- dual space -------------------------------------------------------
 
     def dual(self, b1, b3, b2) -> "DualElement":
         """A dual element from its three blocks (validated)."""
-        n, d = self.n, self.d
-        if self.params.x == "U":
-            b1c = self._coerce_block(b1, (n - d, d))
-            b3c = self._coerce_block(b3, (d, n - d))
-            b2c = self._coerce_block(b2, (d, d))
-        else:
-            b1c = self._coerce_block(b1, (d, d))
-            b3c = self._coerce_block(b3, (d, n - d))
-            b2c = self._coerce_block(b2, (n - d, d))
+        b1c, b3c, b2c = (self._coerce_block(b, shape) for b, shape in zip((b1, b3, b2), self._dual_shapes))
         self._validate_dual_blocks(b1c, b3c, b2c)
         return DualElement(self, b1c, b3c, b2c)
 
     def dual_from_free(self, first, second) -> "DualElement":
         """Dual element from free blocks: (b1, b2) for C and D, (b2, b3) for U."""
-        f = self.field
-        n, d = self.n, self.d
-        if self.params.x == "C":
-            b1 = self._coerce_block(first, (d, d))
-            b2 = self._coerce_block(second, (n - d, d))
-            return self.dual(b1, b2.T, b2)
-        if self.params.x == "D":
-            b1 = self._coerce_block(first, (d, d))
-            b2 = self._coerce_block(second, (n - d, d))
-            return self.dual(b1, f._neg[b2.T], b2)
-        b2 = self._coerce_block(first, (d, d))
-        b3 = self._coerce_block(second, (d, n - d))
-        return self.dual(_j_conj_t(f, b3), b3, b2)
+        b1_shape, b3_shape, b2_shape = self._dual_shapes
+        if self.params.x == "U":
+            b2 = self._coerce_block(first, b2_shape)
+            b3 = self._coerce_block(second, b3_shape)
+            return self.dual(self._link(b3), b3, b2)
+        b1 = self._coerce_block(first, b1_shape)
+        b2 = self._coerce_block(second, b2_shape)
+        return self.dual(b1, self._link(b2), b2)
 
     def _validate_dual_blocks(self, b1, b3, b2) -> None:
-        f = self.field
-        if self.params.x == "C":
-            if not np.array_equal(b1, b1.T):
-                raise ValueError("b1 must be symmetric")
-            if not np.array_equal(b3, b2.T):
-                raise ValueError("b3 must equal b2 transposed")
-        elif self.params.x == "D":
-            if not np.array_equal(b1, f._neg[b1.T]):
-                raise ValueError("b1 must be skew-symmetric")
-            if not np.array_equal(b3, f._neg[b2.T]):
-                raise ValueError("b3 must equal minus b2 transposed")
-        else:
-            b2j = b2[:, ::-1]
-            if not np.array_equal(b2j, f._neg[f._frob[b2j.T]]):
-                raise ValueError("b2 J must be skew-Hermitian")
-            if not np.array_equal(b1, _j_conj_t(f, b3)):
+        self._check_v_class(b1, b2)
+        if self.params.x == "U":
+            if not np.array_equal(b1, self._link(b3)):
                 raise ValueError("b1 must be the twisted transpose of b3")
+        elif not np.array_equal(b3, self._link(b2)):
+            raise ValueError("b3 must equal b2 transposed" if self.params.x == "C" else "b3 must equal minus b2 transposed")
 
     def _dual_blocks(self) -> tuple:
         """Stacked blocks (b1, b3, b2) of all duals, in enumeration order."""
         n, d = self.n, self.d
-        f = self.field
         if self.params.x == "U":
-            b2, b3 = _grid(self._class_stack(SymmetryClass.SKEW_HERMITIAN)[..., ::-1], self._free_stack(d, n - d))
-            return _j_conj_t(f, b3), b3, b2
-        b1, b2 = _grid(self._class_stack(self._v_class()), self._free_stack(n - d, d))
-        return b1, _t(b2) if self.params.x == "C" else f._neg[_t(b2)], b2
+            b2, b3 = _grid(self._v_stack(), self._free_stack(d, n - d))
+            return self._link(b3), b3, b2
+        b1, b2 = _grid(self._v_stack(), self._free_stack(n - d, d))
+        return b1, self._link(b2), b2
 
     def _dual_stack(self) -> np.ndarray:
         """Ambient codes of all duals, in enumeration order."""
@@ -445,174 +416,102 @@ class RadicalContext:
         return self.q ** self.params.a_exponent
 
     def _dual_ambient(self, b1, b3, b2) -> np.ndarray:
-        n, d = self.n, self.d
-        M = np.zeros(b2.shape[:-2] + (2 * n, 2 * n), dtype=np.int16)
-        if self.params.x == "U":
-            M[..., n : 2 * n - d, 0:d] = b1
-            M[..., 2 * n - d : 2 * n, 0:d] = b2
-            M[..., 2 * n - d : 2 * n, d:n] = b3
-        else:
-            M[..., n : n + d, 0:d] = b1
-            M[..., n : n + d, d:n] = b3
-            M[..., n + d : 2 * n, 0:d] = b2
+        M = np.zeros(b2.shape[:-2] + (2 * self.n, 2 * self.n), dtype=np.int16)
+        for slot, block in zip(self._dual_slots, (b1, b3, b2)):
+            M[slot] = block
         return M
 
     def _decompose_dual(self, M: np.ndarray) -> "DualElement":
-        n, d = self.n, self.d
-        assert not M[~self._mask].any(), "dual support violation"
-        if self.params.x == "U":
-            b1 = M[n : 2 * n - d, 0:d]
-            b3 = M[2 * n - d : 2 * n, d:n]
-            b2 = M[2 * n - d : 2 * n, 0:d]
-        else:
-            b1 = M[n : n + d, 0:d]
-            b3 = M[n : n + d, d:n]
-            b2 = M[n + d : 2 * n, 0:d]
+        """The dual whose ambient matrix is M; ValueError if there is none."""
+        b1, b3, b2 = (np.array(M[slot]) for slot in self._dual_slots)
         self._validate_dual_blocks(b1, b3, b2)
+        if not np.array_equal(self._dual_ambient(b1, b3, b2), M):
+            raise ValueError("matrix is not a dual element")
         return DualElement(self, b1, b3, b2)
 
     def _decompose(self, M: np.ndarray) -> "RadicalElement":
-        n, d = self.n, self.d
+        """The element a(V) h(A) equal to M; ValueError if M is not in R_u.
+
+        A is read off M, V off M h(-A) = a(V); M is in the group exactly
+        when those blocks are valid and rebuild M.
+        """
         f = self.field
-        assert not M[n : 2 * n, 0:n].any(), "lower-left block must vanish"
-        P = M[0:n, 0:n]
-        Q = M[0:n, n : 2 * n]
-        R = M[n : 2 * n, n : 2 * n]
-        A = np.array(P[0:d, d:n])
-        assert np.array_equal(P, self._h_ambient(A)[0:n, 0:n]), "upper-left block is not unitriangular of the expected form"
-        if self.params.x == "U":
-            A2 = R[0 : n - d, n - d : n]
-            assert np.array_equal(A2, _j_conj_t(f, A)), "linked block mismatch"
-            Ninv = np.eye(n, dtype=np.int16)
-            Ninv[0 : n - d, n - d : n] = f._neg[A2]
-        else:
-            assert np.array_equal(R[d:n, 0:d], f._neg[A.T]), "linked block mismatch"
-            Ninv = np.eye(n, dtype=np.int16)
-            Ninv[d:n, 0:d] = A.T
-        assert np.array_equal(R, self._h_ambient(A)[n : 2 * n, n : 2 * n]), "lower-right block is not of the expected form"
-        V = matmul(f, Q, Ninv)
-        if self.params.x == "U":
-            assert not V[d:n, 0 : n - d].any(), "V block support violation"
-            b1 = V[0:d, 0 : n - d]
-            b2 = V[0:d, n - d : n]
-            b3 = V[d:n, n - d : n]
-            assert np.array_equal(b3, _j_conj_t(f, b1)), "V blocks violate the twisted link"
-        else:
-            assert not V[d:n, d:n].any(), "V block support violation"
-            b1 = V[0:d, 0:d]
-            b2 = V[0:d, d:n]
-            b3 = V[d:n, 0:d]
-            if self.params.x == "C":
-                assert np.array_equal(V, V.T), "V must be symmetric"
-            else:
-                assert np.array_equal(V, f._neg[V.T]), "V must be skew-symmetric"
-        self._validate_group_blocks(np.array(b1), np.array(b2))
-        return RadicalElement(self, np.array(b1), np.array(b2), A)
+        A = np.array(M[0 : self.d, self.d : self.n])
+        a_part = matmul(f, M, self._h_ambient(f._neg[A]))
+        b1, b2 = (np.array(a_part[slot]) for slot in self._a_slots[:2])
+        self._check_v_class(b1, b2)
+        if not np.array_equal(matmul(f, self._a_ambient(b1, b2), self._h_ambient(A)), M):
+            raise ValueError("matrix is not an element of the group")
+        return RadicalElement(self, b1, b2, A)
 
     def __repr__(self) -> str:
         p = self.params
         return f"RadicalContext({p.x}, n={p.n}, d={p.d}, q={self.q})"
 
 
-class RadicalElement:
-    """A group element a(V) h(A), stored by its free parameter blocks."""
+def _block_view(name: str) -> property:
+    return property(lambda self: FfMatrix.from_codes(self.ctx.field, getattr(self, name)))
 
-    __slots__ = ("ctx", "_b1", "_b2", "_a")
 
-    def __init__(self, ctx: RadicalContext, b1: np.ndarray, b2: np.ndarray, a: np.ndarray):
+class _BlockValue:
+    """A value of one RadicalContext stored by three code blocks.
+
+    Subclasses name the blocks in __slots__; equality, hashing, key()
+    and repr read them in that order.
+    """
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: RadicalContext, *blocks: np.ndarray):
         self.ctx = ctx
-        self._b1 = b1
-        self._b2 = b2
-        self._a = a
+        for name, block in zip(self.__slots__, blocks):
+            setattr(self, name, block)
 
-    @property
-    def v_b1(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._b1)
-
-    @property
-    def v_b2(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._b2)
-
-    @property
-    def h_a(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._a)
+    def _blocks(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.__slots__]
 
     def ambient(self) -> FfMatrix:
         return FfMatrix.from_codes(self.ctx.field, self._ambient_codes())
+
+    def key(self) -> bytes:
+        return b"".join(block.tobytes() for block in self._blocks())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.ctx.params == other.ctx.params
+            and self.ctx.q == other.ctx.q
+            and all(np.array_equal(a, b) for a, b in zip(self._blocks(), other._blocks()))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ctx.params, self.ctx.q, self.key()))
+
+    def __repr__(self) -> str:
+        blocks = ", ".join(f"{name[1:]}={block.tolist()}" for name, block in zip(self.__slots__, self._blocks()))
+        return f"{type(self).__name__}({blocks})"
+
+
+class RadicalElement(_BlockValue):
+    """A group element a(V) h(A), stored by its free parameter blocks."""
+
+    __slots__ = ("_b1", "_b2", "_a")
+    v_b1, v_b2, h_a = map(_block_view, __slots__)
 
     def _ambient_codes(self) -> np.ndarray:
         ctx = self.ctx
         return matmul(ctx.field, ctx._a_ambient(self._b1, self._b2), ctx._h_ambient(self._a))
 
-    def key(self) -> bytes:
-        return self._b1.tobytes() + self._b2.tobytes() + self._a.tobytes()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadicalElement):
-            return NotImplemented
-        return (
-            self.ctx.params == other.ctx.params
-            and self.ctx.q == other.ctx.q
-            and np.array_equal(self._b1, other._b1)
-            and np.array_equal(self._b2, other._b2)
-            and np.array_equal(self._a, other._a)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.params, self.ctx.q, self.key()))
-
-    def __repr__(self) -> str:
-        return f"RadicalElement(b1={self._b1.tolist()}, b2={self._b2.tolist()}, a={self._a.tolist()})"
-
-
-class DualElement:
+class DualElement(_BlockValue):
     """A dual (lower-left) element, stored by its three blocks."""
 
-    __slots__ = ("ctx", "_b1", "_b3", "_b2")
-
-    def __init__(self, ctx: RadicalContext, b1: np.ndarray, b3: np.ndarray, b2: np.ndarray):
-        self.ctx = ctx
-        self._b1 = b1
-        self._b3 = b3
-        self._b2 = b2
-
-    @property
-    def b1(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._b1)
-
-    @property
-    def b3(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._b3)
-
-    @property
-    def b2(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._b2)
-
-    def ambient(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._ambient_codes())
+    __slots__ = ("_b1", "_b3", "_b2")
+    b1, b3, b2 = map(_block_view, __slots__)
 
     def _ambient_codes(self) -> np.ndarray:
         return self.ctx._dual_ambient(self._b1, self._b3, self._b2)
-
-    def key(self) -> bytes:
-        return self._b1.tobytes() + self._b3.tobytes() + self._b2.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DualElement):
-            return NotImplemented
-        return (
-            self.ctx.params == other.ctx.params
-            and self.ctx.q == other.ctx.q
-            and np.array_equal(self._b1, other._b1)
-            and np.array_equal(self._b3, other._b3)
-            and np.array_equal(self._b2, other._b2)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.params, self.ctx.q, self.key()))
-
-    def __repr__(self) -> str:
-        return f"DualElement(b1={self._b1.tolist()}, b3={self._b3.tolist()}, b2={self._b2.tolist()})"
 
 
 def _same_ctx(a, b) -> RadicalContext:
@@ -622,7 +521,7 @@ def _same_ctx(a, b) -> RadicalContext:
 
 
 def group_mul(g: RadicalElement, h: RadicalElement) -> RadicalElement:
-    """Product in R_u, with closure of the block shape asserted."""
+    """Product in R_u; ValueError if it fails to decompose back into R_u."""
     ctx = _same_ctx(g, h)
     return ctx._decompose(matmul(ctx.field, g._ambient_codes(), h._ambient_codes()))
 
@@ -776,7 +675,7 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     if h_order > budget:
-        raise ValueError(f"enumeration too large: orbit bound {h_order} exceeds budget {budget}")
+        raise BudgetExceeded(f"enumeration too large: orbit bound {h_order} exceeds budget {budget}")
     gens = _h_gen_ambients(ctx)
     frontier = alpha._ambient_codes()[None]
     seen = _row_keys(frontier)
@@ -797,7 +696,7 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     which is also its representative.
     """
     if ctx.dual_count() > budget:
-        raise ValueError(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
+        raise BudgetExceeded(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
     b1, b3, b2 = ctx._dual_blocks()
     labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), _h_gen_ambients(ctx), ctx._mask)
     roots = np.flatnonzero(labels == np.arange(len(labels)))
@@ -844,7 +743,7 @@ def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -
     if ctx.params != params:
         raise ValueError("context parameters do not match")
     if ctx.dual_count() > budget:
-        raise ValueError(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
+        raise BudgetExceeded(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
     h_order = ctx.q ** params.h_exponent
     buckets: dict[int, int] = {}
     for alpha in ctx.duals():
@@ -854,8 +753,10 @@ def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -
     for e in sorted(buckets):
         count = buckets[e]
         k_e = ctx.k_order ** e
-        assert count % k_e == 0, "bucket size must be divisible by the orbit size"
-        assert (count * h_order) % (k_e * k_e) == 0, "character count must be integral"
+        if count % k_e:
+            raise ValueError("bucket size must be divisible by the orbit size")
+        if (count * h_order) % (k_e * k_e):
+            raise ValueError("character count must be integral")
         rows.append(
             OrbitCensusRow(
                 e=e,
@@ -866,8 +767,10 @@ def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -
             )
         )
     census = OrbitCensus(params=params, q=ctx.q, k_order=ctx.k_order, rows=tuple(rows))
-    assert sum(r.dual_count for r in rows) == ctx.dual_count()
-    assert census.sum_of_squares() == ctx.q ** params.order_exponent, "sum of squared degrees must equal the group order"
+    if sum(r.dual_count for r in rows) != ctx.dual_count():
+        raise ValueError("buckets must cover the dual space")
+    if census.sum_of_squares() != ctx.q ** params.order_exponent:
+        raise ValueError("sum of squared degrees must equal the group order")
     return census
 
 
@@ -885,7 +788,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
         raise ValueError("context parameters do not match")
     order = ctx.q ** params.order_exponent
     if order > budget:
-        raise ValueError(f"enumeration too large: group order {order} exceeds budget {budget}")
+        raise BudgetExceeded(f"enumeration too large: group order {order} exceeds budget {budget}")
     points = ctx._element_stack()
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
@@ -918,52 +821,10 @@ def _lie_a_basis(ctx: RadicalContext) -> list[FfMatrix]:
     F_q-basis: scalar 1 for types C and D, the pair {1, t} per free
     entry (and t alone on the constrained diagonal) for type U.
     """
-    n, d = ctx.n, ctx.d
-    f = ctx.field
-    out = []
-
-    def lie(b1, b2):
-        M = ctx._a_ambient(b1, b2)
-        M = f._sub[M, np.eye(2 * n, dtype=np.int16)]
-        return FfMatrix.from_codes(f, M, copy=False)
-
-    if ctx.params.x == "U":
-        zero1 = np.zeros((d, n - d), dtype=np.int16)
-        zero2 = np.zeros((d, d), dtype=np.int16)
-        Q = ctx.base_field.q
-        scalars = [1, Q]
-        for i in range(d):
-            for j in range(n - d):
-                for s in scalars:
-                    b1 = zero1.copy()
-                    b1[i, j] = s
-                    out.append(lie(b1, zero2))
-        for i in range(d):
-            for j in range(i, d):
-                svals = [Q] if i == j else scalars
-                for s in svals:
-                    S = np.zeros((d, d), dtype=np.int16)
-                    S[i, j] = s
-                    if i != j:
-                        S[j, i] = f._neg[f._frob[s]]
-                    out.append(lie(zero1, S[:, ::-1]))
-    else:
-        zero1 = np.zeros((d, d), dtype=np.int16)
-        zero2 = np.zeros((d, n - d), dtype=np.int16)
-        for i in range(d):
-            for j in range(i, d):
-                if i == j and ctx.params.x == "D":
-                    continue
-                b1 = zero1.copy()
-                b1[i, j] = 1
-                b1[j, i] = 1 if ctx.params.x == "C" else f._neg[1]
-                out.append(lie(b1, zero2))
-        for i in range(d):
-            for j in range(n - d):
-                b2 = zero2.copy()
-                b2[i, j] = 1
-                out.append(lie(zero1, b2))
-    return out
+    f, t = ctx.field, ctx.base_field.q
+    one = np.eye(2 * ctx.n, dtype=np.int16)
+    directions = ctx._a_directions([1, t] if ctx.params.x == "U" else [1], [t])
+    return [FfMatrix.from_codes(f, f._sub[ctx._a_ambient(b1, b2), one], copy=False) for b1, b2 in directions]
 
 
 def dual_index(ctx: RadicalContext):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -221,3 +222,59 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["bogus"])
     assert info.value.code == 2
+
+
+def test_budget_validated_for_every_command(capsys):
+    for argv in (
+        ("census", "--type", "C", "--n", "2", "--d", "1", "--budget", "0"),
+        ("ranks", "--class", "sym", "--n", "2", "--budget", "0"),
+        ("verify", "--suite", "positivity", "--max-n", "2", "--budget", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: budget must be positive\n"
+
+
+def test_q_27_is_a_prime_power_without_a_field(capsys):
+    # the symbolic census takes any odd prime power; the oracles need F_27,
+    # which is not built (only degrees 1 and 2 are)
+    code, _, err = run_cli(capsys, "verify", "--suite", "orbits", "--q", "27")
+    assert code == 2 and "unsupported extension degree" in err
+    code, _, err = run_cli(capsys, "census", "--type", "C", "--n", "3", "--d", "1", "--q", "27", "--oracle")
+    assert code == 2 and "unsupported extension degree" in err
+    code, record = run_json(capsys, "census", "--type", "C", "--n", "3", "--d", "1", "--q", "27")
+    assert code == 0 and record["params"]["q"] == 27
+
+
+def test_field_cap_exits_two_before_building_tables(capsys):
+    # both commands need F_(101^2), whose tables would take gigabytes
+    for argv in (
+        ("census", "--type", "U", "--n", "1", "--d", "0", "--q", "101", "--oracle"),
+        ("ranks", "--class", "herm", "--n", "1", "--q", "101", "--brute"),
+    ):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, ""), argv
+        assert err == "error: field order 10201 exceeds the cap 1024\n"
+        assert peak < 2_000_000
+
+
+def test_oracle_budget_refusal_names_the_class_count_first(capsys):
+    # with one --budget for both oracles the class count, which has at least
+    # as many points as the orbit census, is the one that refuses
+    code, _, err = run_cli(
+        capsys, "census", "--type", "C", "--n", "3", "--d", "2", "--q", "3", "--oracle", "--budget", "100"
+    )
+    assert code == 2
+    assert err == "error: enumeration too large: group order 2187 exceeds budget 100\n"
+    for argv in (
+        ("verify", "--suite", "orbits", "--budget", "10"),
+        ("verify", "--suite", "classes", "--budget", "10"),
+        ("ranks", "--class", "sym", "--n", "3", "--q", "3", "--brute", "--budget", "10"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: enumeration too large"), argv

@@ -1,12 +1,17 @@
 """Exhaustive checks of the finite field layer on the fields used downstream."""
 
+import tracemalloc
+
 import pytest
 
 from radchar.gf import (
+    MAX_FIELD_ORDER,
+    BudgetExceeded,
     field_create,
     field_for_order,
     frobenius,
     norm,
+    odd_prime_power,
     quadratic_extension,
     relative_trace,
 )
@@ -179,3 +184,28 @@ def test_element_misc():
     assert repr(F9.elem(4)) == "1+t"
     assert repr(F9.elem(6)) == "2*t"
     assert repr(F9.elem(2)) == "2"
+
+
+def test_odd_prime_power():
+    assert [odd_prime_power(q) for q in (3, 9, 27, 25, 1021, 3 ** 20)] == [
+        (3, 1), (3, 2), (3, 3), (5, 2), (1021, 1), (3, 20)
+    ]
+    for q in (-3, 0, 1, 2, 4, 15, 45, 1023, 3.0, "9", None):
+        assert odd_prime_power(q) is None, q
+
+
+def test_field_order_cap_refuses_before_allocating():
+    # F_1031 tables take about 10 MB and F_(37^2) ones about 25 MB
+    assert MAX_FIELD_ORDER == 1024
+    assert field_create(1021).q == 1021
+    base = field_create(37)
+    for build in (lambda: field_create(1031), lambda: quadratic_extension(base), lambda: field_for_order(37 ** 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="exceeds the cap 1024"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+    assert issubclass(BudgetExceeded, ValueError)

@@ -467,3 +467,52 @@ def test_oracle_checks_raise_value_error(monkeypatch):
         m.setattr(ctx, "_element_stack", lambda: ctx_for("C", 3, 2, 3)._element_stack()[1:])
         with pytest.raises(ValueError, match="full group order"):
             class_count_brute(ctx.params, ctx)
+
+
+def _single_entry_changes(M, q):
+    for i, j in np.ndindex(*M.shape):
+        for delta in range(1, q):
+            X = M.copy()
+            X[i, j] = (X[i, j] + delta) % q
+            yield X
+
+
+def test_decompose_rejects_every_matrix_outside_the_group():
+    # a single-entry change of an element or a dual decomposes back to the
+    # same matrix when it stays in the set and raises ValueError otherwise
+    rng = random.Random(5)
+    for x, n, d, q in [("C", 3, 2, 3), ("D", 4, 2, 3), ("U", 2, 1, 3), ("U", 2, 1, 5)]:
+        ctx = ctx_for(x, n, d, q)
+        f = ctx.field
+        for stack, decompose in ((ctx._element_stack(), ctx._decompose), (ctx._dual_stack(), ctx._decompose_dual)):
+            members = {M.tobytes() for M in stack}
+            for M in (stack[rng.randrange(len(stack))] for _ in range(3)):
+                for X in _single_entry_changes(M, f.q):
+                    if X.tobytes() in members:
+                        assert np.array_equal(decompose(X)._ambient_codes(), X)
+                    else:
+                        with pytest.raises(ValueError):
+                            decompose(X)
+
+
+def test_orbit_census_checks_raise_value_error(monkeypatch):
+    # the verdicts of orbit_census are exceptions, not asserts, so they
+    # also hold under python -O
+    params = RadicalParams("C", 2, 1)
+    for patch, message in [
+        (("rank", lambda M: 3), "divisible by the orbit size"),
+        (("rank", lambda M: 2), "character count must be integral"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(orbitmethod, *patch)
+            with pytest.raises(ValueError, match=message):
+                orbit_census(params, 3)
+    ctx = ctx_for("C", 2, 1, 3)
+    with monkeypatch.context() as m:
+        m.setattr(ctx, "dual_count", lambda: 3 ** 2 + 1)
+        with pytest.raises(ValueError, match="cover the dual space"):
+            orbit_census(params, ctx)
+    with monkeypatch.context() as m:
+        m.setattr(RadicalParams, "order_exponent", property(lambda self: 4))
+        with pytest.raises(ValueError, match="sum of squared degrees"):
+            orbit_census(params, 3)
