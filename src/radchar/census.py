@@ -43,7 +43,8 @@ def _check_range(n: int, r: int) -> None:
 
 def _finalize(num: QPoly, den: QPoly) -> QPoly:
     out = num.exact_div(den)
-    assert out.is_integral(), "census polynomial must have integer coefficients"
+    if not out.is_integral():
+        raise ValueError("census polynomial must have integer coefficients")
     return out
 
 

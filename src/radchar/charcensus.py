@@ -125,17 +125,11 @@ class DegreeCensus:
 
     def total_poly(self) -> QPoly:
         """Number of irreducible characters, hence of conjugacy classes."""
-        total = QPoly.zero()
-        for row in self.rows:
-            total = total + row.count
-        return total
+        return sum((row.count for row in self.rows), QPoly.zero())
 
     def sum_of_squares(self) -> QPoly:
         """Sum of count * degree^2 over all rows; should be the group order."""
-        total = QPoly.zero()
-        for row in self.rows:
-            total = total + row.count * row.degree * row.degree
-        return total
+        return sum((row.count * row.degree * row.degree for row in self.rows), QPoly.zero())
 
     def order_poly(self) -> QPoly:
         return radical_order(self.params)
@@ -156,8 +150,7 @@ def census_table(params: RadicalParams, variant: str = "corrected") -> DegreeCen
 
 def sum_of_squares_check(params: RadicalParams, variant: str = "corrected") -> bool:
     """Exact identity sum count * degree^2 == |R_u| as polynomials in q."""
-    census = census_table(params, variant)
-    return census.sum_of_squares() == radical_order(params)
+    return census_table(params, variant).sum_of_squares() == radical_order(params)
 
 
 def qminus1_report(params: RadicalParams, variant: str = "corrected") -> list[tuple[int, int, list[int]]]:

@@ -28,6 +28,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .census import VARIANTS, brute_rank_census, census_polynomial
 from .charcensus import census_table, qminus1_report
@@ -142,16 +143,7 @@ def _census_oracle(params: RadicalParams, q: int, variant: str, args) -> dict:
     class_match = table.total_poly().eval_at(q) == classes
     return {
         "q": q,
-        "orbit_rows": [
-            {
-                "e": r.e,
-                "degree": r.degree,
-                "dual_count": r.dual_count,
-                "orbit_count": r.orbit_count,
-                "char_count": r.char_count,
-            }
-            for r in orbits.rows
-        ],
+        "orbit_rows": [asdict(r) for r in orbits.rows],
         "class_count": classes,
         "rows_match": rows_match,
         "class_count_match": class_match,

@@ -19,7 +19,8 @@ entry is the most significant digit.
 from __future__ import annotations
 
 import enum
-from itertools import product
+import math
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -42,6 +43,11 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
+
+# matrices per stacked step of an enumeration or product: bounds the int64
+# and index temporaries, which set the peak memory of the oracles (1024 was
+# no faster)
+BLOCK = 256
 
 
 class SymmetryClass(enum.Enum):
@@ -117,16 +123,16 @@ class FfMatrix:
         return FfMatrix.from_codes(self.field, matmul(self.field, self.codes, other.codes), copy=False)
 
     def __add__(self, other: "FfMatrix") -> "FfMatrix":
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix sum")
-        return FfMatrix.from_codes(self.field, self.field._add[self.codes, other.codes], copy=False)
+        return self._entrywise(other, self.field._add)
 
     def __sub__(self, other: "FfMatrix") -> "FfMatrix":
+        return self._entrywise(other, self.field._sub)
+
+    def _entrywise(self, other: "FfMatrix", table: np.ndarray) -> "FfMatrix":
         self._check_field(other)
         if self.shape != other.shape:
             raise ValueError("shape mismatch in matrix sum")
-        return FfMatrix.from_codes(self.field, self.field._sub[self.codes, other.codes], copy=False)
+        return FfMatrix.from_codes(self.field, table[self.codes, other.codes], copy=False)
 
     def __neg__(self) -> "FfMatrix":
         return FfMatrix.from_codes(self.field, self.field._neg[self.codes], copy=False)
@@ -283,43 +289,48 @@ def class_size(n: int, cls: SymmetryClass, field: FieldCtx) -> int:
     raise ValueError("unknown symmetry class")
 
 
+def mixed_radix(radices, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Digits of the integers start .. stop-1 in a mixed radix, one row each.
+
+    The first digit is the most significant; stop defaults to the product
+    of the radices.  With no radices every row is empty.
+    """
+    index = np.arange(start, math.prod(radices) if stop is None else stop)
+    if not radices:
+        return np.zeros((len(index), 0), dtype=np.intp)
+    return np.stack(np.unravel_index(index, radices), axis=-1)
+
+
 def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET):
     """All n-by-n matrices of a symmetry class, in a fixed canonical order.
 
-    Refuses up front if the class has more than `budget` members.
+    Refuses up front if the class has more than `budget` members; builds
+    BLOCK matrices at a time, so a large class streams.
     """
     total = class_size(n, cls, field)
     if total > budget:
         raise BudgetExceeded(f"enumeration too large: {total} matrices exceeds budget {budget}")
-    all_codes = list(range(field.q))
+    # free positions row by row on and above (strictly above for skew) the
+    # diagonal; the skew-Hermitian diagonal holds trace-zero codes only
+    skew = cls is SymmetryClass.SKEW_SYMMETRIC
+    positions = [(i, j) for i in range(n) for j in range(i + skew, n)]
+    all_codes = np.arange(field.q, dtype=np.int16)
     if cls is SymmetryClass.SKEW_HERMITIAN:
-        diag_codes = field.trace_zero_codes()
-    positions = []
-    choices = []
-    for i in range(n):
-        start = i if cls is not SymmetryClass.SKEW_SYMMETRIC else i + 1
-        for j in range(start, n):
-            positions.append((i, j))
-            if i == j and cls is SymmetryClass.SKEW_HERMITIAN:
-                choices.append(diag_codes)
-            else:
-                choices.append(all_codes)
-    neg = field._neg
-    frob = field._frob
+        diagonal, mirror = np.array(field.trace_zero_codes(), dtype=np.int16), field._neg[field._frob]
+    else:
+        diagonal, mirror = all_codes, field._neg if skew else all_codes
+    choices = [diagonal if i == j else all_codes for i, j in positions]
 
     def generate():
-        for combo in product(*choices):
-            M = np.zeros((n, n), dtype=np.int16)
-            for (i, j), c in zip(positions, combo):
-                M[i, j] = c
+        for s in range(0, total, BLOCK):
+            digits = mixed_radix([len(c) for c in choices], s, min(s + BLOCK, total))
+            stack = np.zeros((len(digits), n, n), dtype=np.int16)
+            for (i, j), codes, column in zip(positions, choices, digits.T):
+                stack[:, i, j] = codes[column]
                 if i != j:
-                    if cls is SymmetryClass.SYMMETRIC:
-                        M[j, i] = c
-                    elif cls is SymmetryClass.SKEW_SYMMETRIC:
-                        M[j, i] = neg[c]
-                    else:
-                        M[j, i] = neg[frob[c]]
-            yield FfMatrix.from_codes(field, M, copy=False)
+                    stack[:, j, i] = mirror[stack[:, i, j]]
+            for M in stack:
+                yield FfMatrix.from_codes(field, M, copy=False)
 
     return generate()
 
@@ -373,37 +384,21 @@ def skew_hermitian_normal_form(C: FfMatrix):
     rows = [FfMatrix.identity(field, n)[i : i + 1, :] for i in range(n)]
     pivots: list[FfMatrix] = []
     while rows:
-        pick = None
-        drop = -1
-        for idx, v in enumerate(rows):
-            if form(v, v):
-                pick, drop = v, idx
-                break
-        if pick is None:
-            # the form vanishes on every basis vector; look for an
-            # off-diagonal value m and fix it up with v_i + c v_j
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    m = form(rows[i], rows[j])
-                    if not m:
-                        continue
-                    for c in (one, alpha):
-                        cand = rows[i] + c * rows[j]
-                        if form(cand, cand):
-                            pick, drop = cand, i
-                            break
-                    if pick is not None:
-                        break
-                if pick is not None:
-                    break
+        # the first row the form does not vanish on; failing that, the
+        # first v_i + c v_j it does not vanish on, which exists whenever
+        # some off-diagonal value form(v_i, v_j) is nonzero
+        sums = ((i, rows[i] + c * rows[j]) for i, j in combinations(range(len(rows)), 2) for c in (one, alpha))
+        drop, pick = next(((i, v) for i, v in chain(enumerate(rows), sums) if form(v, v)), (-1, None))
         if pick is None:
             break
         beta = form(pick, pick)
         target = alpha / beta
-        assert target.code < field.base.q, "diagonal ratio must lie in the base field"
+        if target.code >= field.base.q:
+            raise ValueError("diagonal ratio must lie in the base field")
         c = _norm_preimage(field, field.base.elem(target.code))
         x = c * pick
-        assert form(x, x) == alpha
+        if form(x, x) != alpha:
+            raise ValueError("scaled pivot must have form value alpha")
         pivots.append(x)
         rest = []
         for idx, y in enumerate(rows):
@@ -415,12 +410,15 @@ def skew_hermitian_normal_form(C: FfMatrix):
     r = len(pivots)
     stacked = np.vstack([v.codes for v in pivots + rows]) if pivots + rows else np.zeros((0, 0), dtype=np.int16)
     A = FfMatrix.from_codes(field, stacked)
-    assert rank(A) == n, "transform must be invertible"
+    if rank(A) != n:
+        raise ValueError("transform must be invertible")
     target = np.zeros((n, n), dtype=np.int16)
     for i in range(r):
         target[i, i] = alpha.code
-    assert A @ C @ conj_transpose(A) == FfMatrix.from_codes(field, target), "normal form identity failed"
-    assert r == rank(C), "pivot count must equal the rank"
+    if A @ C @ conj_transpose(A) != FfMatrix.from_codes(field, target):
+        raise ValueError("normal form identity failed")
+    if r != rank(C):
+        raise ValueError("pivot count must equal the rank")
     return A, r, alpha
 
 
@@ -435,7 +433,4 @@ def gram_matrix(xs, ys, pairing) -> FfMatrix:
 
 def reversal_matrix(field: FieldCtx, n: int) -> FfMatrix:
     """The antidiagonal permutation matrix (ones from corner to corner)."""
-    M = np.zeros((n, n), dtype=np.int16)
-    for i in range(n):
-        M[i, n - 1 - i] = 1
-    return FfMatrix.from_codes(field, M, copy=False)
+    return FfMatrix.from_codes(field, np.eye(n, dtype=np.int16)[::-1])

@@ -16,11 +16,13 @@ C and D, (n-d, d) for U):
                                    B3 = -J_{n-d} conj(B1^t) J_d
 
 Dual elements are lower-left transposed-support matrices, acted on by
-H through conjugation followed by projection onto that support.  The
-stabilizer of a dual element is cut out by linear equations whose
-coefficient matrix is block diagonal (n-d copies of the B1 block for
-C and D, of the B2 block for U); its rank e determines the orbit size
-|k|^e and the degree |k|^e of the characters the orbit produces.
+H through conjugation followed by projection onto that support.  An
+orbit of size |k|^e gives |Stab_H(alpha)| characters of degree |k|^e
+(Clifford theory, A being abelian); orbit_census reads both numbers
+off the orbits orbit_partition finds.  The stabilizer is also cut out
+by linear equations whose coefficient matrix is block diagonal (n-d
+copies of the B1 block for C and D, of the B2 block for U); every
+orbit is checked to have e equal to the rank of that system.
 
 Everything in this module is exhaustively verifiable: brute-force
 orbit enumeration, conjugacy class counting and the pairing checks are
@@ -38,12 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .falinalg import (
+    BLOCK,
     FfMatrix,
     SymmetryClass,
     enumerate_class,
     gram_matrix,
     is_in_class,
     matmul,
+    mixed_radix,
     rank,
     trace_pairing,
     twisted_trace_pairing,
@@ -76,10 +80,6 @@ TYPES = ("C", "D", "U")
 
 DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
-
-# matrices per stacked product: bounds the int64 and index temporaries,
-# which set the peak memory of the oracles (1024 was no faster)
-_BLOCK = 256
 
 # the symmetry class of the constrained block of V (b1 for C and D,
 # b2 J_d for U), with the message that rejects a block outside it
@@ -161,8 +161,8 @@ def _identity_stack(size: int, lead: tuple) -> np.ndarray:
 
 def _grid(*stacks: np.ndarray) -> tuple:
     """Every choice of one matrix per stack, the last stack varying fastest."""
-    picks = np.indices([len(s) for s in stacks]).reshape(len(stacks), -1)
-    return tuple(s[i] for s, i in zip(stacks, picks))
+    picks = mixed_radix([len(s) for s in stacks])
+    return tuple(s[i] for s, i in zip(stacks, picks.T))
 
 
 def _fp_basis(field: FieldCtx) -> list[int]:
@@ -191,10 +191,7 @@ class RadicalContext:
         self.params = params
         self.base_field = q if isinstance(q, FieldCtx) else field_for_order(q)
         self.q = self.base_field.q
-        if params.x == "U":
-            self.field = quadratic_extension(self.base_field)
-        else:
-            self.field = self.base_field
+        self.field = quadratic_extension(self.base_field) if params.x == "U" else self.base_field
         self.k_order = self.field.q
         n, d = params.n, params.d
         self.n, self.d = n, d
@@ -293,9 +290,8 @@ class RadicalContext:
 
     def _free_stack(self, rows: int, cols: int) -> np.ndarray:
         """Every rows-by-cols matrix; the first entry is the most significant digit."""
-        k, q = rows * cols, self.field.q
-        digits = np.arange(q ** k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
-        return digits.astype(np.int16).reshape(q ** k, rows, cols)
+        digits = mixed_radix((self.field.q,) * (rows * cols))
+        return digits.astype(np.int16).reshape(len(digits), rows, cols)
 
     def _class_stack(self, cls: SymmetryClass) -> np.ndarray:
         return np.stack([M.codes for M in enumerate_class(self.d, cls, self.field)])
@@ -316,8 +312,8 @@ class RadicalContext:
         """Ambient codes of all elements, in enumeration order."""
         b1, b2, a = self._element_blocks()
         out = np.empty((len(a), 2 * self.n, 2 * self.n), dtype=np.int16)
-        for s in range(0, len(a), _BLOCK):
-            block = slice(s, s + _BLOCK)
+        for s in range(0, len(a), BLOCK):
+            block = slice(s, s + BLOCK)
             out[block] = matmul(self.field, self._a_ambient(b1[block], b2[block]), self._h_ambient(a[block]))
         return out
 
@@ -578,8 +574,9 @@ def _exact_log(value: int, base: int) -> int:
     return e
 
 
-def _h_gen_ambients(ctx: RadicalContext) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in ctx.h_generators()]
+def _ambient_pairs(elements) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(g, g^-1) as code matrices, the form the action engine takes."""
+    return [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in elements]
 
 
 # -- the action engine: generators act on a stack of points ----------------
@@ -614,10 +611,10 @@ class _StackIndex:
 def _conjugates(field: FieldCtx, points: np.ndarray, g: np.ndarray, g_inv: np.ndarray, support=None):
     """g X g^-1 for the X of a stack, projected onto support if given.
 
-    Yields one stack per block of _BLOCK consecutive points.
+    Yields one stack per block of BLOCK consecutive points.
     """
-    for s in range(0, len(points), _BLOCK):
-        block = matmul(field, matmul(field, g, points[s : s + _BLOCK]), g_inv)
+    for s in range(0, len(points), BLOCK):
+        block = matmul(field, matmul(field, g, points[s : s + BLOCK]), g_inv)
         yield block if support is None else np.where(support, block, np.int16(0))
 
 
@@ -676,7 +673,7 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     h_order = ctx.q ** ctx.params.h_exponent
     if h_order > budget:
         raise BudgetExceeded(f"enumeration too large: orbit bound {h_order} exceeds budget {budget}")
-    gens = _h_gen_ambients(ctx)
+    gens = _ambient_pairs(ctx.h_generators())
     frontier = alpha._ambient_codes()[None]
     seen = _row_keys(frontier)
     while len(frontier):
@@ -698,7 +695,7 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     if ctx.dual_count() > budget:
         raise BudgetExceeded(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
     b1, b3, b2 = ctx._dual_blocks()
-    labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), _h_gen_ambients(ctx), ctx._mask)
+    labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), _ambient_pairs(ctx.h_generators()), ctx._mask)
     roots = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[roots]
     if sizes.sum() != ctx.dual_count():
@@ -736,39 +733,25 @@ class OrbitCensus:
 def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitCensus:
     """Numeric census of coadjoint orbits and character degrees over F_q.
 
-    Walks every dual element, buckets by the rank e of its stabilizer
-    system, and converts bucket sizes to orbit and character counts.
+    A fold over orbit_partition.  By Clifford theory for A x| H with A
+    abelian, an orbit of size |k|^e carries |Stab_H(alpha)| characters of
+    degree |k|^e, so the row for e sums the orbit sizes and the
+    stabilizer orders of its orbits and counts them.  The per-orbit
+    checks (size a power of |k| dividing |H|, e equal to the stabilizer
+    system rank) and the dual total are orbit_partition's; the census
+    adds the sum-of-squares verdict.
     """
     ctx = q if isinstance(q, RadicalContext) else RadicalContext(params, q)
     if ctx.params != params:
         raise ValueError("context parameters do not match")
-    if ctx.dual_count() > budget:
-        raise BudgetExceeded(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
-    h_order = ctx.q ** params.h_exponent
-    buckets: dict[int, int] = {}
-    for alpha in ctx.duals():
-        e = rank(coefficient_matrix(alpha))
-        buckets[e] = buckets.get(e, 0) + 1
-    rows = []
-    for e in sorted(buckets):
-        count = buckets[e]
-        k_e = ctx.k_order ** e
-        if count % k_e:
-            raise ValueError("bucket size must be divisible by the orbit size")
-        if (count * h_order) % (k_e * k_e):
-            raise ValueError("character count must be integral")
-        rows.append(
-            OrbitCensusRow(
-                e=e,
-                degree=k_e,
-                dual_count=count,
-                orbit_count=count // k_e,
-                char_count=count * h_order // (k_e * k_e),
-            )
-        )
-    census = OrbitCensus(params=params, q=ctx.q, k_order=ctx.k_order, rows=tuple(rows))
-    if sum(r.dual_count for r in rows) != ctx.dual_count():
-        raise ValueError("buckets must cover the dual space")
+    by_e: dict[int, list[OrbitRecord]] = {}
+    for record in orbit_partition(ctx, budget):
+        by_e.setdefault(record.e, []).append(record)
+    rows = tuple(
+        OrbitCensusRow(e, ctx.k_order ** e, sum(r.size for r in group), len(group), sum(r.stabilizer_order for r in group))
+        for e, group in sorted(by_e.items())
+    )
+    census = OrbitCensus(params=params, q=ctx.q, k_order=ctx.k_order, rows=rows)
     if census.sum_of_squares() != ctx.q ** params.order_exponent:
         raise ValueError("sum of squared degrees must equal the group order")
     return census
@@ -792,8 +775,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     points = ctx._element_stack()
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
-    gens = [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in ctx.generators()]
-    labels = _orbit_labels(ctx.field, points, gens)
+    labels = _orbit_labels(ctx.field, points, _ambient_pairs(ctx.generators()))
     return int(np.count_nonzero(labels == np.arange(order)))
 
 
@@ -840,5 +822,4 @@ def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, duals=None, in
     """
     if index is None:
         index = _StackIndex(ctx._dual_stack())
-    g_codes, g_inv = g._ambient_codes(), group_inv(g)._ambient_codes()
-    return _permutation(ctx.field, index, g_codes, g_inv, ctx._mask)
+    return _permutation(ctx.field, index, *_ambient_pairs([g])[0], ctx._mask)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -278,3 +279,14 @@ def test_oracle_budget_refusal_names_the_class_count_first(capsys):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error: enumeration too large"), argv
+
+
+def test_huge_prime_q_is_checked_quickly(capsys):
+    # a prime near 10^18 needs no field for the symbolic census; checking
+    # it must not trial-divide up to its square root
+    start = time.perf_counter()
+    code, record = run_json(capsys, "census", "--type", "C", "--n", "2", "--d", "1", "--q", "1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and record["params"]["q"] == 10 ** 18 + 3
+    code, out, err = run_cli(capsys, "census", "--type", "C", "--n", "2", "--d", "1", "--q", str(10 ** 30 + 3))
+    assert (code, out) == (2, "") and err.startswith("error: cannot decide whether")

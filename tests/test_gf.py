@@ -192,6 +192,13 @@ def test_odd_prime_power():
     ]
     for q in (-3, 0, 1, 2, 4, 15, 45, 1023, 3.0, "9", None):
         assert odd_prime_power(q) is None, q
+    # large q: exact roots and Miller-Rabin, no trial division up to sqrt(q)
+    assert odd_prime_power(10 ** 18 + 3) == (10 ** 18 + 3, 1)
+    assert odd_prime_power((10 ** 9 + 7) ** 2) == (10 ** 9 + 7, 2)
+    assert odd_prime_power(3 ** 41) == (3, 41)
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime up to 37
+    assert odd_prime_power(3215031751) is None
+    assert odd_prime_power(318665857834031151167461) is None
 
 
 def test_field_order_cap_refuses_before_allocating():
@@ -209,3 +216,26 @@ def test_field_order_cap_refuses_before_allocating():
             tracemalloc.stop()
         assert peak < 100_000
     assert issubclass(BudgetExceeded, ValueError)
+
+
+def test_odd_prime_power_agrees_with_a_sieve():
+    limit = 5000
+    prime = [True] * limit
+    prime[0] = prime[1] = False
+    for i in range(2, limit):
+        if prime[i]:
+            prime[i * i :: i] = [False] * len(prime[i * i :: i])
+    expected = {}
+    for p in range(3, limit):
+        power, m = p, 1
+        while prime[p] and power < limit:
+            expected[power] = (p, m)
+            power, m = power * p, m + 1
+    assert all(odd_prime_power(q) == expected.get(q) for q in range(limit))
+
+
+def test_odd_prime_power_refuses_what_it_cannot_decide():
+    # 10^30 + 3 has no prime factor up to 41 and lies above the range
+    # where Miller-Rabin with those bases is proven
+    with pytest.raises(BudgetExceeded, match="cannot decide whether"):
+        odd_prime_power(10 ** 30 + 3)

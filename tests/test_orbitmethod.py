@@ -497,11 +497,12 @@ def test_decompose_rejects_every_matrix_outside_the_group():
 
 def test_orbit_census_checks_raise_value_error(monkeypatch):
     # the verdicts of orbit_census are exceptions, not asserts, so they
-    # also hold under python -O
+    # also hold under python -O; the rank and dual total are checked per
+    # orbit and over the partition in orbit_partition, which the census folds
     params = RadicalParams("C", 2, 1)
     for patch, message in [
-        (("rank", lambda M: 3), "divisible by the orbit size"),
-        (("rank", lambda M: 2), "character count must be integral"),
+        (("rank", lambda M: 3), "stabilizer system rank"),
+        (("rank", lambda M: 2), "stabilizer system rank"),
     ]:
         with monkeypatch.context() as m:
             m.setattr(orbitmethod, *patch)
@@ -510,9 +511,23 @@ def test_orbit_census_checks_raise_value_error(monkeypatch):
     ctx = ctx_for("C", 2, 1, 3)
     with monkeypatch.context() as m:
         m.setattr(ctx, "dual_count", lambda: 3 ** 2 + 1)
-        with pytest.raises(ValueError, match="cover the dual space"):
+        with pytest.raises(ValueError, match="partition the dual space"):
             orbit_census(params, ctx)
     with monkeypatch.context() as m:
         m.setattr(RadicalParams, "order_exponent", property(lambda self: 4))
         with pytest.raises(ValueError, match="sum of squared degrees"):
             orbit_census(params, 3)
+
+
+def test_orbit_census_per_orbit_checks_raise_value_error(monkeypatch):
+    # orbit_census takes its sizes from orbit_partition, which refuses an
+    # orbit whose size is no power of |k| or does not divide |H|
+    params = RadicalParams("C", 2, 1)
+    for labels, message in [
+        ([0, 0, 2, 3, 4, 5, 6, 7, 8], "2 is not a power of 3"),
+        ([0] * 9, "must divide the acting group order"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(orbitmethod, "_orbit_labels", lambda *args, labels=labels: np.array(labels))
+            with pytest.raises(ValueError, match=message):
+                orbit_census(params, 3)

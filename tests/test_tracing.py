@@ -30,9 +30,16 @@ def test_traced_census_oracle_fires_the_orbit_spans():
     argv = ["census", "--type", "C", "--n", "3", "--d", "2", "--q", "3", "--oracle", "--format", "json", "--no-timing"]
     with tracing.installed(tracing.Tracer()) as tracer, redirect_stdout(io.StringIO()):
         assert radchar.cli.main(argv) == 0
-    for span in ("orbitmethod.generators", "orbitmethod.class_count", "orbitmethod.orbit_census"):
+    for span in (
+        "orbitmethod.generators",
+        "orbitmethod.class_count",
+        "orbitmethod.orbit_census",
+        "orbitmethod.orbit_partition",
+    ):
         assert tracer.calls[span] > 0, span
-    assert tracer.counts["orbitmethod.duals_items"] == 3 ** 5
-    generator_count = len(RadicalContext(RadicalParams("C", 3, 2), 3).generators())
-    assert tracer.counts["orbitmethod.generator_applications"] == 3 ** 7 * generator_count
+    # orbit_census folds orbit_partition, whose walk applies every
+    # H-generator to each of the 3**5 duals
+    ctx = RadicalContext(RadicalParams("C", 3, 2), 3)
+    applications = 3 ** 7 * len(ctx.generators()) + 3 ** 5 * len(ctx.h_generators())
+    assert tracer.counts["orbitmethod.generator_applications"] == applications
     assert RadicalContext.generators is generators
