@@ -14,12 +14,15 @@ form drops it and is what brute-force enumeration confirms; it is the
 default everywhere downstream.
 
 brute_rank_census is the independent oracle: it enumerates the class
-exhaustively and histograms ranks, with no closed form involved.
+exhaustively in code stacks (falinalg.class_blocks) and histograms the
+ranks falinalg.ranks gives for each stack, with no closed form involved.
 """
 
 from __future__ import annotations
 
-from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass, enumerate_class, rank
+import numpy as np
+
+from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass, class_blocks, ranks
 from .gf import FieldCtx
 from .qpoly import QPoly
 
@@ -107,8 +110,7 @@ def brute_rank_census(
     n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[int, int]:
     """Rank histogram of a symmetry class by exhaustive enumeration."""
-    counts: dict[int, int] = {}
-    for M in enumerate_class(n, cls, field, budget=budget):
-        r = rank(M)
-        counts[r] = counts.get(r, 0) + 1
-    return dict(sorted(counts.items()))
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for stack in class_blocks(n, cls, field, budget=budget):
+        counts += np.bincount(ranks(field, stack), minlength=n + 1)
+    return {r: int(c) for r, c in enumerate(counts) if c}

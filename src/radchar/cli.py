@@ -195,6 +195,8 @@ def cmd_census(args):
 def cmd_ranks(args):
     kind = args.cls
     n = args.n
+    if n < 0:
+        raise UsageError("--n must be nonnegative")
     q = _checked_q(args.q) if args.q is not None else None
     if args.brute and q is None:
         raise UsageError("--brute requires --q")
@@ -250,16 +252,12 @@ def _capped(limit: int, max_n) -> int:
 
 def _suite_ranks(args, qs):
     budget = resolve_budget(args, DEFAULT_ENUM_BUDGET)
-    grid = []
-    for n in range(1, _capped(3, args.max_n) + 1):
-        for q in qs or (3, 5):
-            grid.append(("sym", n, q))
-    for n in range(1, _capped(4, args.max_n) + 1):
-        for q in qs or (3,):
-            grid.append(("skew", n, q))
-    for n in range(1, _capped(2, args.max_n) + 1):
-        for q in qs or (3, 5):
-            grid.append(("herm", n, q))
+    grid = [
+        (kind, n, q)
+        for kind, top, default_qs in (("sym", 3, (3, 5)), ("skew", 4, (3,)), ("herm", 2, (3, 5)))
+        for n in range(1, _capped(top, args.max_n) + 1)
+        for q in qs or default_qs
+    ]
     if _capped(3, args.max_n) >= 3 and 3 in (qs or (3, 5)):
         grid.append(("herm", 3, 3))
     checks = []
@@ -340,8 +338,7 @@ def _suite_pairings(args, qs):
                 for q in qs or (3, 5):
                     grid.append((x, n, d, q))
     for x, n, d, q in sorted(grid):
-        _field_for(q)
-        ok = pairing_nondegeneracy_check(RadicalParams(x, n, d), q)
+        ok = pairing_nondegeneracy_check(RadicalParams(x, n, d), _field_for(q))
         detail = "trace pairing Gram matrix invertible" if ok else "degenerate trace pairing"
         checks.append({"suite": "pairings", "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
     return checks
@@ -377,6 +374,8 @@ SUITES = {
 
 
 def cmd_verify(args):
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
     qs = tuple(_checked_q(v) for v in args.q) if args.q else None
     names = tuple(sorted(SUITES)) if args.suite == "all" else (args.suite,)
     checks = []

@@ -1,19 +1,21 @@
 """Matrices over the small finite fields, as arrays of element codes.
 
 An FfMatrix wraps a read-only numpy int16 array of codes together with
-its FieldCtx.  The one matrix product, matmul, works on code arrays and
-broadcasts over leading stack axes: over a prime field it is an int64
-integer product reduced mod p, over an extension field a loop of
-add/mul table lookups.  Entrywise operations and Gaussian elimination
-are table lookups.  No step ever leaves exact field arithmetic.
+its FieldCtx.  The one matrix product, matmul, and the one Gaussian
+elimination, ranks, work on code arrays and broadcast over leading
+stack axes.  Over a prime field the product is an int64 integer product
+reduced mod p, over an extension field a loop of add/mul table lookups;
+ranks and the entrywise operations are table lookups, and rank is ranks
+on one FfMatrix.  No step ever leaves exact field arithmetic.
 
 The three symmetry classes used downstream are plain symmetric
 (M^t = M), skew-symmetric (M^t = -M, zero diagonal since the
 characteristic is odd), and skew-Hermitian over a quadratic extension
 (conj(M)^t = -M, diagonal on the trace-zero line).  Each class can be
-enumerated exhaustively in a deterministic order: free positions are
-visited row by row and the candidate codes ascend, so the first free
-entry is the most significant digit.
+enumerated exhaustively in a deterministic order, as code stacks
+(class_blocks) or one FfMatrix at a time (enumerate_class): free
+positions are visited row by row and the candidate codes ascend, so the
+first free entry is the most significant digit.
 """
 
 from __future__ import annotations
@@ -30,15 +32,16 @@ __all__ = [
     "FfMatrix",
     "matmul",
     "SymmetryClass",
+    "ranks",
     "rank",
     "conj_transpose",
     "is_in_class",
     "class_size",
+    "class_blocks",
     "enumerate_class",
     "trace_pairing",
     "twisted_trace_pairing",
     "skew_hermitian_normal_form",
-    "gram_matrix",
     "reversal_matrix",
 ]
 
@@ -62,9 +65,7 @@ class FfMatrix:
     __slots__ = ("field", "codes")
 
     def __init__(self, field: FieldCtx, data):
-        codes = _codes_from(field, data)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "codes", codes)
+        self._init_raw(field, _codes_from(field, data))
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -224,33 +225,34 @@ def matmul(field: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def ranks(field: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """Rank of every matrix of a code stack A[..., m, n], as an array of shape A.shape[:-2].
+
+    Gaussian elimination of the whole stack at once, column by column: a
+    matrix's pivot is its first nonzero entry in a row holding no earlier
+    pivot; that row, scaled to a leading 1, clears the column from the
+    other such rows.  A matrix with no rows or columns has rank 0.
+    """
+    A = np.asarray(A)
+    if A.ndim < 2:
+        raise ValueError("ranks takes a matrix or a stack of matrices")
+    pivoted = np.zeros(A.shape[:-1], dtype=bool)
+    MUL, SUB, INV = field._mul, field._sub, field._inv
+    for c in range(A.shape[-1]):
+        free = (A[..., c] != 0) & ~pivoted
+        pivot = free & (free.cumsum(axis=-1) == 1)
+        # the pivot row scaled to a leading 1; all zero where there is no pivot
+        row = (A * pivot[..., None]).sum(axis=-2)
+        row = MUL[INV[row[..., c]][..., None], row]
+        factor = np.where(free & ~pivot, A[..., c], 0)
+        A = SUB[A, MUL[factor[..., None], row[..., None, :]]]
+        pivoted |= pivot
+    return pivoted.sum(axis=-1)
+
+
 def rank(M: FfMatrix) -> int:
-    """Rank by Gaussian elimination; a 0-by-k matrix has rank 0."""
-    A = np.array(M.codes, dtype=np.int16, copy=True)
-    nrows, ncols = A.shape
-    if nrows == 0 or ncols == 0:
-        return 0
-    f = M.field
-    MUL, SUB, INV = f._mul, f._sub, f._inv
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r, c:] = MUL[int(INV[A[r, c]]), A[r, c:]]
-        below = A[r + 1 :, c]
-        if below.size:
-            A[r + 1 :, c:] = SUB[A[r + 1 :, c:], MUL[below[:, None], A[r, c:][None, :]]]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of one matrix; a 0-by-k matrix has rank 0."""
+    return int(ranks(M.field, M.codes))
 
 
 def conj_transpose(M: FfMatrix) -> "FfMatrix":
@@ -301,11 +303,11 @@ def mixed_radix(radices, start: int = 0, stop: int | None = None) -> np.ndarray:
     return np.stack(np.unravel_index(index, radices), axis=-1)
 
 
-def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET):
+def class_blocks(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET):
     """All n-by-n matrices of a symmetry class, in a fixed canonical order.
 
-    Refuses up front if the class has more than `budget` members; builds
-    BLOCK matrices at a time, so a large class streams.
+    Yields int16 code stacks of up to BLOCK matrices, so a large class
+    streams; refuses up front if the class has more than `budget` members.
     """
     total = class_size(n, cls, field)
     if total > budget:
@@ -329,10 +331,14 @@ def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = D
                 stack[:, i, j] = codes[column]
                 if i != j:
                     stack[:, j, i] = mirror[stack[:, i, j]]
-            for M in stack:
-                yield FfMatrix.from_codes(field, M, copy=False)
+            yield stack
 
     return generate()
+
+
+def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET):
+    """The matrices of class_blocks one by one, as FfMatrix."""
+    return (FfMatrix.from_codes(field, M, copy=False) for stack in class_blocks(n, cls, field, budget) for M in stack)
 
 
 def trace_pairing(X: FfMatrix, Y: FfMatrix) -> FieldElement:
@@ -341,13 +347,8 @@ def trace_pairing(X: FfMatrix, Y: FfMatrix) -> FieldElement:
         raise ValueError("matrices over different fields")
     if X.cols != Y.rows or X.rows != Y.cols:
         raise ValueError("shapes do not compose to a square product")
-    f = X.field
-    ADD, MUL = f._add, f._mul
-    prods = MUL[X.codes, Y.codes.T]
-    acc = 0
-    for v in prods.flat:
-        acc = int(ADD[acc, v])
-    return f.elem(acc)
+    # tr(X Y) sums the entrywise products of X and Y^t: one row times one column
+    return X.field.elem(int(matmul(X.field, X.codes.reshape(1, -1), Y.codes.T.reshape(-1, 1))[0, 0]))
 
 
 def twisted_trace_pairing(X: FfMatrix, Y: FfMatrix) -> FieldElement:
@@ -420,15 +421,6 @@ def skew_hermitian_normal_form(C: FfMatrix):
     if r != rank(C):
         raise ValueError("pivot count must equal the rank")
     return A, r, alpha
-
-
-def gram_matrix(xs, ys, pairing) -> FfMatrix:
-    """Matrix of pairing values between two bases, over the value field."""
-    values = [[pairing(x, y) for y in ys] for x in xs]
-    if not values or not values[0]:
-        raise ValueError("empty basis")
-    field = values[0][0].field
-    return FfMatrix(field, values)
 
 
 def reversal_matrix(field: FieldCtx, n: int) -> FfMatrix:

@@ -43,14 +43,11 @@ from .falinalg import (
     BLOCK,
     FfMatrix,
     SymmetryClass,
-    enumerate_class,
-    gram_matrix,
+    class_blocks,
     is_in_class,
     matmul,
     mixed_radix,
-    rank,
-    trace_pairing,
-    twisted_trace_pairing,
+    ranks,
 )
 from .gf import BudgetExceeded, FieldCtx, field_for_order, quadratic_extension
 from .qpoly import QPoly
@@ -293,12 +290,9 @@ class RadicalContext:
         digits = mixed_radix((self.field.q,) * (rows * cols))
         return digits.astype(np.int16).reshape(len(digits), rows, cols)
 
-    def _class_stack(self, cls: SymmetryClass) -> np.ndarray:
-        return np.stack([M.codes for M in enumerate_class(self.d, cls, self.field)])
-
     def _v_stack(self) -> np.ndarray:
         """Every constrained block of V: b1 for C and D, b2 for U."""
-        stack = self._class_stack(_V_CLASS[self.params.x][0])
+        stack = np.concatenate(list(class_blocks(self.d, _V_CLASS[self.params.x][0], self.field)))
         return stack[..., ::-1] if self.params.x == "U" else stack
 
     def _element_blocks(self) -> tuple:
@@ -540,16 +534,20 @@ def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
     return ctx._decompose_dual(P)
 
 
+def _coefficient_codes(duals) -> np.ndarray:
+    """Stacked stabilizer systems of duals of one context (see coefficient_matrix)."""
+    ctx = duals[0].ctx
+    n, d = ctx.n, ctx.d
+    block = np.stack([alpha._b2 if ctx.params.x == "U" else alpha._b1 for alpha in duals])
+    M = np.zeros((len(duals), d * (n - d), d * (n - d)), dtype=np.int16)
+    for c in range(n - d):
+        M[..., c * d : (c + 1) * d, c * d : (c + 1) * d] = block
+    return M
+
+
 def coefficient_matrix(alpha: DualElement) -> FfMatrix:
     """Block diagonal stabilizer system: n-d copies of b1 (C, D) or b2 (U)."""
-    ctx = alpha.ctx
-    n, d = ctx.n, ctx.d
-    block = alpha._b2 if ctx.params.x == "U" else alpha._b1
-    size = d * (n - d)
-    M = np.zeros((size, size), dtype=np.int16)
-    for c in range(n - d):
-        M[c * d : (c + 1) * d, c * d : (c + 1) * d] = block
-    return FfMatrix.from_codes(ctx.field, M, copy=False)
+    return FfMatrix.from_codes(alpha.ctx.field, _coefficient_codes([alpha])[0], copy=False)
 
 
 @dataclass(frozen=True)
@@ -656,15 +654,19 @@ def _orbit_labels(field: FieldCtx, points: np.ndarray, gens, support=None) -> np
             return labels
 
 
-def _record_for(alpha: DualElement, size: int) -> OrbitRecord:
-    ctx = alpha.ctx
+def _records(duals, sizes) -> list[OrbitRecord]:
+    """One checked record per orbit; one ranks call covers all the stabilizer systems."""
+    ctx = duals[0].ctx
     h_order = ctx.q ** ctx.params.h_exponent
-    e = _exact_log(size, ctx.k_order)
-    if h_order % size:
-        raise ValueError("orbit size must divide the acting group order")
-    if e != rank(coefficient_matrix(alpha)):
-        raise ValueError("orbit size must match the stabilizer system rank")
-    return OrbitRecord(alpha, size, h_order // size, e)
+    records = []
+    for alpha, size, system_rank in zip(duals, sizes, ranks(ctx.field, _coefficient_codes(duals))):
+        e = _exact_log(size, ctx.k_order)
+        if h_order % size:
+            raise ValueError("orbit size must divide the acting group order")
+        if e != system_rank:
+            raise ValueError("orbit size must match the stabilizer system rank")
+        records.append(OrbitRecord(alpha, size, h_order // size, e))
+    return records
 
 
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
@@ -683,7 +685,7 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
         fresh = ~np.isin(keys, seen)
         frontier = images[first[fresh]]
         seen = np.concatenate([seen, keys[fresh]])
-    return _record_for(alpha, len(seen))
+    return _records([alpha], [len(seen)])[0]
 
 
 def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> list[OrbitRecord]:
@@ -700,7 +702,7 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     sizes = np.bincount(labels)[roots]
     if sizes.sum() != ctx.dual_count():
         raise ValueError("orbits must partition the dual space")
-    return [_record_for(ctx.dual(b1[i], b3[i], b2[i]), int(size)) for i, size in zip(roots, sizes)]
+    return _records([ctx.dual(b1[i], b3[i], b2[i]) for i in roots], sizes.tolist())
 
 
 @dataclass(frozen=True)
@@ -783,21 +785,24 @@ def pairing_nondegeneracy_check(params: RadicalParams, q) -> bool:
     """Gram-matrix invertibility of the trace pairing on Lie(A) x Lie(A)^t.
 
     Types C and D use tr(XY); type U uses the twisted form
-    tr(XY) + tr(XY)^q, which takes values in the base field.
+    tr(XY) + tr(XY)^q, which takes values in the base field (so its rank
+    over k is its rank over F_q).  For Y = Z^t, tr(XY) sums the entrywise
+    products of X and Z, so the Gram matrix is one product of the
+    flattened basis with its transpose.
     """
     ctx = q if isinstance(q, RadicalContext) else RadicalContext(params, q)
     if ctx.params != params:
         raise ValueError("context parameters do not match")
+    f = ctx.field
     basis = _lie_a_basis(ctx)
-    if not basis:
-        return True
-    pairing = twisted_trace_pairing if params.x == "U" else trace_pairing
-    G = gram_matrix(basis, [M.T for M in basis], pairing)
-    return rank(G) == len(basis)
+    G = matmul(f, basis, basis.T)
+    if params.x == "U":
+        G = f._add[G, f._frob[G]]
+    return int(ranks(f, G)) == len(basis)
 
 
-def _lie_a_basis(ctx: RadicalContext) -> list[FfMatrix]:
-    """A basis of Lie(A) over F_q (the base field), as ambient matrices.
+def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
+    """A basis of Lie(A) over F_q (the base field), one flattened ambient matrix per row.
 
     The pairing downstream is F_q-bilinear, so the basis must be an
     F_q-basis: scalar 1 for types C and D, the pair {1, t} per free
@@ -806,7 +811,7 @@ def _lie_a_basis(ctx: RadicalContext) -> list[FfMatrix]:
     f, t = ctx.field, ctx.base_field.q
     one = np.eye(2 * ctx.n, dtype=np.int16)
     directions = ctx._a_directions([1, t] if ctx.params.x == "U" else [1], [t])
-    return [FfMatrix.from_codes(f, f._sub[ctx._a_ambient(b1, b2), one], copy=False) for b1, b2 in directions]
+    return np.array([f._sub[ctx._a_ambient(b1, b2), one] for b1, b2 in directions], dtype=np.int16).reshape(-1, one.size)
 
 
 def dual_index(ctx: RadicalContext):

@@ -156,6 +156,24 @@ def test_ranks_skew_odd_rank_is_usage_error(capsys):
     assert "skew-symmetric rank must be even" in err
 
 
+@pytest.mark.parametrize("brute", [[], ["--q", "3", "--brute"]])
+def test_ranks_rejects_negative_n(capsys, brute):
+    code, out, err = run_cli(capsys, "ranks", "--class", "sym", "--n", "-1", *brute)
+    assert code == 2
+    assert out == ""
+    assert "--n must be nonnegative" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_n", ["-2", "0"])
+def test_verify_rejects_max_n_below_one(capsys, max_n):
+    code, out, err = run_cli(capsys, "verify", "--suite", "classes", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert "--max-n must be at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_ranks_herm_flags_printed_variant(capsys):
     code, record = run_json(capsys, "ranks", "--class", "herm", "--n", "1", "--q", "3", "--brute")
     assert code == 0

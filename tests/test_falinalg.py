@@ -1,5 +1,6 @@
 """Matrix layer: ranks, symmetry classes, pairings, normal form."""
 
+import math
 import random
 
 import numpy as np
@@ -13,10 +14,10 @@ from radchar.falinalg import (
     class_size,
     conj_transpose,
     enumerate_class,
-    gram_matrix,
     is_in_class,
     matmul,
     rank,
+    ranks,
     reversal_matrix,
     skew_hermitian_normal_form,
     trace_pairing,
@@ -116,6 +117,72 @@ def test_matmul_matches_table_lookup_reference(operands):
         assert np.array_equal(product.codes, got)
 
 
+def _rank_reference(field, A):
+    """The former scalar rank: one matrix, row swaps, elimination below each pivot."""
+    A = np.array(A, dtype=np.int16, copy=True)
+    nrows, ncols = A.shape
+    if nrows == 0 or ncols == 0:
+        return 0
+    MUL, SUB, INV = field._mul, field._sub, field._inv
+    r = 0
+    for c in range(ncols):
+        piv = -1
+        for i in range(r, nrows):
+            if A[i, c]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r, c:] = MUL[int(INV[A[r, c]]), A[r, c:]]
+        below = A[r + 1 :, c]
+        if below.size:
+            A[r + 1 :, c:] = SUB[A[r + 1 :, c:], MUL[below[:, None], A[r, c:][None, :]]]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+RANK_FIELDS = {**FIELDS, 7: field_create(7)}
+
+
+@st.composite
+def rank_stacks(draw):
+    field = RANK_FIELDS[draw(st.sampled_from(sorted(RANK_FIELDS)))]
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    codes = st.integers(0, field.q - 1)
+    if draw(st.booleans()):
+        # a product through an inner dimension k has rank at most k
+        k = draw(st.integers(0, 3))
+        A = matmul(field, draw(arrays(np.int16, lead + (m, k), elements=codes)), draw(arrays(np.int16, (k, n), elements=codes)))
+    else:
+        A = draw(arrays(np.int16, lead + (m, n), elements=codes))
+    return field, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_stacks())
+def test_ranks_match_scalar_elimination(stack):
+    field, A = stack
+    got = ranks(field, A)
+    assert got.shape == A.shape[:-2]
+    expected = [_rank_reference(field, M) for M in A.reshape((math.prod(A.shape[:-2]),) + A.shape[-2:])]
+    assert got.ravel().tolist() == expected
+    if A.ndim == 2:
+        assert rank(FfMatrix.from_codes(field, A)) == expected[0]
+
+
+def test_ranks_of_empty_shapes():
+    for shape in [(0, 4), (4, 0), (0, 0), (3, 0, 2), (2, 0, 0), (0, 2, 2)]:
+        got = ranks(F9, np.zeros(shape, dtype=np.int16))
+        assert got.shape == shape[:-2] and not got.any()
+    with pytest.raises(ValueError, match="stack of matrices"):
+        ranks(F3, np.zeros(3, dtype=np.int16))
+
+
 def test_matmul_shape_errors():
     with pytest.raises(ValueError, match="shape mismatch"):
         matmul(F3, np.zeros((2, 3), dtype=np.int16), np.zeros((2, 3), dtype=np.int16))
@@ -199,7 +266,7 @@ def test_gram_matrix_symmetric_pairing_perfect():
         FfMatrix(F3, [[0, 0], [0, 1]]),
         FfMatrix(F3, [[0, 1], [1, 0]]),
     ]
-    G = gram_matrix(basis, basis, trace_pairing)
+    G = FfMatrix(F3, [[trace_pairing(x, y) for y in basis] for x in basis])
     assert rank(G) == 3
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from radchar import orbitmethod
-from radchar.falinalg import FfMatrix, conj_transpose, rank, reversal_matrix
+from radchar.falinalg import FfMatrix, conj_transpose, rank, ranks, reversal_matrix
 from radchar.qpoly import QPoly
 from radchar.orbitmethod import (
     DualElement,
@@ -456,7 +456,7 @@ def test_oracle_checks_raise_value_error(monkeypatch):
     # so they also hold under python -O
     ctx = ctx_for("C", 3, 2, 3)
     with monkeypatch.context() as m:
-        m.setattr(orbitmethod, "rank", lambda M: rank(M) + 1)
+        m.setattr(orbitmethod, "ranks", lambda field, A: ranks(field, A) + 1)
         with pytest.raises(ValueError, match="stabilizer system rank"):
             orbit_partition(ctx)
     with monkeypatch.context() as m:
@@ -501,8 +501,8 @@ def test_orbit_census_checks_raise_value_error(monkeypatch):
     # orbit and over the partition in orbit_partition, which the census folds
     params = RadicalParams("C", 2, 1)
     for patch, message in [
-        (("rank", lambda M: 3), "stabilizer system rank"),
-        (("rank", lambda M: 2), "stabilizer system rank"),
+        (("ranks", lambda field, A: np.full(len(A), 3)), "stabilizer system rank"),
+        (("ranks", lambda field, A: np.full(len(A), 2)), "stabilizer system rank"),
     ]:
         with monkeypatch.context() as m:
             m.setattr(orbitmethod, *patch)
