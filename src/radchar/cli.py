@@ -10,29 +10,33 @@ Three subcommands:
 
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict
 failed, 2 usage or parameter error, including every request over an
-enumeration budget or the field-order cap (gf.MAX_FIELD_ORDER).  Output
+enumeration budget, the field-order cap (gf.MAX_FIELD_ORDER) or the
+polynomial-degree cap of the symbolic layer (census.MAX_DEGREE).  Output
 formats: md (default, human), json (schema-stable, byte-identical across
 reruns once --no-timing is passed), csv (fixed column order).  Polynomial coefficients in JSON
 are decimal strings, constant term first.
 
 All configuration is by flags; enumeration sizes are guarded by --budget
-with a hard ceiling of 10^8.  The library raises gf.BudgetExceeded for
-an oversized request, and main() alone maps it to exit code 2.
+with a hard ceiling of 10^8, and each command checks the degree of the
+largest polynomial it would build before it builds anything.  The
+library raises gf.BudgetExceeded for an oversized request, and main()
+alone maps it to exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 import time
 from dataclasses import asdict
 
-from .census import VARIANTS, brute_rank_census, census_polynomial
+from .census import VARIANTS, brute_rank_census, census_polynomial, check_degree
 from .charcensus import census_table, qminus1_report
-from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass
+from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass, class_dimension
 from .gf import BudgetExceeded, field_for_order, odd_prime_power, quadratic_extension
 from .orbitmethod import (
     DEFAULT_CLASS_BUDGET,
@@ -153,6 +157,7 @@ def _census_oracle(params: RadicalParams, q: int, variant: str, args) -> dict:
 
 def cmd_census(args):
     params = _params(args)
+    check_degree(params.order_exponent)
     q = _checked_q(args.q) if args.q is not None else None
     if args.oracle and q is None:
         raise UsageError("--oracle requires --q")
@@ -197,6 +202,7 @@ def cmd_ranks(args):
     n = args.n
     if n < 0:
         raise UsageError("--n must be nonnegative")
+    check_degree(class_dimension(n, RANK_CLASSES[kind]))
     q = _checked_q(args.q) if args.q is not None else None
     if args.brute and q is None:
         raise UsageError("--brute requires --q")
@@ -346,6 +352,10 @@ def _suite_pairings(args, qs):
 
 def _suite_positivity(args, qs):
     max_n = args.max_n if args.max_n is not None else 10
+    # refuse up front: the largest census of the suite has n = max_n
+    for x in ("C", "D", "U"):
+        for d in _valid_d_range(x, max_n):
+            check_degree(RadicalParams(x, max_n, d).order_exponent)
     checks = []
     for x in ("C", "D", "U"):
         for n in range(1, max_n + 1):
@@ -570,12 +580,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use, then reused: no argument has a mutable default
+_parser = functools.cache(build_parser)
+
+
 COMMANDS = {"census": cmd_census, "ranks": cmd_ranks, "verify": cmd_verify}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         _check_budget(args.budget)

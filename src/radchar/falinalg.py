@@ -36,6 +36,7 @@ __all__ = [
     "rank",
     "conj_transpose",
     "is_in_class",
+    "class_dimension",
     "class_size",
     "class_blocks",
     "enumerate_class",
@@ -278,17 +279,23 @@ def is_in_class(M: FfMatrix, cls: SymmetryClass) -> bool:
     raise ValueError("unknown symmetry class")
 
 
-def class_size(n: int, cls: SymmetryClass, field: FieldCtx) -> int:
-    q = field.q
+def class_dimension(n: int, cls: SymmetryClass) -> int:
+    """log_q of the class size, q the ground field (F_q under F_{q^2} for skew-Hermitian)."""
     if cls is SymmetryClass.SYMMETRIC:
-        return q ** (n * (n + 1) // 2)
+        return n * (n + 1) // 2
     if cls is SymmetryClass.SKEW_SYMMETRIC:
-        return q ** (n * (n - 1) // 2)
+        return n * (n - 1) // 2
     if cls is SymmetryClass.SKEW_HERMITIAN:
-        if field.base is None:
-            raise ValueError("no conjugation defined")
-        return field.base.q ** (n * n)
+        return n * n
     raise ValueError("unknown symmetry class")
+
+
+def class_size(n: int, cls: SymmetryClass, field: FieldCtx) -> int:
+    if cls is not SymmetryClass.SKEW_HERMITIAN:
+        return field.q ** class_dimension(n, cls)
+    if field.base is None:
+        raise ValueError("no conjugation defined")
+    return field.base.q ** class_dimension(n, cls)
 
 
 def mixed_radix(radices, start: int = 0, stop: int | None = None) -> np.ndarray:

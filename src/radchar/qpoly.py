@@ -1,9 +1,15 @@
 """Exact univariate polynomials in the field-size parameter q.
 
-Coefficients are kept ascending (constant term first) with no trailing
-zeros.  Integer coefficients stay ints; intermediate results of exact
-division may hold Fractions, which collapse back to ints the moment the
-denominator clears.  All arithmetic is exact; nothing here ever rounds.
+Coefficients are Python ints, kept ascending (constant term first) with
+no trailing zeros.  There are no rational coefficients anywhere: the
+constructor refuses anything that is not an integer, and exact division
+is synthetic division over Z[q], which raises as soon as a quotient
+coefficient would not be an integer.  All arithmetic is exact; nothing
+here ever rounds.
+
+Products and quotients loop over the nonzero terms of the sparser
+operand only, so multiplying by q^k or q^m +- 1, or dividing by
+q^m - 1, costs time linear in the degree.
 
 The (q-1)-basis expansion writes an integer polynomial as
 sum c_k (q-1)^k with integer c_k, by repeated synthetic division.
@@ -11,27 +17,40 @@ sum c_k (q-1)^k with integer c_k, by repeated synthetic division.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import accumulate, zip_longest
+from operator import index
 
 __all__ = ["QPoly", "exact_div", "gaussian_binomial"]
 
 
-def _clean(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _trimmed(cs: list) -> tuple:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _poly(cs: list) -> "QPoly":
+    """QPoly from a list of ints, trailing zeros dropped (no type check)."""
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "coeffs", _trimmed(cs))
+    return p
+
+
+def _terms(cs) -> list[tuple[int, int]]:
+    return [(k, c) for k, c in enumerate(cs) if c]
 
 
 class QPoly:
-    """A polynomial in q with exact (int or Fraction) coefficients."""
+    """A polynomial in q with integer coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_clean(Fraction(c) if not isinstance(c, (int, Fraction)) else c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        try:
+            cs = [index(c) for c in coeffs]
+        except TypeError:
+            raise TypeError("QPoly coefficients must be integers") from None
+        object.__setattr__(self, "coeffs", _trimmed(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
@@ -58,7 +77,7 @@ class QPoly:
     def q_power(cls, k: int) -> "QPoly":
         if k < 0:
             raise ValueError("negative power of q")
-        return cls((0,) * k + (1,))
+        return _poly([0] * k + [1])
 
     # -- basic structure -------------------------------------------------
 
@@ -90,21 +109,18 @@ class QPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return QPoly([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
+        return _poly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return self + (-other)
+        return _poly([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -120,12 +136,13 @@ class QPoly:
         if not a or not b:
             return QPoly.zero()
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return QPoly(out)
+        if len(a) - a.count(0) < len(b) - b.count(0):
+            a, b = b, a
+        # one shifted, scaled copy of the denser operand per term of the sparser
+        la = len(a)
+        for j, bj in _terms(b):
+            out[j:j + la] = [s + bj * x for s, x in zip(out[j:j + la], a)]
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -142,64 +159,58 @@ class QPoly:
         return result
 
     def exact_div(self, other) -> "QPoly":
-        """Polynomial quotient self / other, required to be exact."""
+        """Quotient self / other in Z[q]; ValueError "not divisible" unless exact."""
         other = _coerce(other)
         if other is NotImplemented or other.is_zero():
             raise ZeroDivisionError("zero divisor")
-        rem = [Fraction(c) for c in self.coeffs]
-        lead = Fraction(other.coeffs[-1])
+        rem = list(self.coeffs)
         dn = other.degree
-        quot = [Fraction(0)] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            f = rem[i] / lead
-            quot[i - dn] = f
-            if f:
-                for j, bc in enumerate(other.coeffs):
-                    rem[i - dn + j] -= f * bc
-        if any(rem):
+        lead = other.coeffs[-1]
+        lower = _terms(other.coeffs[:-1])
+        quot = [0] * max(len(rem) - dn, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem[k + dn]
+            if c:
+                f, m = divmod(c, lead)
+                if m:
+                    raise ValueError("not divisible")
+                quot[k] = f
+                for j, bc in lower:
+                    rem[k + j] -= f * bc
+        if any(rem[:dn]):
             raise ValueError("not divisible")
-        return QPoly(quot)
+        return _poly(quot)
 
     def eval_at(self, q0: int) -> int:
-        """Evaluate at an integer; the result must be an integer."""
-        acc = Fraction(0)
+        """Evaluate at an integer (Horner's rule)."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
-        if acc.denominator != 1:
-            raise ValueError("non-integer evaluation")
-        return int(acc)
+        return acc
 
     # -- bases and presentation -------------------------------------------
 
     def to_qminus1_basis(self) -> list[int]:
         """Coefficients c_k with self = sum c_k (q-1)^k, constant first."""
-        if not self.is_integral():
-            raise ValueError("non-integral coefficients")
-        cs = list(self.coeffs)
+        top_first = self.coeffs[::-1]
         out = []
-        while cs:
-            # divide by (x - 1): remainder is the next coefficient
-            b = [0] * (len(cs) - 1)
-            acc = 0
-            for i in range(len(cs) - 1, 0, -1):
-                acc += cs[i]
-                b[i - 1] = acc
-            out.append(cs[0] + (b[0] if b else 0))
-            cs = b
+        while top_first:
+            # divide by (q - 1): the running sums from the top are the
+            # quotient's coefficients, and the full sum is the remainder
+            top_first = list(accumulate(top_first))
+            out.append(top_first.pop())
         return out
 
     @classmethod
     def from_qminus1_basis(cls, coeffs) -> "QPoly":
         qm1 = cls((-1, 1))
         total = cls.zero()
-        for k, c in enumerate(coeffs):
-            total = total + cls.const(c) * qm1 ** k
+        for c in reversed(coeffs):
+            total = total * qm1 + c
         return total
 
     def to_json(self) -> list[str]:
         """Coefficients as decimal strings, constant term first."""
-        if not self.is_integral():
-            raise ValueError("non-integral coefficients")
         return [str(c) for c in self.coeffs]
 
     @classmethod
@@ -235,7 +246,7 @@ class QPoly:
 def _coerce(x):
     if isinstance(x, QPoly):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return QPoly((x,))
     return NotImplemented
 
@@ -245,13 +256,14 @@ def exact_div(a: QPoly, b: QPoly) -> QPoly:
 
 
 def gaussian_binomial(n: int, r: int) -> QPoly:
-    """The q-binomial coefficient [n choose r]_q as an exact polynomial."""
+    """The q-binomial coefficient [n choose r]_q as an exact polynomial.
+
+    [n i+1] = [n i] (q^(n-i) - 1) / (q^(i+1) - 1): every partial result
+    is a q-binomial, so every division stays in Z[q].
+    """
     if not 0 <= r <= n:
         raise ValueError("binomial index out of range")
-    num = QPoly.one()
-    for i in range(n - r + 1, n + 1):
-        num = num * (QPoly.q_power(i) - 1)
-    den = QPoly.one()
-    for s in range(1, r + 1):
-        den = den * (QPoly.q_power(s) - 1)
-    return num.exact_div(den)
+    out = QPoly.one()
+    for i in range(min(r, n - r)):
+        out = (out * (QPoly.q_power(n - i) - 1)).exact_div(QPoly.q_power(i + 1) - 1)
+    return out

@@ -28,6 +28,40 @@ F9 = field_create(3, 2)
 F25 = field_create(5, 2)
 
 
+def _quotient_reference(kind, n, r, variant="corrected"):
+    # the paper's quotient formulas: numerator and denominator built in
+    # full, then divided once; every denominator is monic, so the exact
+    # division stays in Z[q]
+    num, den = QPoly.one(), QPoly.one()
+    if kind == "herm":
+        num = QPoly.q_power(r * (r - 1) // 2)
+        for i in range(n - r + 1, n + 1):
+            num = num * (QPoly.q_power(2 * i) - 1)
+        for s in range(1, r + 1):
+            den = den * (QPoly.q_power(s) - (-1) ** s)
+        if variant == "printed":
+            num = num * (q - 1)
+        return num.exact_div(den)
+    s = r // 2
+    num = QPoly.q_power(s * s + s if kind == "sym" else s * s - s)
+    for i in range(r):
+        num = num * (QPoly.q_power(n - i) - 1)
+    for i in range(1, s + 1):
+        den = den * (QPoly.q_power(2 * i) - 1)
+    return num.exact_div(den)
+
+
+def test_product_forms_match_quotient_reference():
+    for n in range(13):
+        for r in range(n + 1):
+            assert sym_rank_census(n, r) == _quotient_reference("sym", n, r), (n, r)
+            if r % 2 == 0:
+                assert skew_rank_census(n, r) == _quotient_reference("skew", n, r), (n, r)
+            for variant in ("corrected", "printed"):
+                got = skewherm_rank_census(n, r, variant)
+                assert got == _quotient_reference("herm", n, r, variant), (n, r, variant)
+
+
 def test_frozen_small_values():
     assert sym_rank_census(2, 0) == QPoly.one()
     assert sym_rank_census(2, 1) == q ** 2 - 1

@@ -8,7 +8,10 @@ import tracemalloc
 
 import pytest
 
+from radchar.census import MAX_DEGREE, check_degree
 from radchar.cli import main
+from radchar.gf import BudgetExceeded
+from radchar.orbitmethod import RadicalParams
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +255,32 @@ def test_budget_validated_for_every_command(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err == "error: budget must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv, degree",
+    [
+        (("census", "--type", "C", "--n", "400", "--d", "200"), 100100),
+        (("census", "--type", "C", "--n", "60", "--d", "30", "--basis", "qminus1"), 2265),
+        (("ranks", "--class", "sym", "--n", "63"), 2016),
+        (("ranks", "--class", "herm", "--n", "45", "--r", "0"), 2025),
+        (("verify", "--suite", "positivity", "--max-n", "39"), 2001),
+    ],
+)
+def test_symbolic_requests_over_the_degree_cap_exit_two(capsys, argv, degree):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: polynomial degree {degree} exceeds the cap {MAX_DEGREE}\n"
+
+
+def test_degree_cap_admits_its_own_degree():
+    # U(40,20) has group order q^2000, exactly the cap
+    assert RadicalParams("U", 40, 20).order_exponent == MAX_DEGREE
+    check_degree(MAX_DEGREE)
+    with pytest.raises(BudgetExceeded, match="exceeds the cap"):
+        check_degree(MAX_DEGREE + 1)
 
 
 def test_q_27_is_a_prime_power_without_a_field(capsys):

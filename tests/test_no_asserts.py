@@ -1,16 +1,16 @@
 """No verdict of the library rests on an assert statement.
 
 python -O strips asserts, so every check in src/radchar must raise an
-exception instead.  Two of the converted checks are tripped here.
+exception instead.  Some of the converted checks are tripped here.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from radchar import census, falinalg
-from radchar.census import sym_rank_census
+from radchar import falinalg
 from radchar.falinalg import FfMatrix, skew_hermitian_normal_form
 from radchar.gf import field_create
 from radchar.qpoly import QPoly
@@ -30,10 +30,17 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_census_integrality_check_raises(monkeypatch):
-    monkeypatch.setattr(QPoly, "is_integral", lambda self: False)
-    with pytest.raises(ValueError, match="integer coefficients"):
-        sym_rank_census(2, 1)
+def test_qpoly_integrality_checks_raise():
+    # polynomials stay in Z[q]: no rational coefficient gets in, and a
+    # quotient that would leave Z[q] raises instead of being returned
+    for bad in (Fraction(1, 2), 1.0):
+        with pytest.raises(TypeError, match="must be integers"):
+            QPoly([bad])
+    q = QPoly.q()
+    with pytest.raises(ValueError, match="not divisible"):
+        QPoly([1]).exact_div(QPoly([2]))
+    with pytest.raises(ValueError, match="not divisible"):
+        (2 * q + 1).exact_div(2 * q)
 
 
 def test_normal_form_checks_raise(monkeypatch):

@@ -86,6 +86,24 @@ def test_product_then_exact_div_recovers_factor(a_cs, b_cs):
     assert (a * b).exact_div(b) == a
 
 
+@st.composite
+def remainder_cases(draw):
+    # a, b and c with 0 < deg c < deg b, so a*b + c has remainder c
+    nonzero = st.integers(min_value=-50, max_value=50).filter(bool)
+    a = draw(coeff_lists)
+    b = draw(st.lists(st.integers(-50, 50), min_size=2, max_size=10)) + [draw(nonzero)]
+    c = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=len(b) - 2)) + [draw(nonzero)]
+    return QPoly(a), QPoly(b), QPoly(c)
+
+
+@given(remainder_cases())
+def test_exact_div_refuses_a_nonzero_remainder(case):
+    a, b, c = case
+    assert 0 < c.degree < b.degree
+    with pytest.raises(ValueError, match="not divisible"):
+        (a * b + c).exact_div(b)
+
+
 @given(coeff_lists)
 def test_qminus1_round_trip(cs):
     p = QPoly(cs)
