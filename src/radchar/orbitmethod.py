@@ -28,8 +28,10 @@ Everything in this module is exhaustively verifiable: brute-force
 orbit enumeration, conjugacy class counting and the pairing checks are
 the oracles the symbolic layer is tested against.  Orbit enumeration
 and class counting run on one engine: all points stacked as code
-matrices, each generator applied to the whole stack in blocks, and
-orbits labelled by their least point index.
+matrices, each generator g acting on the whole stack as row and column
+updates (one per nonzero entry of g - I and of g^-1 - I, at most two
+each for a one-parameter generator), and orbits labelled by their
+least point index.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .falinalg import (
     FfMatrix,
     SymmetryClass,
     class_blocks,
-    is_in_class,
+    in_class,
     matmul,
     mixed_radix,
     ranks,
@@ -265,10 +267,10 @@ class RadicalContext:
         return RadicalElement(self, b1c, b2c, ac)
 
     def _check_v_class(self, b1: np.ndarray, b2: np.ndarray) -> None:
-        """Raise unless the constrained block (b1, or b2 J_d for U) lies in its class."""
+        """Raise unless the constrained block (b1, or b2 J_d for U) lies in its class; blocks may be stacked."""
         cls, message = _V_CLASS[self.params.x]
-        block = b2[:, ::-1] if self.params.x == "U" else b1
-        if not is_in_class(FfMatrix.from_codes(self.field, block), cls):
+        block = b2[..., ::-1] if self.params.x == "U" else b1
+        if not in_class(self.field, block, cls).all():
             raise ValueError(message)
 
     def identity(self) -> "RadicalElement":
@@ -528,10 +530,8 @@ def group_inv(g: RadicalElement) -> RadicalElement:
 def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
     """g . alpha = projection of g alpha g^(-1) onto the dual support."""
     ctx = _same_ctx(g, alpha)
-    gi = group_inv(g)
-    M = matmul(ctx.field, matmul(ctx.field, g._ambient_codes(), alpha._ambient_codes()), gi._ambient_codes())
-    P = np.where(ctx._mask, M, np.int16(0))
-    return ctx._decompose_dual(P)
+    (image,) = _conjugates(ctx.field, alpha._ambient_codes()[None], *_ambient_pairs([g])[0], ctx._mask)
+    return ctx._decompose_dual(image[0])
 
 
 def _coefficient_codes(duals) -> np.ndarray:
@@ -606,14 +606,35 @@ class _StackIndex:
         return self._order[pos]
 
 
+def _off_identity(field: FieldCtx, g: np.ndarray) -> list[tuple[int, int, int]]:
+    """(i, j, code) for every nonzero entry of g - I."""
+    N = field._sub[g, np.eye(len(g), dtype=np.int16)]
+    rows, cols = np.nonzero(N)
+    return list(zip(rows.tolist(), cols.tolist(), N[rows, cols].tolist()))
+
+
 def _conjugates(field: FieldCtx, points: np.ndarray, g: np.ndarray, g_inv: np.ndarray, support=None):
     """g X g^-1 for the X of a stack, projected onto support if given.
 
-    Yields one stack per block of BLOCK consecutive points.
+    With N = g - I and M = g^-1 - I, g X g^-1 = Y + Y M for Y = X + N X:
+    each nonzero N[i, k] adds a multiple of row k of X to row i of Y, and
+    each nonzero M[k, j] a multiple of column k of Y to column j.  Updates
+    read the rows of X and the columns of Y, never the copies they write,
+    so the result is exact for any pair, at a cost proportional to the
+    nonzeros of N and M.  Yields one stack per block of BLOCK consecutive
+    points.
     """
+    ADD, MUL = field._add, field._mul
+    row_terms, col_terms = _off_identity(field, g), _off_identity(field, g_inv)
     for s in range(0, len(points), BLOCK):
-        block = matmul(field, matmul(field, g, points[s : s + BLOCK]), g_inv)
-        yield block if support is None else np.where(support, block, np.int16(0))
+        X = points[s : s + BLOCK]
+        Y = X.copy()
+        for i, k, c in row_terms:
+            Y[..., i, :] = ADD[Y[..., i, :], MUL[c, X[..., k, :]]]
+        Z = Y.copy()
+        for k, j, c in col_terms:
+            Z[..., j] = ADD[Z[..., j], MUL[Y[..., k], c]]
+        yield Z if support is None else np.where(support, Z, np.int16(0))
 
 
 def _permutation(field: FieldCtx, index: _StackIndex, g: np.ndarray, g_inv: np.ndarray, support=None) -> np.ndarray:
@@ -702,7 +723,9 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     sizes = np.bincount(labels)[roots]
     if sizes.sum() != ctx.dual_count():
         raise ValueError("orbits must partition the dual space")
-    return _records([ctx.dual(b1[i], b3[i], b2[i]) for i in roots], sizes.tolist())
+    reps = b1[roots], b3[roots], b2[roots]
+    ctx._validate_dual_blocks(*reps)
+    return _records([DualElement(ctx, *blocks) for blocks in zip(*reps)], sizes.tolist())
 
 
 @dataclass(frozen=True)

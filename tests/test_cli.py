@@ -10,6 +10,7 @@ import pytest
 
 from radchar.census import MAX_DEGREE, check_degree
 from radchar.cli import main
+from radchar.falinalg import DEFAULT_ENUM_BUDGET
 from radchar.gf import BudgetExceeded
 from radchar.orbitmethod import RadicalParams
 
@@ -326,6 +327,16 @@ def test_oracle_budget_refusal_names_the_class_count_first(capsys):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error: enumeration too large"), argv
+
+
+def test_default_enum_budget_refuses_a_minutes_long_brute_run(capsys):
+    # 463^3 symmetric 2-by-2 matrices would take minutes to rank; the
+    # default class-matrix budget refuses them before any is enumerated
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ranks", "--class", "sym", "--n", "2", "--q", "463", "--brute")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration too large: {463 ** 3} matrices exceeds budget {DEFAULT_ENUM_BUDGET}\n"
 
 
 def test_huge_prime_q_is_checked_quickly(capsys):

@@ -14,6 +14,7 @@ from radchar.falinalg import (
     class_size,
     conj_transpose,
     enumerate_class,
+    in_class,
     is_in_class,
     matmul,
     rank,
@@ -210,6 +211,22 @@ def test_is_in_class():
     assert not is_in_class(FfMatrix(F9, [[1]]), SymmetryClass.SKEW_HERMITIAN)
     with pytest.raises(ValueError, match="must be square"):
         is_in_class(FfMatrix.zeros(F3, 2, 3), SymmetryClass.SYMMETRIC)
+
+
+def test_in_class_tests_a_stack_like_is_in_class():
+    # every 2-by-2 matrix over F_3 and F_9, as a (q^2, q^2, 2, 2) stack
+    for field, classes in ((F3, (SymmetryClass.SYMMETRIC, SymmetryClass.SKEW_SYMMETRIC)), (F9, tuple(SymmetryClass))):
+        stack = np.stack(np.unravel_index(np.arange(field.q ** 4), (field.q,) * 4), axis=-1).astype(np.int16)
+        stack = stack.reshape(field.q ** 2, field.q ** 2, 2, 2)
+        for cls in classes:
+            members = in_class(field, stack, cls)
+            assert members.shape == (field.q ** 2, field.q ** 2)
+            assert members.sum() == class_size(2, cls, field)
+            assert [is_in_class(FfMatrix.from_codes(field, M), cls) for M in stack.reshape(-1, 2, 2)] == members.ravel().tolist()
+    with pytest.raises(ValueError, match="must be square"):
+        in_class(F3, np.zeros((4, 2, 3), dtype=np.int16), SymmetryClass.SYMMETRIC)
+    with pytest.raises(ValueError, match="no conjugation defined"):
+        in_class(F3, np.zeros((4, 2, 2), dtype=np.int16), SymmetryClass.SKEW_HERMITIAN)
 
 
 def test_enumerate_class_counts_and_membership():

@@ -5,12 +5,13 @@ counts of the extraspecial group of order 27, element counts, and the
 small coadjoint orbit structures that can be checked by hand.
 """
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from radchar import orbitmethod
+from radchar import falinalg, orbitmethod
 from radchar.falinalg import FfMatrix, conj_transpose, rank, ranks, reversal_matrix
 from radchar.qpoly import QPoly
 from radchar.orbitmethod import (
@@ -189,6 +190,17 @@ def test_dual_validation_errors():
     ctxu = ctx_for("U", 2, 1, 3)
     with pytest.raises(ValueError, match="twisted transpose"):
         ctxu.dual([[1]], [[0]], [[3]])
+
+
+def test_dual_validation_checks_every_matrix_of_a_stack():
+    # one bad dual among valid ones fails the whole stack, with the
+    # message a single bad dual gets
+    for ctx, message in ((ctx_for("C", 3, 2, 3), "b1 must be symmetric"), (ctx_for("U", 2, 1, 3), "twisted transpose")):
+        b1, b3, b2 = (block.copy() for block in ctx._dual_blocks())
+        ctx._validate_dual_blocks(b1, b3, b2)
+        b1[len(b1) // 2, 0, -1] = ctx.field._add[b1[len(b1) // 2, 0, -1], 1]
+        with pytest.raises(ValueError, match=message):
+            ctx._validate_dual_blocks(b1, b3, b2)
 
 
 def test_coadjoint_frozen_example():
@@ -415,6 +427,69 @@ def test_class_count_reaches_3_to_the_9():
         assert class_count_brute(RadicalParams(x, n, d), 3, budget=3 ** 9) == 6563
 
 
+def test_class_count_reaches_3_to_the_11():
+    # C(4,2) has 3^11 = 177,147 elements; the closed form gives 7227 classes
+    assert class_count_brute(RadicalParams("C", 4, 2), 3, budget=3 ** 11) == 7227
+
+
+def _records_digest(records) -> str:
+    h = hashlib.sha256()
+    for r in records:
+        h.update(r.representative.key() + f"|{r.size}|{r.stabilizer_order}|{r.e}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "x, n, d, count, digest",
+    [
+        ("C", 4, 2, 171, "01f5e86561f6a325112941251a5df50f26f3e44e78bb6c73de4b554d5c2c6add"),
+        ("D", 5, 2, 731, "9dff45c1c8357e5976b0551cad355622114719d39060234cb563c83e8c7ff647"),
+        ("U", 3, 2, 321, "e8996f619e4d13c6e0983fec80c54966be83c69cf3c9e36e6e47c32a7f90adb3"),
+    ],
+)
+def test_orbit_partition_records_are_pinned(x, n, d, count, digest):
+    # (representative, size, stabilizer order, e) of every orbit, in
+    # order, as computed by the dense-product walk
+    records = orbit_partition(ctx_for(x, n, d, 3))
+    assert len(records) == count
+    assert _records_digest(records) == digest
+
+
+def test_walks_make_no_dense_product(monkeypatch):
+    # matmul still builds the generators and the element stack, but no
+    # conjugation of a point stack runs through it
+    inside, calls = [False], []
+    real_matmul, real_conjugates = orbitmethod.matmul, orbitmethod._conjugates
+
+    def counting_matmul(*args):
+        calls.append(inside[0])
+        return real_matmul(*args)
+
+    def watched_conjugates(*args):
+        blocks = real_conjugates(*args)
+        while True:
+            inside[0] = True
+            try:
+                block = next(blocks)
+            except StopIteration:
+                return
+            finally:
+                inside[0] = False
+            yield block
+
+    for module in (orbitmethod, falinalg):
+        monkeypatch.setattr(module, "matmul", counting_matmul)
+    monkeypatch.setattr(orbitmethod, "_conjugates", watched_conjugates)
+    ctx = ctx_for("U", 2, 1, 3)
+    orbit_partition(ctx)
+    alpha = next(ctx.duals())
+    orbit_of(alpha)
+    coadjoint_act(ctx.generators()[-1], alpha)
+    coadjoint_permutation(ctx, ctx.generators()[-1])
+    assert class_count_brute(ctx.params, ctx) == 83
+    assert calls and not any(calls)
+
+
 def _pair(g):
     return g._ambient_codes(), group_inv(g)._ambient_codes()
 
@@ -467,6 +542,19 @@ def test_oracle_checks_raise_value_error(monkeypatch):
         m.setattr(ctx, "_element_stack", lambda: ctx_for("C", 3, 2, 3)._element_stack()[1:])
         with pytest.raises(ValueError, match="full group order"):
             class_count_brute(ctx.params, ctx)
+
+
+def test_orbit_partition_validates_its_representatives(monkeypatch):
+    # with no generators every dual is a representative; the zero dual
+    # with a corrupted b3 passes the record checks but not validation
+    ctx = ctx_for("C", 3, 2, 3)
+    b1, b3, b2 = ctx._dual_blocks()
+    b3 = b3.copy()
+    b3[0, 0, 0] = 1
+    monkeypatch.setattr(ctx, "_dual_blocks", lambda: (b1, b3, b2))
+    monkeypatch.setattr(ctx, "h_generators", lambda: [])
+    with pytest.raises(ValueError, match="b3 must equal b2 transposed"):
+        orbit_partition(ctx)
 
 
 def _single_entry_changes(M, q):

@@ -1,15 +1,28 @@
-"""Hypothesis property tests: field axioms, group law, coadjoint action law.
+"""Hypothesis property tests: field axioms, group law, coadjoint action law,
+sparse conjugation.
 
 Field elements are drawn from F_3, F_5, F_7, F_9 and F_25; group elements
-and duals from C(3,2) and D(4,2) at q = 3 and U(2,1) at q = 5.
+and duals from C(3,2) and D(4,2) at q = 3 and U(2,1) at q = 5.  The
+sparse conjugation kernel is compared with two dense products on C(3,2),
+D(4,2) and U(2,1) at q = 3, 5 and 9.
 """
 
 import functools
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from radchar.falinalg import BLOCK, matmul
 from radchar.gf import field_for_order
-from radchar.orbitmethod import RadicalContext, RadicalParams, coadjoint_act, group_inv, group_mul
+from radchar.orbitmethod import (
+    RadicalContext,
+    RadicalParams,
+    _ambient_pairs,
+    _conjugates,
+    coadjoint_act,
+    group_inv,
+    group_mul,
+)
 
 FIELD_ORDERS = (3, 5, 7, 9, 25)
 INSTANCES = (("C", 3, 2, 3), ("D", 4, 2, 3), ("U", 2, 1, 5))
@@ -70,3 +83,43 @@ def test_coadjoint_action_law(points):
     ctx, g, h, alpha = points
     assert coadjoint_act(g, coadjoint_act(h, alpha)) == coadjoint_act(group_mul(g, h), alpha)
     assert coadjoint_act(ctx.identity(), alpha) == alpha
+
+
+@functools.cache
+def _generators(x, n, d, q):
+    ctx = RadicalContext(RadicalParams(x, n, d), q)
+    return ctx, ctx.generators()
+
+
+@st.composite
+def conjugation_cases(draw):
+    """(ctx, (g, g^-1), stack, support) with arbitrary codes in the stack.
+
+    g is a generator, a product of several (a group element), or, outside
+    the group, a^t b for two such elements a and b, which is dense below
+    and above the diagonal.
+    """
+    x, n, d = draw(st.sampled_from((("C", 3, 2), ("D", 4, 2), ("U", 2, 1))))
+    ctx, gens = _generators(x, n, d, draw(st.sampled_from((3, 5, 9))))
+    elements = st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=6)
+    (g, g_inv), (h, h_inv) = _ambient_pairs([functools.reduce(group_mul, (gens[i] for i in draw(elements))) for _ in range(2)])
+    if draw(st.booleans()):
+        f = ctx.field
+        g, g_inv = matmul(f, g.T, h), matmul(f, h_inv, g_inv.T)
+    count = draw(st.sampled_from((1, 7, BLOCK + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = rng.integers(0, ctx.field.q, (count, 2 * n, 2 * n)).astype(np.int16)
+    return ctx, (g, g_inv), stack, ctx._mask if draw(st.booleans()) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugation_cases())
+def test_sparse_conjugation_matches_dense_products(case):
+    ctx, (g_codes, g_inv_codes), stack, support = case
+    f = ctx.field
+    dense = matmul(f, matmul(f, g_codes, stack), g_inv_codes)
+    if support is not None:
+        dense = np.where(support, dense, np.int16(0))
+    sparse = np.concatenate(list(_conjugates(f, stack, g_codes, g_inv_codes, support)))
+    assert sparse.dtype == np.int16
+    np.testing.assert_array_equal(sparse, dense)
