@@ -1,10 +1,12 @@
 """Tests for the command line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -348,3 +350,73 @@ def test_huge_prime_q_is_checked_quickly(capsys):
     assert code == 0 and record["params"]["q"] == 10 ** 18 + 3
     code, out, err = run_cli(capsys, "census", "--type", "C", "--n", "2", "--d", "1", "--q", str(10 ** 30 + 3))
     assert (code, out) == (2, "") and err.startswith("error: cannot decide whether")
+
+
+def _golden_commands():
+    """argv lists covering every command, format, basis and refusal path."""
+    commands = []
+    for x, ds in (("C", range(1, 5)), ("D", range(1, 5)), ("U", range(0, 4))):
+        for d in ds:
+            for fmt in ("md", "json", "csv"):
+                for basis in ("q", "qminus1"):
+                    for q in ((), ("--q", "3")):
+                        commands.append(["census", "--type", x, "--n", "4", "--d", str(d), *q, "--basis", basis, "--format", fmt])
+    for d in range(3):
+        for fmt in ("md", "json"):
+            commands.append(["census", "--type", "U", "--n", "3", "--d", str(d), "--q", "5", "--variant", "printed", "--basis", "qminus1", "--format", fmt])
+    for x, n, d in (("C", 2, 1), ("C", 3, 1), ("U", 2, 1)):
+        for variant in ("corrected", "printed"):
+            for fmt in ("md", "json", "csv"):
+                commands.append(["census", "--type", x, "--n", str(n), "--d", str(d), "--q", "3", "--oracle", "--variant", variant, "--format", fmt])
+    for cls, r in (("sym", "1"), ("skew", "2"), ("herm", "1")):
+        for fmt in ("md", "json", "csv"):
+            commands.append(["ranks", "--class", cls, "--n", "3", "--format", fmt])
+            commands.append(["ranks", "--class", cls, "--n", "2", "--q", "3", "--brute", "--format", fmt])
+        commands.append(["ranks", "--class", cls, "--n", "3", "--r", r, "--q", "5"])
+        commands.append(["ranks", "--class", cls, "--n", "0", "--format", "json"])
+        commands.append(["ranks", "--class", cls, "--n", "0", "--q", "3", "--brute"])
+    commands.append(["ranks", "--class", "skew", "--n", "3", "--q", "3", "--brute", "--format", "json"])
+    commands.append(["ranks", "--class", "herm", "--n", "2", "--r", "2", "--q", "3", "--brute", "--format", "json"])
+    for suite in ("classes", "orbits", "pairings", "positivity", "ranks", "all"):
+        commands.append(["verify", "--suite", suite, "--format", "json"])
+        commands.append(["verify", "--suite", suite, "--max-n", "2", "--q", "3", "5"])
+        commands.append(["verify", "--suite", suite, "--max-n", "3", "--format", "csv"])
+    commands += [
+        ["census", "--type", "U", "--n", "2", "--d", "2"],
+        ["census", "--type", "C", "--n", "2", "--d", "0"],
+        ["census", "--type", "D", "--n", "0", "--d", "0"],
+        ["census", "--type", "C", "--n", "2", "--d", "1", "--q", "9"],
+        ["census", "--type", "C", "--n", "2", "--d", "1", "--q", "2"],
+        ["census", "--type", "C", "--n", "2", "--d", "1", "--oracle"],
+        ["census", "--type", "C", "--n", "2", "--d", "1", "--budget", "0"],
+        ["census", "--type", "C", "--n", "2", "--d", "1", "--q", "3", "--oracle", "--budget", str(10 ** 9)],
+        ["census", "--type", "D", "--n", "4", "--d", "2", "--q", "3", "--oracle"],
+        ["census", "--type", "U", "--n", "1", "--d", "0", "--q", "101", "--oracle"],
+        ["census", "--type", "C", "--n", "60", "--d", "30"],
+        ["ranks", "--class", "skew", "--n", "2", "--r", "1"],
+        ["ranks", "--class", "sym", "--n", "2", "--r", "3"],
+        ["ranks", "--class", "herm", "--n", "2", "--r", "-1"],
+        ["ranks", "--class", "sym", "--n", "-1"],
+        ["ranks", "--class", "sym", "--n", "2", "--brute"],
+        ["ranks", "--class", "sym", "--n", "3", "--q", "3", "--brute", "--budget", "10"],
+        ["ranks", "--class", "herm", "--n", "1", "--q", "101", "--brute"],
+        ["ranks", "--class", "sym", "--n", "63"],
+        ["verify", "--suite", "classes", "--max-n", "0"],
+        ["verify", "--suite", "ranks", "--q", "2"],
+        ["verify", "--suite", "orbits", "--q", "27"],
+        ["verify", "--suite", "positivity", "--max-n", "39"],
+    ]
+    return [argv + ["--no-timing"] for argv in commands]
+
+
+def test_cli_output_is_pinned(capsys):
+    # one digest over (argv, exit code, stdout, stderr) of every command,
+    # computed before the CLI's checks were shared between commands and
+    # suites: any change in bytes, verdicts or messages shows here
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in _golden_commands():
+            code, out, err = run_cli(capsys, *argv)
+            digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == "4c5318fc96035fe7de7db442e949c1f760d052bf3ef5d5b70747431865acc295"
