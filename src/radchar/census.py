@@ -41,8 +41,11 @@ from .gf import BudgetExceeded, FieldCtx
 from .qpoly import QPoly, gaussian_binomial
 
 __all__ = [
+    "CLASSES",
     "MAX_DEGREE",
+    "attainable_ranks",
     "check_degree",
+    "check_variant",
     "sym_rank_census",
     "skew_rank_census",
     "skewherm_rank_census",
@@ -51,6 +54,13 @@ __all__ = [
 ]
 
 VARIANTS = ("printed", "corrected")
+
+# the class each census counts in, by the name census_polynomial takes
+CLASSES = {
+    "sym": SymmetryClass.SYMMETRIC,
+    "skew": SymmetryClass.SKEW_SYMMETRIC,
+    "herm": SymmetryClass.SKEW_HERMITIAN,
+}
 
 # Largest degree in q of a polynomial that one symbolic request may build.
 # The command line checks it before it builds anything; the library
@@ -65,11 +75,21 @@ def check_degree(degree: int) -> None:
         raise BudgetExceeded(f"polynomial degree {degree} exceeds the cap {MAX_DEGREE}")
 
 
+def check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError("unknown variant")
+
+
 def _check_range(n: int, r: int) -> None:
     if n < 0:
         raise ValueError("matrix size must be nonnegative")
     if r < 0 or r > n:
         raise ValueError("rank out of range")
+
+
+def attainable_ranks(kind: str, n: int) -> range:
+    """Ranks an n-by-n matrix of the named class can have: even ones only for skew."""
+    return range(0, n + 1, 2 if kind == "skew" else 1)
 
 
 def _times(p: QPoly, factors) -> QPoly:
@@ -100,8 +120,7 @@ def skew_rank_census(n: int, r: int) -> QPoly:
 def skewherm_rank_census(n: int, r: int, variant: str = "corrected") -> QPoly:
     """Count of n-by-n skew-Hermitian matrices of rank r over F_{q^2} (Carlitz-Hodges)."""
     _check_range(n, r)
-    if variant not in VARIANTS:
-        raise ValueError("unknown variant")
+    check_variant(variant)
     # [n r] in q^2: coefficient k of [n r]_q moves to degree 2k
     binom = gaussian_binomial(n, r).coeffs
     spread = [0] * (2 * len(binom) - 1)
@@ -115,6 +134,7 @@ def skewherm_rank_census(n: int, r: int, variant: str = "corrected") -> QPoly:
 
 def census_polynomial(kind: str, n: int, r: int, variant: str = "corrected") -> QPoly:
     """Dispatch by class name: sym, skew or herm."""
+    check_variant(variant)
     if kind == "sym":
         return sym_rank_census(n, r)
     if kind == "skew":

@@ -5,13 +5,15 @@ layers indexed by the rank r of one coefficient block of a linear
 functional: symmetric d-by-d for type C, skew-symmetric for D,
 skew-Hermitian for U.  A block of rank r contributes characters of
 degree |k|^e with e = (n - d) * r, where k is the entry field (F_q for
-C and D, F_{q^2} for U).  The number of characters in layer e is the
-rank census polynomial of the block scaled by a power of q counting
-the remaining free dual coordinates:
+C and D, F_{q^2} for U, so |k| = q^m with m = 1 or 2).  The number of
+characters in layer e is the rank census polynomial of the block's
+class scaled by a power of q counting the remaining free dual
+coordinates, one expression for all three types:
 
-    C:  q^(2 d (n-d) - 2 e) * sym_rank_census(d, r)
-    D:  q^(2 d (n-d) - 2 e) * skew_rank_census(d, r)
-    U:  q^(4 d (n-d) - 4 e) * skewherm_rank_census(d, r, variant)
+    q^(2 m (d (n-d) - e)) * census_polynomial(kind, d, r, variant)
+
+with kind sym for C, skew for D and herm for U.  The ranks r are the
+class's attainable ones (census.attainable_ranks: even only for skew).
 
 For d = n the radical is abelian and the whole census is one row of
 linear characters.  Everything here is an exact polynomial identity in
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import VARIANTS, skew_rank_census, skewherm_rank_census, sym_rank_census
+from .census import attainable_ranks, census_polynomial, check_variant
 from .orbitmethod import RadicalParams, radical_order
 from .qpoly import QPoly
 
@@ -43,6 +45,10 @@ __all__ = [
 ]
 
 
+# the class of each type's coefficient block, by census name
+_CENSUS_KIND = {"C": "sym", "D": "skew", "U": "herm"}
+
+
 def degree_exponents(params: RadicalParams) -> list[tuple[int, int]]:
     """Attainable pairs (r, e): block rank r and degree exponent e.
 
@@ -52,19 +58,7 @@ def degree_exponents(params: RadicalParams) -> list[tuple[int, int]]:
     n, d = params.n, params.d
     if d == n:
         return [(0, 0)]
-    step = 2 if params.x == "D" else 1
-    return [(r, (n - d) * r) for r in range(0, d + 1, step)]
-
-
-def _rank_for_exponent(params: RadicalParams, e: int):
-    # invert e = (n - d) r; None marks an unattainable exponent
-    n, d = params.n, params.d
-    if e % (n - d):
-        return None
-    r = e // (n - d)
-    if r > d or (params.x == "D" and r % 2):
-        return None
-    return r
+    return [(r, (n - d) * r) for r in attainable_ranks(_CENSUS_KIND[params.x], d)]
 
 
 def degree_poly(params: RadicalParams, e: int) -> QPoly:
@@ -79,21 +73,17 @@ def char_count_poly(params: RadicalParams, e: int, variant: str = "corrected") -
 
     Exponents no character degree attains give the zero polynomial.
     """
-    if variant not in VARIANTS:
-        raise ValueError("unknown variant")
+    check_variant(variant)
     if e < 0:
         raise ValueError("degree exponent out of range")
     n, d = params.n, params.d
     if d == n:
         return radical_order(params) if e == 0 else QPoly.zero()
-    r = _rank_for_exponent(params, e)
-    if r is None:
+    kind = _CENSUS_KIND[params.x]
+    r, rest = divmod(e, n - d)
+    if rest or r not in attainable_ranks(kind, d):
         return QPoly.zero()
-    if params.x == "C":
-        return QPoly.q_power(2 * d * (n - d) - 2 * e) * sym_rank_census(d, r)
-    if params.x == "D":
-        return QPoly.q_power(2 * d * (n - d) - 2 * e) * skew_rank_census(d, r)
-    return QPoly.q_power(4 * d * (n - d) - 4 * e) * skewherm_rank_census(d, r, variant)
+    return QPoly.q_power(2 * params.k_exponent * (d * (n - d) - e)) * census_polynomial(kind, d, r, variant)
 
 
 @dataclass(frozen=True)

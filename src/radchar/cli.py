@@ -8,6 +8,11 @@ Three subcommands:
               checked against brute-force enumeration (--brute)
     verify  - named invariant suites over small parameter grids
 
+census --oracle and the orbits and classes suites share one orbit-layer
+and one class-count check; ranks --brute and the ranks suite share one
+brute histogram (over F_{q^2} for herm) and its comparison with the
+closed forms.  Class names and attainable ranks come from census.
+
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict
 failed, 2 usage or parameter error, including every request over an
 enumeration budget, the field-order cap (gf.MAX_FIELD_ORDER) or the
@@ -34,9 +39,9 @@ import sys
 import time
 from dataclasses import asdict
 
-from .census import VARIANTS, brute_rank_census, census_polynomial, check_degree
-from .charcensus import census_table, qminus1_report
-from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass, class_dimension
+from .census import CLASSES, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree
+from .charcensus import DegreeCensus, census_table, qminus1_report
+from .falinalg import DEFAULT_ENUM_BUDGET, class_dimension
 from .gf import BudgetExceeded, field_for_order, odd_prime_power, quadratic_extension
 from .orbitmethod import (
     DEFAULT_CLASS_BUDGET,
@@ -44,20 +49,15 @@ from .orbitmethod import (
     RadicalContext,
     RadicalParams,
     class_count_brute,
+    d_range,
     orbit_census,
     pairing_nondegeneracy_check,
 )
-from .qpoly import QPoly
+from .qpoly import QPoly, format_terms
 
 __all__ = ["main", "build_parser"]
 
 HARD_BUDGET_CEILING = 10 ** 8
-
-RANK_CLASSES = {
-    "sym": SymmetryClass.SYMMETRIC,
-    "skew": SymmetryClass.SKEW_SYMMETRIC,
-    "herm": SymmetryClass.SKEW_HERMITIAN,
-}
 
 # instance grids for the verification suites, kept small enough that the
 # brute-force oracles stay inside the default budgets
@@ -103,51 +103,49 @@ def _params(args) -> RadicalParams:
         raise UsageError(str(exc)) from exc
 
 
-def _qminus1_str(coeffs) -> str:
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = -c if c < 0 else c
-        if k == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}(q-1)" if k == 1 else f"{head}(q-1)^{k}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign0, body0 = parts[0]
-    text = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 def _count_str(row: dict, basis: str) -> str:
     if basis == "qminus1":
-        return _qminus1_str([int(s) for s in row["count_qminus1"]])
+        return format_terms(enumerate(int(s) for s in row["count_qminus1"]), "(q-1)")
     return str(QPoly.from_json(row["count"]))
 
 
 # -- census -----------------------------------------------------------------
 
 
+def _orbit_check(table: DegreeCensus, ctx: RadicalContext, args):
+    """(rows, ok, detail): the orbit census over ctx, checked against the table's layers."""
+    orbits = orbit_census(table.params, ctx, budget=resolve_budget(args, DEFAULT_ORBIT_BUDGET))
+    symbolic = table.counts_at(ctx.q)
+    orbital = {r.e: (r.degree, r.char_count) for r in orbits.rows}
+    ok = symbolic == orbital
+    detail = "census table equals orbit census" if ok else f"table {symbolic}, orbits {orbital}"
+    return orbits.rows, ok, detail
+
+
+def _class_check(table: DegreeCensus, ctx: RadicalContext, args):
+    """(classes, ok, detail): the conjugacy class count over ctx, checked against the table's total."""
+    classes = class_count_brute(table.params, ctx, budget=resolve_budget(args, DEFAULT_CLASS_BUDGET))
+    total = table.total_poly().eval_at(ctx.q)
+    ok = classes == total
+    detail = (
+        f"{classes} conjugacy classes, census total agrees"
+        if ok
+        else f"{classes} conjugacy classes but census total {total}"
+    )
+    return classes, ok, detail
+
+
 def _census_oracle(params: RadicalParams, q: int, variant: str, args) -> dict:
+    table = census_table(params, variant)
     ctx = RadicalContext(params, _field_for(q))
     # classes first: there are never more duals than group elements and the
     # orbit budget is never below the class budget, so an oversized request
     # fails here, before anything is enumerated
-    classes = class_count_brute(params, ctx, budget=resolve_budget(args, DEFAULT_CLASS_BUDGET))
-    orbits = orbit_census(params, ctx, budget=resolve_budget(args, DEFAULT_ORBIT_BUDGET))
-    table = census_table(params, variant)
-    symbolic = table.counts_at(q)
-    orbital = {r.e: (r.degree, r.char_count) for r in orbits.rows}
-    rows_match = symbolic == orbital
-    class_match = table.total_poly().eval_at(q) == classes
+    classes, class_match, _ = _class_check(table, ctx, args)
+    rows, rows_match, _ = _orbit_check(table, ctx, args)
     return {
         "q": q,
-        "orbit_rows": [asdict(r) for r in orbits.rows],
+        "orbit_rows": [asdict(r) for r in rows],
         "class_count": classes,
         "rows_match": rows_match,
         "class_count_match": class_match,
@@ -197,20 +195,28 @@ def cmd_census(args):
 # -- ranks ------------------------------------------------------------------
 
 
+def _brute_histogram(kind: str, n: int, q: int, args) -> dict[int, int]:
+    """Rank histogram of the class by enumeration, over F_q (F_{q^2} for herm)."""
+    base = _field_for(q)
+    field = quadratic_extension(base) if kind == "herm" else base
+    return brute_rank_census(n, CLASSES[kind], field, budget=resolve_budget(args, DEFAULT_ENUM_BUDGET))
+
+
+def _histogram_agrees(hist: dict, kind: str, n: int, counts: dict) -> bool:
+    """hist has counts[r] matrices of each rank r in counts and none of an unattainable rank."""
+    return all(hist.get(r, 0) == c for r, c in counts.items()) and set(hist) <= set(attainable_ranks(kind, n))
+
+
 def cmd_ranks(args):
     kind = args.cls
     n = args.n
     if n < 0:
         raise UsageError("--n must be nonnegative")
-    check_degree(class_dimension(n, RANK_CLASSES[kind]))
+    check_degree(class_dimension(n, CLASSES[kind]))
     q = _checked_q(args.q) if args.q is not None else None
     if args.brute and q is None:
         raise UsageError("--brute requires --q")
-    if args.r is not None:
-        rank_list = [args.r]
-    else:
-        step = 2 if kind == "skew" else 1
-        rank_list = list(range(0, n + 1, step))
+    rank_list = attainable_ranks(kind, n) if args.r is None else [args.r]
     polys = {}
     printed = {}
     rows = []
@@ -230,19 +236,15 @@ def cmd_ranks(args):
     record = {"command": "ranks", "class": kind, "n": n, "q": q, "rows": rows}
     code = 0
     if args.brute:
-        base = _field_for(q)
-        field = quadratic_extension(base) if kind == "herm" else base
-        hist = brute_rank_census(n, RANK_CLASSES[kind], field, budget=resolve_budget(args, DEFAULT_ENUM_BUDGET))
-        expected = {r: polys[r].eval_at(q) for r in rank_list}
-        got = {r: hist.get(r, 0) for r in rank_list}
-        match = got == expected
+        hist = _brute_histogram(kind, n, q, args)
+        match = _histogram_agrees(hist, kind, n, {r: p.eval_at(q) for r, p in polys.items()})
         record["brute"] = {
             "histogram": {str(k): v for k, v in hist.items()},
             "match": match,
         }
         if kind == "herm":
-            record["brute"]["printed_matches"] = all(
-                hist.get(r, 0) == printed[r].eval_at(q) for r in rank_list
+            record["brute"]["printed_matches"] = _histogram_agrees(
+                hist, kind, n, {r: p.eval_at(q) for r, p in printed.items()}
             )
         if not match:
             code = 1
@@ -257,7 +259,6 @@ def _capped(limit: int, max_n) -> int:
 
 
 def _suite_ranks(args, qs):
-    budget = resolve_budget(args, DEFAULT_ENUM_BUDGET)
     grid = [
         (kind, n, q)
         for kind, top, default_qs in (("sym", 3, (3, 5)), ("skew", 4, (3,)), ("herm", 2, (3, 5)))
@@ -268,16 +269,9 @@ def _suite_ranks(args, qs):
         grid.append(("herm", 3, 3))
     checks = []
     for kind, n, q in sorted(set(grid)):
-        base = _field_for(q)
-        field = quadratic_extension(base) if kind == "herm" else base
-        hist = brute_rank_census(n, RANK_CLASSES[kind], field, budget=budget)
-        step = 2 if kind == "skew" else 1
-        expected = {
-            r: census_polynomial(kind, n, r, "corrected").eval_at(q)
-            for r in range(0, n + 1, step)
-        }
-        got = {r: hist.get(r, 0) for r in expected}
-        ok = got == expected and sum(hist.values()) == sum(expected.values())
+        hist = _brute_histogram(kind, n, q, args)
+        expected = {r: census_polynomial(kind, n, r).eval_at(q) for r in attainable_ranks(kind, n)}
+        ok = _histogram_agrees(hist, kind, n, expected)
         detail = (
             "closed form equals brute histogram"
             if ok
@@ -297,42 +291,21 @@ def _radical_instances(triples, qs, extra, max_n):
 
 
 def _suite_orbits(args, qs):
-    budget = resolve_budget(args, DEFAULT_ORBIT_BUDGET)
     checks = []
     for x, n, d, q in _radical_instances(ORBIT_TRIPLES, qs, [("C", 2, 1, 5)], args.max_n):
         params = RadicalParams(x, n, d)
-        orbits = orbit_census(params, _field_for(q), budget=budget)
-        symbolic = census_table(params).counts_at(q)
-        orbital = {r.e: (r.degree, r.char_count) for r in orbits.rows}
-        ok = symbolic == orbital
-        detail = (
-            "census table equals orbit census"
-            if ok
-            else f"table {symbolic}, orbits {orbital}"
-        )
+        _, ok, detail = _orbit_check(census_table(params), RadicalContext(params, _field_for(q)), args)
         checks.append({"suite": "orbits", "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
     return checks
 
 
 def _suite_classes(args, qs):
-    budget = resolve_budget(args, DEFAULT_CLASS_BUDGET)
     checks = []
     for x, n, d, q in _radical_instances(CLASS_TRIPLES, qs, [("C", 2, 1, 5)], args.max_n):
         params = RadicalParams(x, n, d)
-        classes = class_count_brute(params, _field_for(q), budget=budget)
-        total = census_table(params).total_poly().eval_at(q)
-        ok = classes == total
-        detail = (
-            f"{classes} conjugacy classes, census total agrees"
-            if ok
-            else f"{classes} conjugacy classes but census total {total}"
-        )
+        _, ok, detail = _class_check(census_table(params), RadicalContext(params, _field_for(q)), args)
         checks.append({"suite": "classes", "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
     return checks
-
-
-def _valid_d_range(x: str, n: int):
-    return range(0, n) if x == "U" else range(1, n + 1)
 
 
 def _suite_pairings(args, qs):
@@ -340,7 +313,7 @@ def _suite_pairings(args, qs):
     grid = []
     for x in ("C", "D", "U"):
         for n in range(1, _capped(4, args.max_n) + 1):
-            for d in _valid_d_range(x, n):
+            for d in d_range(x, n):
                 for q in qs or (3, 5):
                     grid.append((x, n, d, q))
     for x, n, d, q in sorted(grid):
@@ -354,13 +327,13 @@ def _suite_positivity(args, qs):
     max_n = args.max_n if args.max_n is not None else 10
     # refuse up front: the largest census of the suite has n = max_n
     for x in ("C", "D", "U"):
-        for d in _valid_d_range(x, max_n):
+        for d in d_range(x, max_n):
             check_degree(RadicalParams(x, max_n, d).order_exponent)
     checks = []
     for x in ("C", "D", "U"):
         for n in range(1, max_n + 1):
             bad = []
-            for d in _valid_d_range(x, n):
+            for d in d_range(x, n):
                 for r, e, coeffs in qminus1_report(RadicalParams(x, n, d)):
                     if any(c < 0 for c in coeffs):
                         bad.append((d, e))
@@ -565,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pc)
 
     pr = sub.add_parser("ranks", help="rank census polynomials for a symmetry class")
-    pr.add_argument("--class", dest="cls", required=True, choices=tuple(RANK_CLASSES))
+    pr.add_argument("--class", dest="cls", required=True, choices=tuple(CLASSES))
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--r", type=int, default=None)
     pr.add_argument("--q", type=int, default=None)

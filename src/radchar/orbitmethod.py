@@ -61,6 +61,7 @@ __all__ = [
     "DualElement",
     "OrbitRecord",
     "OrbitCensus",
+    "d_range",
     "radical_order",
     "group_mul",
     "group_inv",
@@ -89,6 +90,11 @@ _V_CLASS = {
 }
 
 
+def d_range(x: str, n: int) -> range:
+    """The d a radical of type x and size n admits: 0..n-1 for U, 1..n otherwise."""
+    return range(0, n) if x == "U" else range(1, n + 1)
+
+
 @dataclass(frozen=True)
 class RadicalParams:
     """Combinatorial data (type, n, d) of one radical group."""
@@ -102,9 +108,7 @@ class RadicalParams:
             raise ValueError("type must be one of C, D, U")
         if self.n < 1:
             raise ValueError("n out of range")
-        lo = 0 if self.x == "U" else 1
-        hi = self.n - 1 if self.x == "U" else self.n
-        if not lo <= self.d <= hi:
+        if self.d not in d_range(self.x, self.n):
             raise ValueError("d out of range")
         if self.x == "C" and self.n < 3:
             warnings.warn("type C with n < 3 is outside the standard Dynkin range; the matrix model is still well defined")
@@ -842,11 +846,10 @@ def dual_index(ctx: RadicalContext):
     return list(ctx.duals()), _StackIndex(ctx._dual_stack())
 
 
-def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, duals=None, index=None) -> np.ndarray:
+def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, index=None) -> np.ndarray:
     """The permutation a dual index experiences under one group element.
 
-    duals and index are the pair dual_index returns; only index is read,
-    and it is built when not given.
+    index is the lookup dual_index returns; it is built when not given.
     """
     if index is None:
         index = _StackIndex(ctx._dual_stack())

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import accumulate, zip_longest
 from operator import index
 
-__all__ = ["QPoly", "exact_div", "gaussian_binomial"]
+__all__ = ["QPoly", "exact_div", "format_terms", "gaussian_binomial"]
 
 
 def _trimmed(cs: list) -> tuple:
@@ -87,9 +87,6 @@ class QPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -218,29 +215,32 @@ class QPoly:
         return cls([int(s) for s in data])
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if k == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}q" if k == 1 else f"{head}q^{k}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return format_terms(reversed(list(enumerate(self.coeffs))), "q")
 
     def __repr__(self) -> str:
         return f"QPoly({list(self.coeffs)!r})"
+
+
+def format_terms(terms, base: str) -> str:
+    """Text of the sum of c * base^k over the (k, c) pairs, in their order.
+
+    Zero terms are skipped, unit coefficients and exponents are left
+    out, and an empty sum reads "0": "q^2 - 2*q + 1" for base "q".
+    """
+    out = []
+    for k, c in terms:
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = str(mag)
+        else:
+            body = ("" if mag == 1 else f"{mag}*") + (base if k == 1 else f"{base}^{k}")
+        if out:
+            out.append((" - " if c < 0 else " + ") + body)
+        else:
+            out.append(("-" if c < 0 else "") + body)
+    return "".join(out) or "0"
 
 
 def _coerce(x):

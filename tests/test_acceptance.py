@@ -220,7 +220,7 @@ def test_criterion_8_action_law_and_orbit_rank_invariants():
         # exhaustive action law over H x H x duals, via permutation tables
         hs = list(ctx.h_elements())
         assert len(hs) == h_order
-        perms = {h.key(): coadjoint_permutation(ctx, h, duals, index) for h in hs}
+        perms = {h.key(): coadjoint_permutation(ctx, h, index) for h in hs}
         for g in hs:
             pg = perms[g.key()]
             for h in hs:

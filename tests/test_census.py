@@ -3,6 +3,8 @@
 import pytest
 
 from radchar.census import (
+    CLASSES,
+    attainable_ranks,
     brute_rank_census,
     census_polynomial,
     skew_rank_census,
@@ -187,3 +189,18 @@ def test_census_polynomial_dispatch():
     assert census_polynomial("sym", 2, 1) == sym_rank_census(2, 1)
     assert census_polynomial("skew", 4, 2) == skew_rank_census(4, 2)
     assert census_polynomial("herm", 2, 1, "printed") == skewherm_rank_census(2, 1, "printed")
+
+
+def test_census_polynomial_checks_the_variant_for_every_kind():
+    # sym and skew have one variant, but a misspelt one must not pass silently
+    for kind in CLASSES:
+        with pytest.raises(ValueError, match="unknown variant"):
+            census_polynomial(kind, 2, 1, "bogus")
+
+
+def test_attainable_ranks_are_the_ranks_enumeration_finds():
+    for kind, top in (("sym", 3), ("skew", 4), ("herm", 2)):
+        field = F9 if kind == "herm" else F3
+        for n in range(top + 1):
+            hist = brute_rank_census(n, CLASSES[kind], field)
+            assert sorted(hist) == list(attainable_ranks(kind, n)), (kind, n)

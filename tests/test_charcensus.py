@@ -71,8 +71,10 @@ def test_char_count_zero_for_unattainable_exponents():
     assert char_count_poly(P("C", 3, 3), 1).is_zero()
     with pytest.raises(ValueError):
         char_count_poly(P("C", 3, 1), -1)
-    with pytest.raises(ValueError):
-        char_count_poly(P("U", 2, 1), 0, variant="bogus")
+    # the variant is checked on every path, not only where a census is built
+    for params, e in ((P("U", 2, 1), 0), (P("C", 3, 3), 0), (P("C", 3, 1), 1)):
+        with pytest.raises(ValueError, match="unknown variant"):
+            char_count_poly(params, e, variant="bogus")
 
 
 def test_census_table_structure():

@@ -359,9 +359,9 @@ def test_orbit_partition_consistency():
 
 def test_action_law_permutations():
     ctx = ctx_for("C", 2, 1, 3)
-    duals, index = dual_index(ctx)
+    _, index = dual_index(ctx)
     els = list(ctx.elements())
-    perms = {g.key(): coadjoint_permutation(ctx, g, duals, index) for g in els}
+    perms = {g.key(): coadjoint_permutation(ctx, g, index) for g in els}
     for g in els:
         for h in els:
             gh = group_mul(g, h)
@@ -370,13 +370,13 @@ def test_action_law_permutations():
 
 def test_action_law_permutations_u_sampled():
     ctx = ctx_for("U", 2, 1, 3)
-    duals, index = dual_index(ctx)
+    _, index = dual_index(ctx)
     rng = random.Random(29)
     cache = {}
 
     def perm_of(g):
         if g.key() not in cache:
-            cache[g.key()] = coadjoint_permutation(ctx, g, duals, index)
+            cache[g.key()] = coadjoint_permutation(ctx, g, index)
         return cache[g.key()]
 
     for _ in range(40):
