@@ -135,9 +135,8 @@ def _class_check(table: DegreeCensus, ctx: RadicalContext, args):
     return classes, ok, detail
 
 
-def _census_oracle(params: RadicalParams, q: int, variant: str, args) -> dict:
-    table = census_table(params, variant)
-    ctx = RadicalContext(params, _field_for(q))
+def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
+    ctx = RadicalContext(table.params, _field_for(q))
     # classes first: there are never more duals than group elements and the
     # orbit budget is never below the class budget, so an oversized request
     # fails here, before anything is enumerated
@@ -185,7 +184,7 @@ def cmd_census(args):
     }
     code = 0 if sos_ok else 1
     if args.oracle:
-        oracle = _census_oracle(params, q, args.variant, args)
+        oracle = _census_oracle(census, q, args)
         record["oracle"] = oracle
         if not oracle["match"]:
             code = 1
@@ -281,30 +280,18 @@ def _suite_ranks(args, qs):
     return checks
 
 
-def _radical_instances(triples, qs, extra, max_n):
-    instances = [(x, n, d, q) for (x, n, d) in triples for q in qs or (3,)]
+def _oracle_suite(suite: str, triples, check, args, qs):
+    """One check per radical instance: check(census table, context, args), as census --oracle runs it."""
+    instances = {(x, n, d, q) for x, n, d in triples for q in qs or (3,)}
     if qs is None:
-        instances.extend(extra)
-    if max_n is not None:
-        instances = [t for t in instances if t[1] <= max_n]
-    return sorted(set(instances))
-
-
-def _suite_orbits(args, qs):
+        instances.add(("C", 2, 1, 5))
     checks = []
-    for x, n, d, q in _radical_instances(ORBIT_TRIPLES, qs, [("C", 2, 1, 5)], args.max_n):
+    for x, n, d, q in sorted(instances):
+        if args.max_n is not None and n > args.max_n:
+            continue
         params = RadicalParams(x, n, d)
-        _, ok, detail = _orbit_check(census_table(params), RadicalContext(params, _field_for(q)), args)
-        checks.append({"suite": "orbits", "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
-    return checks
-
-
-def _suite_classes(args, qs):
-    checks = []
-    for x, n, d, q in _radical_instances(CLASS_TRIPLES, qs, [("C", 2, 1, 5)], args.max_n):
-        params = RadicalParams(x, n, d)
-        _, ok, detail = _class_check(census_table(params), RadicalContext(params, _field_for(q)), args)
-        checks.append({"suite": "classes", "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
+        _, ok, detail = check(census_table(params), RadicalContext(params, _field_for(q)), args)
+        checks.append({"suite": suite, "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
     return checks
 
 
@@ -348,8 +335,8 @@ def _suite_positivity(args, qs):
 
 
 SUITES = {
-    "classes": _suite_classes,
-    "orbits": _suite_orbits,
+    "classes": functools.partial(_oracle_suite, "classes", CLASS_TRIPLES, _class_check),
+    "orbits": functools.partial(_oracle_suite, "orbits", ORBIT_TRIPLES, _orbit_check),
     "pairings": _suite_pairings,
     "positivity": _suite_positivity,
     "ranks": _suite_ranks,
@@ -376,6 +363,16 @@ def cmd_verify(args):
 
 
 # -- rendering ----------------------------------------------------------------
+
+
+def _verdict(flag: bool) -> str:
+    return "PASS" if flag else "FAIL"
+
+
+def _md_table(header: list[str], rows) -> list[str]:
+    """The lines of a markdown table: the header, its rule, one line per row of cells."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in [header, *rows]]
+    return [lines[0], "|" + "---|" * len(header), *lines[1:]]
 
 
 def render_json(record: dict, timing) -> str:
@@ -421,12 +418,8 @@ def render_csv(record: dict) -> str:
     else:
         writer.writerow(["suite", "check", "verdict", "detail"])
         for c in record["checks"]:
-            writer.writerow([c["suite"], c["name"], "PASS" if c["ok"] else "FAIL", c["detail"]])
+            writer.writerow([c["suite"], c["name"], _verdict(c["ok"]), c["detail"]])
     return buf.getvalue()
-
-
-def _md_verdict(flag: bool) -> str:
-    return "PASS" if flag else "FAIL"
 
 
 def render_md(record: dict, timing) -> str:
@@ -438,8 +431,7 @@ def render_md(record: dict, timing) -> str:
         header = ["r", "e", "degree", "count"]
         if p["q"] is not None:
             header += [f"degree(q={p['q']})", f"count(q={p['q']})"]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
+        rows = []
         for row in record["rows"]:
             cells = [
                 str(row["r"]),
@@ -449,15 +441,16 @@ def render_md(record: dict, timing) -> str:
             ]
             if p["q"] is not None:
                 cells += [str(row["degree_at_q"]), str(row["count_at_q"])]
-            lines.append("| " + " | ".join(cells) + " |")
+            rows.append(cells)
+        lines += _md_table(header, rows)
         lines.append("")
         lines.append(f"group order: {QPoly.from_json(record['order'])}")
-        lines.append(f"sum of squared degrees identity: {_md_verdict(record['sum_of_squares_ok'])}")
+        lines.append(f"sum of squared degrees identity: {_verdict(record['sum_of_squares_ok'])}")
         oracle = record.get("oracle")
         if oracle:
             lines.append(
-                f"oracle at q={oracle['q']}: degree layers {_md_verdict(oracle['rows_match'])}, "
-                f"class count {_md_verdict(oracle['class_count_match'])} "
+                f"oracle at q={oracle['q']}: degree layers {_verdict(oracle['rows_match'])}, "
+                f"class count {_verdict(oracle['class_count_match'])} "
                 f"({oracle['class_count']} conjugacy classes)"
             )
     elif record["command"] == "ranks":
@@ -472,8 +465,7 @@ def render_md(record: dict, timing) -> str:
             header.append(f"count(q={record['q']})")
         if brute:
             header.append("brute")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
+        rows = []
         for row in record["rows"]:
             cells = [str(row["r"]), str(QPoly.from_json(row["count"]))]
             if record["class"] == "herm":
@@ -482,10 +474,11 @@ def render_md(record: dict, timing) -> str:
                 cells.append(str(row["count_at_q"]))
             if brute:
                 cells.append(str(hist.get(str(row["r"]), 0)))
-            lines.append("| " + " | ".join(cells) + " |")
+            rows.append(cells)
+        lines += _md_table(header, rows)
         if brute:
             lines.append("")
-            lines.append(f"brute-force check: {_md_verdict(brute['match'])}")
+            lines.append(f"brute-force check: {_verdict(brute['match'])}")
             if "printed_matches" in brute:
                 note = "also matches" if brute["printed_matches"] else "flagged, disagrees with enumeration"
                 lines.append(f"printed variant: {note}")
@@ -493,7 +486,7 @@ def render_md(record: dict, timing) -> str:
         lines.append(f"# verify suite={record['suite']}")
         lines.append("")
         for c in record["checks"]:
-            lines.append(f"{_md_verdict(c['ok'])} [{c['suite']}] {c['name']} : {c['detail']}")
+            lines.append(f"{_verdict(c['ok'])} [{c['suite']}] {c['name']} : {c['detail']}")
         lines.append("")
         failed = len(record["failures"])
         lines.append(f"{len(record['checks'])} checks, {failed} failure{'s' if failed != 1 else ''}")

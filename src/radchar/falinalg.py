@@ -21,6 +21,8 @@ enumerated exhaustively in a deterministic order, as code stacks
 positions are visited row by row and the candidate codes ascend, so the
 first free entry is the most significant digit.  Membership is tested
 the same two ways: in_class on a code stack, is_in_class on one FfMatrix.
+Both, and orbitmethod's block links, read a class's one mirror table,
+mirror_codes: the code map from entry (i, j) of a member to entry (j, i).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "ranks",
     "rank",
     "conj_transpose",
+    "mirror_codes",
     "in_class",
     "is_in_class",
     "class_dimension",
@@ -271,23 +274,25 @@ def conj_transpose(M: FfMatrix) -> "FfMatrix":
     return FfMatrix.from_codes(M.field, M.field._frob[M.codes.T])
 
 
+def mirror_codes(field: FieldCtx, cls: SymmetryClass) -> np.ndarray:
+    """The code table sending entry (i, j) of a member of cls to entry (j, i): x, -x or -conj(x)."""
+    if cls is SymmetryClass.SYMMETRIC:
+        return np.arange(field.q, dtype=np.int16)
+    if cls is SymmetryClass.SKEW_SYMMETRIC:
+        return field._neg
+    if cls is SymmetryClass.SKEW_HERMITIAN:
+        if field.base is None:
+            raise ValueError("no conjugation defined")
+        return field._neg[field._frob]
+    raise ValueError("unknown symmetry class")
+
+
 def in_class(field: FieldCtx, A: np.ndarray, cls: SymmetryClass) -> np.ndarray:
     """Whether each matrix of a code stack A[..., n, n] lies in cls, as an array of shape A.shape[:-2]."""
     A = np.asarray(A)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
-    T = np.swapaxes(A, -1, -2)
-    if cls is SymmetryClass.SYMMETRIC:
-        mirror = T
-    elif cls is SymmetryClass.SKEW_SYMMETRIC:
-        mirror = field._neg[T]
-    elif cls is SymmetryClass.SKEW_HERMITIAN:
-        if field.base is None:
-            raise ValueError("no conjugation defined")
-        mirror = field._neg[field._frob[T]]
-    else:
-        raise ValueError("unknown symmetry class")
-    return (A == mirror).all(axis=(-2, -1))
+    return (A == mirror_codes(field, cls)[np.swapaxes(A, -1, -2)]).all(axis=(-2, -1))
 
 
 def is_in_class(M: FfMatrix, cls: SymmetryClass) -> bool:
@@ -334,16 +339,11 @@ def class_blocks(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFA
     total = class_size(n, cls, field)
     if total > budget:
         raise BudgetExceeded(f"enumeration too large: {total} matrices exceeds budget {budget}")
-    # free positions row by row on and above (strictly above for skew) the
-    # diagonal; the skew-Hermitian diagonal holds trace-zero codes only
-    skew = cls is SymmetryClass.SKEW_SYMMETRIC
-    positions = [(i, j) for i in range(n) for j in range(i + skew, n)]
-    all_codes = np.arange(field.q, dtype=np.int16)
-    if cls is SymmetryClass.SKEW_HERMITIAN:
-        diagonal, mirror = np.array(field.trace_zero_codes(), dtype=np.int16), field._neg[field._frob]
-    else:
-        diagonal, mirror = all_codes, field._neg if skew else all_codes
-    choices = [diagonal if i == j else all_codes for i, j in positions]
+    # free positions row by row on and above the diagonal; a diagonal entry
+    # is its own mirror: zero for skew, on the trace-zero line for skew-Hermitian
+    positions = [(i, j) for i in range(n) for j in range(i, n)]
+    all_codes, mirror = np.arange(field.q, dtype=np.int16), mirror_codes(field, cls)
+    choices = [all_codes[mirror == all_codes] if i == j else all_codes for i, j in positions]
 
     def generate():
         for s in range(0, total, BLOCK):

@@ -26,12 +26,15 @@ orbit is checked to have e equal to the rank of that system.
 
 Everything in this module is exhaustively verifiable: brute-force
 orbit enumeration, conjugacy class counting and the pairing checks are
-the oracles the symbolic layer is tested against.  Orbit enumeration
-and class counting run on one engine: all points stacked as code
-matrices, each generator g acting on the whole stack as row and column
-updates (one per nonzero entry of g - I and of g^-1 - I, at most two
-each for a one-parameter generator), and orbits labelled by their
-least point index.
+the oracles the symbolic layer is tested against.  Every orbit is found
+by one engine, _orbit_labels: all points stacked as code matrices, each
+generator g acting on the whole stack as row and column updates (one
+per nonzero entry of g - I and of g^-1 - I, at most two each for a
+one-parameter generator), and orbits labelled by their least point
+index.  orbit_partition labels all duals, class_count_brute all group
+elements, and orbit_of the fiber of one dual: H fixes the constrained
+block of every dual (b1 for C and D, b2 for U), so an orbit lies among
+the |H| duals that share it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .falinalg import (
     class_blocks,
     in_class,
     matmul,
+    mirror_codes,
     mixed_radix,
     ranks,
 )
@@ -153,11 +157,6 @@ def _t(X: np.ndarray) -> np.ndarray:
     return np.swapaxes(X, -1, -2)
 
 
-def _j_conj_t(field: FieldCtx, X: np.ndarray) -> np.ndarray:
-    # -J conj(X)^t J, with the reversal sizes read off from the shape
-    return field._neg[field._frob[_t(X)[..., ::-1, ::-1]]]
-
-
 def _identity_stack(size: int, lead: tuple) -> np.ndarray:
     return np.broadcast_to(np.eye(size, dtype=np.int16), lead + (size, size)).copy()
 
@@ -235,18 +234,16 @@ class RadicalContext:
         M = _identity_stack(2 * n, A.shape[:-2])
         M[..., 0:d, d:n] = A
         if self.params.x == "U":
-            M[..., n : 2 * n - d, 2 * n - d : 2 * n] = _j_conj_t(self.field, A)
+            # -J conj(A)^t J: the involution that links the blocks of V
+            M[..., n : 2 * n - d, 2 * n - d : 2 * n] = self._link(A)
         else:
             M[..., n + d : 2 * n, n : n + d] = self.field._neg[_t(A)]
         return M
 
     def _link(self, X: np.ndarray) -> np.ndarray:
         """The block tied to a free block: X^t (C), -X^t (D), -J conj(X)^t J (U)."""
-        if self.params.x == "C":
-            return _t(X)
-        if self.params.x == "D":
-            return self.field._neg[_t(X)]
-        return _j_conj_t(self.field, X)
+        linked = mirror_codes(self.field, _V_CLASS[self.params.x][0])[_t(X)]
+        return linked[..., ::-1, ::-1] if self.params.x == "U" else linked
 
     def _a_ambient(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
         M = _identity_stack(2 * self.n, b2.shape[:-2])
@@ -345,14 +342,12 @@ class RadicalContext:
         S takes trace_zero instead.  So an F_p-basis of k gives generators
         of A, and an F_q-basis gives an F_q-basis of Lie(A).
         """
-        n, d, f = self.n, self.d, self.field
+        n, d = self.n, self.d
         free = _units((d, n - d), scalars)
         zero_free, zero_v = np.zeros((d, n - d), dtype=np.int16), np.zeros((d, d), dtype=np.int16)
-        if self.params.x == "U":
-            mirror, diagonal = f._neg[f._frob], trace_zero
-        else:
-            mirror = np.arange(f.q) if self.params.x == "C" else f._neg
-            diagonal = scalars if self.params.x == "C" else []
+        mirror = mirror_codes(self.field, _V_CLASS[self.params.x][0])
+        # a diagonal entry is its own mirror, as in class_blocks, so D has no diagonal direction
+        diagonal = [s for s in (trace_zero if self.params.x == "U" else scalars) if mirror[s] == s]
         v = [
             _unit((d, d), i, j, s, mirror)
             for i in range(d)
@@ -390,13 +385,18 @@ class RadicalContext:
         elif not np.array_equal(b3, self._link(b2)):
             raise ValueError("b3 must equal b2 transposed" if self.params.x == "C" else "b3 must equal minus b2 transposed")
 
-    def _dual_blocks(self) -> tuple:
-        """Stacked blocks (b1, b3, b2) of all duals, in enumeration order."""
+    def _dual_blocks(self, constrained=None) -> tuple:
+        """Stacked blocks (b1, b3, b2) of the duals, in enumeration order.
+
+        Only duals whose constrained block (b1 for C and D, b2 for U) is in
+        the stack constrained are listed; all duals when it is None.
+        """
         n, d = self.n, self.d
+        v = self._v_stack() if constrained is None else constrained
         if self.params.x == "U":
-            b2, b3 = _grid(self._v_stack(), self._free_stack(d, n - d))
+            b2, b3 = _grid(v, self._free_stack(d, n - d))
             return self._link(b3), b3, b2
-        b1, b2 = _grid(self._v_stack(), self._free_stack(n - d, d))
+        b1, b2 = _grid(v, self._free_stack(n - d, d))
         return b1, self._link(b2), b2
 
     def _dual_stack(self) -> np.ndarray:
@@ -493,7 +493,7 @@ class RadicalElement(_BlockValue):
     """A group element a(V) h(A), stored by its free parameter blocks."""
 
     __slots__ = ("_b1", "_b2", "_a")
-    v_b1, v_b2, h_a = map(_block_view, __slots__)
+    h_a = _block_view("_a")
 
     def _ambient_codes(self) -> np.ndarray:
         ctx = self.ctx
@@ -695,22 +695,20 @@ def _records(duals, sizes) -> list[OrbitRecord]:
 
 
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
-    """Orbit of a dual element under the H-coadjoint action, by frontier BFS."""
+    """Orbit of a dual element under the H-coadjoint action.
+
+    The engine labels the fiber of alpha, the |H| duals sharing its
+    constrained block, which H fixes; the orbit is alpha's label class.
+    """
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     if h_order > budget:
         raise BudgetExceeded(f"enumeration too large: orbit bound {h_order} exceeds budget {budget}")
-    gens = _ambient_pairs(ctx.h_generators())
-    frontier = alpha._ambient_codes()[None]
-    seen = _row_keys(frontier)
-    while len(frontier):
-        found = [b for g, g_inv in gens for b in _conjugates(ctx.field, frontier, g, g_inv, ctx._mask)]
-        images = np.concatenate([frontier[:0], *found])
-        keys, first = np.unique(_row_keys(images), return_index=True)
-        fresh = ~np.isin(keys, seen)
-        frontier = images[first[fresh]]
-        seen = np.concatenate([seen, keys[fresh]])
-    return _records([alpha], [len(seen)])[0]
+    constrained = alpha._b2 if ctx.params.x == "U" else alpha._b1
+    fiber = ctx._dual_ambient(*ctx._dual_blocks(constrained[None]))
+    labels = _orbit_labels(ctx.field, fiber, _ambient_pairs(ctx.h_generators()), ctx._mask)
+    (where,) = np.flatnonzero((fiber == alpha._ambient_codes()).all(axis=(-2, -1)))
+    return _records([alpha], [int(np.count_nonzero(labels == labels[where]))])[0]
 
 
 def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> list[OrbitRecord]:
@@ -730,6 +728,14 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     reps = b1[roots], b3[roots], b2[roots]
     ctx._validate_dual_blocks(*reps)
     return _records([DualElement(ctx, *blocks) for blocks in zip(*reps)], sizes.tolist())
+
+
+def _context(params: RadicalParams, q) -> RadicalContext:
+    """q itself when it is a RadicalContext for params, else a new context over F_q."""
+    ctx = q if isinstance(q, RadicalContext) else RadicalContext(params, q)
+    if ctx.params != params:
+        raise ValueError("context parameters do not match")
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -770,9 +776,7 @@ def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -
     system rank) and the dual total are orbit_partition's; the census
     adds the sum-of-squares verdict.
     """
-    ctx = q if isinstance(q, RadicalContext) else RadicalContext(params, q)
-    if ctx.params != params:
-        raise ValueError("context parameters do not match")
+    ctx = _context(params, q)
     by_e: dict[int, list[OrbitRecord]] = {}
     for record in orbit_partition(ctx, budget):
         by_e.setdefault(record.e, []).append(record)
@@ -795,9 +799,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     of that action with the same generic labelling engine orbit_partition
     uses.  The orbits of conjugation are the conjugacy classes.
     """
-    ctx = q if isinstance(q, RadicalContext) else RadicalContext(params, q)
-    if ctx.params != params:
-        raise ValueError("context parameters do not match")
+    ctx = _context(params, q)
     order = ctx.q ** params.order_exponent
     if order > budget:
         raise BudgetExceeded(f"enumeration too large: group order {order} exceeds budget {budget}")
@@ -817,9 +819,7 @@ def pairing_nondegeneracy_check(params: RadicalParams, q) -> bool:
     products of X and Z, so the Gram matrix is one product of the
     flattened basis with its transpose.
     """
-    ctx = q if isinstance(q, RadicalContext) else RadicalContext(params, q)
-    if ctx.params != params:
-        raise ValueError("context parameters do not match")
+    ctx = _context(params, q)
     f = ctx.field
     basis = _lie_a_basis(ctx)
     G = matmul(f, basis, basis.T)

@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 from radchar.census import MAX_DEGREE, check_degree
+from radchar import cli
 from radchar.cli import main
 from radchar.falinalg import DEFAULT_ENUM_BUDGET
 from radchar.gf import BudgetExceeded
@@ -66,6 +67,15 @@ def test_census_corrected_oracle_match(capsys):
     assert oracle["match"] is True
     assert oracle["rows_match"] is True
     assert oracle["class_count_match"] is True
+
+
+def test_census_oracle_builds_the_census_table_once(capsys, monkeypatch):
+    # the oracle checks the table the census has already built
+    calls, census_table = [], cli.census_table
+    monkeypatch.setattr(cli, "census_table", lambda *args: calls.append(args) or census_table(*args))
+    code, record = run_json(capsys, "census", "--type", "C", "--n", "3", "--d", "2", "--q", "3", "--oracle")
+    assert code == 0 and record["oracle"]["match"] is True
+    assert len(calls) == 1
 
 
 def test_census_oracle_requires_q(capsys):

@@ -290,6 +290,24 @@ def test_orbit_examples():
     assert (recu.size, recu.stabilizer_order, recu.e, recu.degree) == (9, 1, 1, 9)
 
 
+@pytest.mark.parametrize("x, n, d, q", [("C", 3, 2, 3), ("D", 4, 2, 3), ("U", 2, 1, 3), ("C", 2, 1, 5)])
+def test_orbit_of_agrees_with_orbit_partition(x, n, d, q):
+    # orbit_of labels one fiber, orbit_partition the whole dual space; the
+    # orbit of each representative is read off the permutations of all of H
+    ctx = ctx_for(x, n, d, q)
+    duals, index = dual_index(ctx)
+    perms = [coadjoint_permutation(ctx, h, index) for h in ctx.h_elements()]
+    record_at = {}
+    for record in orbit_partition(ctx):
+        (pos,) = index.lookup(record.representative._ambient_codes()[None])
+        for perm in perms:
+            record_at[int(perm[pos])] = record
+    assert len(record_at) == len(duals)
+    for i, alpha in enumerate(duals):
+        mine, theirs = orbit_of(alpha), record_at[i]
+        assert (mine.size, mine.stabilizer_order, mine.e) == (theirs.size, theirs.stabilizer_order, theirs.e)
+
+
 def test_orbit_census_frozen_values():
     expected = {
         ("C", 2, 1, 3): {0: (3, 3, 9, 1), 1: (6, 2, 2, 3)},
