@@ -64,8 +64,9 @@ CLASSES = {
 
 # Largest degree in q of a polynomial that one symbolic request may build.
 # The command line checks it before it builds anything; the library
-# functions themselves take any size.  On 2 Xeon vCPUs with Python 3.11 the `census` command takes 0.6 s at
-# degree 1,010 (C(40,20)) and 1.6 s at degree 2,000 (U(40,20)).
+# functions themselves take any size.  On 2 Xeon vCPUs with Python 3.11 the
+# `census` command, interpreter start included, takes 0.5 s at degree 1,010
+# (C(40,20)) and 1.3-1.4 s at degree 2,000 (U(40,20)), in either basis.
 MAX_DEGREE = 2000
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .census import attainable_ranks, census_polynomial, check_variant
 from .orbitmethod import RadicalParams, radical_order
-from .qpoly import QPoly
+from .qpoly import QPoly, qminus1_expansions
 
 __all__ = [
     "DegreeCensusRow",
@@ -149,7 +149,8 @@ def qminus1_report(params: RadicalParams, variant: str = "corrected") -> list[tu
     All coefficients are nonnegative for the corrected variant; that is
     the positivity phenomenon the report is meant to expose.
     """
+    rows = census_table(params, variant).rows
     return [
-        (row.r, row.e, row.count.to_qminus1_basis())
-        for row in census_table(params, variant).rows
+        (row.r, row.e, coeffs)
+        for row, coeffs in zip(rows, qminus1_expansions([row.count for row in rows]))
     ]

@@ -19,7 +19,10 @@ enumeration budget, the field-order cap (gf.MAX_FIELD_ORDER) or the
 polynomial-degree cap of the symbolic layer (census.MAX_DEGREE).  Output
 formats: md (default, human), json (schema-stable, byte-identical across
 reruns once --no-timing is passed), csv (fixed column order).  Polynomial coefficients in JSON
-are decimal strings, constant term first.
+are decimal strings, constant term first.  The JSON text is exactly
+json.dumps(record, indent=2, sort_keys=True) and a newline; render_json
+writes those bytes with joins and json's C string encoder, since json's
+indenting encoder is pure Python.
 
 All configuration is by flags; enumeration sizes are guarded by --budget
 with a hard ceiling of 10^8, and each command checks the degree of the
@@ -53,7 +56,7 @@ from .orbitmethod import (
     orbit_census,
     pairing_nondegeneracy_check,
 )
-from .qpoly import QPoly, format_terms
+from .qpoly import QPoly, format_terms, qminus1_expansions
 
 __all__ = ["main", "build_parser"]
 
@@ -160,13 +163,13 @@ def cmd_census(args):
         raise UsageError("--oracle requires --q")
     census = census_table(params, args.variant)
     rows = []
-    for row in census.rows:
+    for row, qminus1 in zip(census.rows, qminus1_expansions([row.count for row in census.rows])):
         entry = {
             "r": row.r,
             "e": row.e,
             "degree": row.degree.to_json(),
             "count": row.count.to_json(),
-            "count_qminus1": [str(c) for c in row.count.to_qminus1_basis()],
+            "count_qminus1": list(map(str, qminus1)),
         }
         if q is not None:
             entry["degree_at_q"] = row.degree_at(q)
@@ -375,11 +378,52 @@ def _md_table(header: list[str], rows) -> list[str]:
     return [lines[0], "|" + "---|" * len(header), *lines[1:]]
 
 
+# the C string encoder json.dumps uses with its default ensure_ascii
+_quoted = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str, out: list) -> None:
+    """Append to out the text json.dumps(value, indent=2, sort_keys=True) gives, nested at pad.
+
+    Dict keys are strings, as in every record.  A list of strings is
+    quoted and joined in one pass of C calls; the chunks are joined once,
+    by the caller.
+    """
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + _quoted(key) + ": ")
+            _json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        try:
+            out.append(sep.join(map(_quoted, value)))
+        except TypeError:  # not all strings: one element at a time
+            _json(value[0], inner, out)
+            for item in value[1:]:
+                out.append(sep)
+                _json(item, inner, out)
+        out.append("\n" + pad + "]")
+    elif isinstance(value, str):
+        out.append(_quoted(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))  # {}, [], null, true, false, floats; json's TypeError for the rest
+
+
 def render_json(record: dict, timing) -> str:
     out = dict(record)
     if timing is not None:
         out["timing_seconds"] = timing
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+    chunks = []
+    _json(out, "", chunks)
+    return "".join(chunks) + "\n"
 
 
 def render_csv(record: dict) -> str:

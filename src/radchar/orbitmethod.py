@@ -39,6 +39,7 @@ the |H| duals that share it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -326,6 +327,11 @@ class RadicalContext:
     def h_generators(self) -> list["RadicalElement"]:
         """One-parameter H-elements generating H as a group."""
         return [self.h_element(A) for A in _units((self.d, self.n - self.d), _fp_basis(self.field))]
+
+    @functools.cached_property
+    def _h_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(g, g^-1) code pairs of the H-generators, inverted once per context."""
+        return _ambient_pairs(self.h_generators())
 
     def generators(self) -> list["RadicalElement"]:
         """One-parameter elements generating all of R_u."""
@@ -706,7 +712,7 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
         raise BudgetExceeded(f"enumeration too large: orbit bound {h_order} exceeds budget {budget}")
     constrained = alpha._b2 if ctx.params.x == "U" else alpha._b1
     fiber = ctx._dual_ambient(*ctx._dual_blocks(constrained[None]))
-    labels = _orbit_labels(ctx.field, fiber, _ambient_pairs(ctx.h_generators()), ctx._mask)
+    labels = _orbit_labels(ctx.field, fiber, ctx._h_pairs, ctx._mask)
     (where,) = np.flatnonzero((fiber == alpha._ambient_codes()).all(axis=(-2, -1)))
     return _records([alpha], [int(np.count_nonzero(labels == labels[where]))])[0]
 
@@ -720,7 +726,7 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     if ctx.dual_count() > budget:
         raise BudgetExceeded(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
     b1, b3, b2 = ctx._dual_blocks()
-    labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), _ambient_pairs(ctx.h_generators()), ctx._mask)
+    labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), ctx._h_pairs, ctx._mask)
     roots = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[roots]
     if sizes.sum() != ctx.dual_count():

@@ -15,7 +15,7 @@ from radchar import cli
 from radchar.cli import main
 from radchar.falinalg import DEFAULT_ENUM_BUDGET
 from radchar.gf import BudgetExceeded
-from radchar.orbitmethod import RadicalParams
+from radchar.orbitmethod import RadicalParams, d_range
 
 
 def run_cli(capsys, *argv):
@@ -419,14 +419,65 @@ def _golden_commands():
     return [argv + ["--no-timing"] for argv in commands]
 
 
-def test_cli_output_is_pinned(capsys):
-    # one digest over (argv, exit code, stdout, stderr) of every command,
-    # computed before the CLI's checks were shared between commands and
-    # suites: any change in bytes, verdicts or messages shows here
+def _digest(capsys, commands) -> str:
+    """sha256 over (argv, exit code, stdout, stderr) of every command, in order."""
     digest = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for argv in _golden_commands():
+        for argv in commands:
             code, out, err = run_cli(capsys, *argv)
             digest.update(json.dumps([argv, code, out, err]).encode())
-    assert digest.hexdigest() == "4c5318fc96035fe7de7db442e949c1f760d052bf3ef5d5b70747431865acc295"
+    return digest.hexdigest()
+
+
+def test_cli_output_is_pinned(capsys):
+    # computed before the CLI's checks were shared between commands and
+    # suites: any change in bytes, verdicts or messages shows here
+    assert _digest(capsys, _golden_commands()) == "4c5318fc96035fe7de7db442e949c1f760d052bf3ef5d5b70747431865acc295"
+
+
+def _large_golden_commands():
+    """(q-1)-basis JSON of every census at n = 14, and the positivity suite to n = 12."""
+    commands = []
+    for x in ("C", "D", "U"):
+        for d in d_range(x, 14):
+            for variant in ("corrected", "printed") if x == "U" else ("corrected",):
+                commands.append(["census", "--type", x, "--n", "14", "--d", str(d), "--variant", variant, "--basis", "qminus1", "--format", "json"])
+    commands.append(["verify", "--suite", "positivity", "--max-n", "12", "--format", "json"])
+    return [argv + ["--no-timing"] for argv in commands]
+
+
+def test_large_cli_output_is_pinned(capsys):
+    # computed before the (q-1) expansion packed a table's rows into one
+    # int: large coefficients and long rows show here, not at n = 4
+    assert _digest(capsys, _large_golden_commands()) == "dc858ebcf9733d03ce26df85dca08ffb0c07e81c79a1346683ff64fe487cf0d5"
+
+
+def _records():
+    """The record of every pinned command that builds one."""
+    for argv in _golden_commands() + _large_golden_commands():
+        args = cli._parser().parse_args(argv)
+        try:
+            yield cli.COMMANDS[args.command](args)[0]
+        except (cli.UsageError, BudgetExceeded):
+            continue
+
+
+def test_render_json_writes_the_bytes_of_json_dumps():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        records = list(_records())
+    assert len(records) > 200
+    odd = {
+        "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
+        "flags": [True, False, None, 0, -1, 10 ** 40],
+        "text": ["", "q^2 - 1", "ä☃\n\t\"quoted\""],
+        "mixed": ["a", 1, {"b": ["c"]}],
+        "tuple": (1, ("a", None)),
+    }
+    for record in records + [odd]:
+        for timing in (None, 0.0, 1.25, 0.000123):
+            expected = dict(record)
+            if timing is not None:
+                expected["timing_seconds"] = timing
+            assert cli.render_json(record, timing) == json.dumps(expected, indent=2, sort_keys=True) + "\n"

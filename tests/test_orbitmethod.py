@@ -308,6 +308,24 @@ def test_orbit_of_agrees_with_orbit_partition(x, n, d, q):
         assert (mine.size, mine.stabilizer_order, mine.e) == (theirs.size, theirs.stabilizer_order, theirs.e)
 
 
+def test_orbit_walks_invert_the_h_generators_once_per_context(monkeypatch):
+    # orbit_partition and orbit_of on every dual share the (g, g^-1) pairs
+    # their context built, so each H-generator is inverted once, not once
+    # per walk
+    inverted = []
+
+    def counting_inv(g):
+        inverted.append(g)
+        return group_inv(g)
+
+    monkeypatch.setattr(orbitmethod, "group_inv", counting_inv)
+    ctx = ctx_for("D", 4, 2, 3)
+    orbit_partition(ctx)
+    for alpha in ctx.duals():
+        orbit_of(alpha)
+    assert len(inverted) == len(ctx.h_generators()) == 4
+
+
 def test_orbit_census_frozen_values():
     expected = {
         ("C", 2, 1, 3): {0: (3, 3, 9, 1), 1: (6, 2, 2, 3)},

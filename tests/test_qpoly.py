@@ -1,9 +1,13 @@
 """Exact polynomial arithmetic, division, evaluation and basis changes."""
 
+from itertools import accumulate
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
-from radchar.qpoly import QPoly, exact_div, format_terms, gaussian_binomial
+from radchar import qpoly
+from radchar.qpoly import QPoly, exact_div, format_terms, gaussian_binomial, qminus1_expansions
 
 q = QPoly.q()
 
@@ -117,3 +121,110 @@ def test_qminus1_round_trip(cs):
 def test_eval_matches_direct_sum(cs, q0):
     p = QPoly(cs)
     assert p.eval_at(q0) == sum(c * q0 ** k for k, c in enumerate(cs))
+
+
+# -- differential tests against the one-at-a-time loops --------------------
+
+
+def reference_qminus1(cs) -> list[int]:
+    """Repeated division by q - 1 of one polynomial, its own running sums."""
+    top_first = list(cs)[::-1]
+    out = []
+    while top_first:
+        top_first = list(accumulate(top_first))
+        out.append(top_first.pop())
+    return out
+
+
+def reference_div(num, den) -> QPoly:
+    """Synthetic division of coefficient lists, term by term from the top."""
+    rem = list(num)
+    dn = len(den) - 1
+    quot = [0] * max(len(rem) - dn, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f, m = divmod(rem[k + dn], den[-1])
+        if m:
+            raise ValueError("not divisible")
+        quot[k] = f
+        for j, bc in enumerate(den[:-1]):
+            rem[k + j] -= f * bc
+    if any(rem[:dn]):
+        raise ValueError("not divisible")
+    return QPoly(quot)
+
+
+def schoolbook(a, b) -> QPoly:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return QPoly(out)
+
+
+wide = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(
+    st.lists(st.lists(wide, max_size=300).map(QPoly), min_size=1, max_size=8),
+    st.sampled_from([1, qpoly.PACK_MIN]),
+    st.sampled_from([1, 40, qpoly.PACK_BYTES, 10 ** 6]),
+)
+def test_qminus1_expansions_match_one_row_at_a_time(polys, pack_min, pack_bytes):
+    # every pack size, from one lane per pack to every lane in one, with
+    # short rows alone or packed too
+    with mock.patch.multiple(qpoly, PACK_MIN=pack_min, PACK_BYTES=pack_bytes):
+        assert qminus1_expansions(polys) == [reference_qminus1(p.coeffs) for p in polys]
+
+
+def test_qminus1_expansions_of_no_and_zero_polynomials():
+    assert qminus1_expansions([]) == []
+    assert qminus1_expansions([QPoly.zero(), q ** 2, QPoly.zero()]) == [[], [1, 2, 1], []]
+
+
+def q_power_minus_one(k: int) -> QPoly:
+    return QPoly.q_power(k) - 1
+
+
+@given(st.lists(wide, max_size=40), st.integers(1, 12))
+def test_division_by_q_power_minus_one_matches_the_loop(cs, k):
+    a = QPoly(cs)
+    p = a * q_power_minus_one(k)
+    assert p.exact_div(q_power_minus_one(k)) == reference_div(p.coeffs, q_power_minus_one(k).coeffs) == a
+
+
+@given(st.lists(wide, max_size=40), st.lists(wide, min_size=1, max_size=12), st.integers(1, 12))
+def test_division_by_q_power_minus_one_refuses_a_remainder(a_cs, c_cs, k):
+    # c has degree below k, so (q^k - 1) a + c leaves remainder c
+    c = QPoly(c_cs[:k])
+    if c.is_zero():
+        return
+    p = QPoly(a_cs) * q_power_minus_one(k) + c
+    for divide in (lambda: p.exact_div(q_power_minus_one(k)), lambda: reference_div(p.coeffs, q_power_minus_one(k).coeffs)):
+        with pytest.raises(ValueError, match="not divisible"):
+            divide()
+
+
+@given(st.lists(wide, max_size=8), st.integers(1, 12))
+def test_division_by_q_power_minus_one_above_the_dividend_degree(cs, extra):
+    p = QPoly(cs)
+    k = len(p.coeffs) + extra  # k > deg p
+    if p.is_zero():
+        assert p.exact_div(q_power_minus_one(k)) == reference_div((), q_power_minus_one(k).coeffs) == QPoly.zero()
+        return
+    for divide in (lambda: p.exact_div(q_power_minus_one(k)), lambda: reference_div(p.coeffs, q_power_minus_one(k).coeffs)):
+        with pytest.raises(ValueError, match="not divisible"):
+            divide()
+
+
+sparse_term = st.tuples(st.integers(0, 20), st.sampled_from([1, -1]) | wide)
+units_and_terms = st.one_of(
+    st.lists(wide, max_size=25),
+    st.lists(st.sampled_from([-1, 0, 1]), max_size=25),
+    sparse_term.map(lambda t: [0] * t[0] + [t[1]]),
+)
+
+
+@given(units_and_terms, units_and_terms)
+def test_product_matches_schoolbook(a_cs, b_cs):
+    a, b = QPoly(a_cs), QPoly(b_cs)
+    assert a * b == b * a == schoolbook(a.coeffs, b.coeffs)
