@@ -655,3 +655,39 @@ def test_orbit_census_per_orbit_checks_raise_value_error(monkeypatch):
             m.setattr(orbitmethod, "_orbit_labels", lambda *args, labels=labels: np.array(labels))
             with pytest.raises(ValueError, match=message):
                 orbit_census(params, 3)
+
+
+
+def _layout_instances():
+    """Every (x, n, d, q) with n <= 4 at q in {3, 5} and n <= 2 at q = 9 (U over F_81)."""
+    for q, top in ((3, 4), (5, 4), (9, 2)):
+        for x in ("C", "D", "U"):
+            for n in range(1, top + 1):
+                for d in orbitmethod.d_range(x, n):
+                    yield RadicalParams(x, n, d), q
+
+
+def test_block_layout_is_pinned():
+    # one digest over what the block layout decides: |A|, the generators
+    # in order, the element and dual stacks of every group of at most 3^9
+    # elements and the Lie(A) basis
+    h = hashlib.sha256()
+
+    def put(array):
+        array = np.ascontiguousarray(array, dtype=np.int16)
+        h.update(repr(array.shape).encode() + array.tobytes())
+
+    stacked = 0
+    for params, q in _layout_instances():
+        ctx = RadicalContext(params, q)
+        h.update(f"{params.x}{params.n}{params.d}q{q}|{params.a_exponent}\n".encode())
+        for g in ctx.generators():
+            h.update(g.key())
+            put(g._ambient_codes())
+        if q ** params.order_exponent <= 3 ** 9:
+            put(ctx._element_stack())
+            put(ctx._dual_stack())
+            stacked += 1
+        put(orbitmethod._lie_a_basis(ctx))
+    assert stacked == 49
+    assert h.hexdigest() == "1309f90444d4dab8e84afa663bc8680a5ba1b865f4f0d780dda99d94272401da"
