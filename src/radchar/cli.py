@@ -349,7 +349,7 @@ SUITES = {
 def cmd_verify(args):
     if args.max_n is not None and args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
-    qs = tuple(_checked_q(v) for v in args.q) if args.q else None
+    qs = tuple(dict.fromkeys(_checked_q(v) for v in args.q)) if args.q else None
     names = tuple(sorted(SUITES)) if args.suite == "all" else (args.suite,)
     checks = []
     for name in names:

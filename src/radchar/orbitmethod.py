@@ -8,12 +8,19 @@ for type U) and factors as R_u = A x| H with both factors abelian:
   linked copy in the lower-right block N; a(V) places the n-by-n block
   V in the upper-right corner.  Every element is uniquely a(V) h(A).
 
-Block layout of V (rows split (d, n-d); columns split (d, n-d) for
-C and D, (n-d, d) for U):
+The types differ only in one block layout, stated once in _V_CLASS and
+RadicalContext.__init__, with roles listed as (constrained, free, linked):
 
-  C, D:  V = [[B1, B2], [B3, 0]]   with V symmetric (C) or skew (D)
-  U:     V = [[B1, B2], [0, B3]]   with B2 J_d skew-Hermitian and
-                                   B3 = -J_{n-d} conj(B1^t) J_d
+     V's class       A's tie         roles in V   roles in a dual
+  C  symmetric       skew-symmetric  b1, b2, b3   b1, b2, b3
+  D  skew-symmetric  skew-symmetric  b1, b2, b3   b1, b2, b3
+  U  skew-Hermitian  skew-Hermitian  b2, b1, b3   b2, b3, b1
+
+V's columns split (d, n-d) for C and D, (n-d, d) for U; a dual sits on
+the transposed positions.  The constrained block is in V's class (U's
+read through J: b2 J_d); the linked one is the free one transposed and
+mirrored by V's class, U's also flipped by J on both sides (b3 = b2^t,
+-b2^t, -J conj(b1)^t J in V); A's tie links A to its copy in h(A) alike.
 
 Dual elements are lower-left transposed-support matrices, acted on by
 H through conjugation followed by projection onto that support.  An
@@ -21,8 +28,8 @@ orbit of size |k|^e gives |Stab_H(alpha)| characters of degree |k|^e
 (Clifford theory, A being abelian); orbit_census reads both numbers
 off the orbits orbit_partition finds.  The stabilizer is also cut out
 by linear equations whose coefficient matrix is block diagonal (n-d
-copies of the B1 block for C and D, of the B2 block for U); every
-orbit is checked to have e equal to the rank of that system.
+copies of the constrained block); every orbit is checked to have e
+equal to the rank of that system.
 
 Everything in this module is exhaustively verifiable: brute-force
 orbit enumeration, conjugacy class counting and the pairing checks are
@@ -33,8 +40,7 @@ per nonzero entry of g - I and of g^-1 - I, at most two each for a
 one-parameter generator), and orbits labelled by their least point
 index.  orbit_partition labels all duals, class_count_brute all group
 elements, and orbit_of the fiber of one dual: H fixes the constrained
-block of every dual (b1 for C and D, b2 for U), so an orbit lies among
-the |H| duals that share it.
+block of every dual, so an orbit lies among the |H| duals that share it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .falinalg import (
     FfMatrix,
     SymmetryClass,
     class_blocks,
+    class_dimension,
     in_class,
     matmul,
     mirror_codes,
@@ -86,12 +93,19 @@ TYPES = ("C", "D", "U")
 DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
 
-# the symmetry class of the constrained block of V (b1 for C and D,
-# b2 J_d for U), with the message that rejects a block outside it
+# bytes a walk's point stack ((2n)^2 int16 codes a point) may take; peak memory is 3-4 times it.
+# The largest default-budget walk with d >= 1, the 3^12 duals of D(13,1) at q = 3, takes 718 MB
+_MAX_STACK_BYTES = 2 ** 30
+
+# per type: V's class, A's tie (the class whose mirror links A to its copy
+# in h(A)), and the messages refusing a constrained and a linked block
 _V_CLASS = {
-    "C": (SymmetryClass.SYMMETRIC, "b1 must be symmetric"),
-    "D": (SymmetryClass.SKEW_SYMMETRIC, "b1 must be skew-symmetric"),
-    "U": (SymmetryClass.SKEW_HERMITIAN, "b2 J must be skew-Hermitian"),
+    x: (SymmetryClass(v_class), SymmetryClass(h_class), class_message, link_message)
+    for x, v_class, h_class, class_message, link_message in (
+        ("C", "symmetric", "skew-symmetric", "b1 must be symmetric", "b3 must equal b2 transposed"),
+        ("D", "skew-symmetric", "skew-symmetric", "b1 must be skew-symmetric", "b3 must equal minus b2 transposed"),
+        ("U", "skew-hermitian", "skew-hermitian", "b2 J must be skew-Hermitian", "b1 must be the twisted transpose of b3"),
+    )
 }
 
 
@@ -127,13 +141,8 @@ class RadicalParams:
 
     @property
     def a_exponent(self) -> int:
-        """|A| = q ** a_exponent."""
-        n, d = self.n, self.d
-        if self.x == "C":
-            return d * (d + 1) // 2 + d * (n - d)
-        if self.x == "D":
-            return d * (d - 1) // 2 + d * (n - d)
-        return d * d + 2 * d * (n - d)
+        """|A| = q ** a_exponent: the constrained class times the free block."""
+        return class_dimension(self.d, _V_CLASS[self.x][0]) + self.k_exponent * self.d * (self.n - self.d)
 
     @property
     def h_exponent(self) -> int:
@@ -198,22 +207,40 @@ class RadicalContext:
         self.k_order = self.field.q
         n, d = params.n, params.d
         self.n, self.d = n, d
+        self._v_class, h_class, self._class_message, self._link_message = _V_CLASS[params.x]
+        self._v_mirror, self._h_mirror = (mirror_codes(self.field, cls) for cls in (self._v_class, h_class))
+        # the layout: the columns of V's (constrained, free) blocks, the flip
+        # by J and the orders _roles reads; from them the slots of (b1, b2,
+        # linked) in a(V), of (b1, b3, b2) in a dual and of A's copy in h(A)
         s = np.s_
-        # where the blocks sit in the ambient matrices: (b1, b2, linked
-        # block) in a(V), (b1, b3, b2) in a dual
         if params.x == "U":
-            self._a_slots = (s[..., 0:d, n : 2 * n - d], s[..., 0:d, 2 * n - d :], s[..., d:n, 2 * n - d :])
-            self._dual_slots = (s[..., n : 2 * n - d, 0:d], s[..., 2 * n - d :, d:n], s[..., 2 * n - d :, 0:d])
+            cols, self._j, self._orders = (s[2 * n - d :], s[n : 2 * n - d]), s[::-1], {2: (1, 0), 3: (2, 1, 0)}
         else:
-            self._a_slots = (s[..., 0:d, n : n + d], s[..., 0:d, n + d :], s[..., d:n, n : n + d])
-            self._dual_slots = (s[..., n : n + d, 0:d], s[..., n : n + d, d:n], s[..., n + d :, 0:d])
-        ambient = np.empty((2 * n, 2 * n))
+            cols, self._j, self._orders = (s[n : n + d], s[n + d :]), s[:], {2: (0, 1), 3: (0, 2, 1)}
+        (constrained, free), (b1, b2) = cols, self._roles(cols)
+        self._a_slots = (s[..., 0:d, b1], s[..., 0:d, b2], s[..., d:n, constrained])
+        self._dual_slots = (s[..., b1, 0:d], s[..., constrained, d:n], s[..., b2, 0:d])
+        self._h_copy = s[..., free, constrained]
+        # a zero-stride view gives the slot shapes without allocating (2n)^2 entries
+        ambient = np.broadcast_to(np.int16(0), (2 * n, 2 * n))
         self._v_shapes = [ambient[slot].shape for slot in self._a_slots[:2]]
         self._dual_shapes = [ambient[slot].shape for slot in self._dual_slots]
-        self._mask = np.zeros((2 * n, 2 * n), dtype=bool)
-        for slot in self._dual_slots:
-            self._mask[slot] = True
-        self._mask.setflags(write=False)
+
+    @functools.cached_property
+    def _mask(self) -> np.ndarray:
+        """The support of the duals in an ambient matrix, built on first use."""
+        mask = self._dual_ambient(*(np.ones(shape, dtype=np.int16) for shape in self._dual_shapes)) != 0
+        mask.setflags(write=False)
+        return mask
+
+    def _roles(self, blocks) -> tuple:
+        """V's (b1, b2) as (constrained, free), a dual's (b1, b3, b2) as
+        (constrained, free, linked), and back: each order is an involution."""
+        return tuple(blocks[i] for i in self._orders[len(blocks)])
+
+    def _link(self, X: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+        """The block a mirror table ties to X: mirror[X^t], J mirror[X^t] J for U."""
+        return mirror[_t(X)][..., self._j, self._j]
 
     # -- raw ambient builders (arrays of codes) -------------------------
 
@@ -234,46 +261,30 @@ class RadicalContext:
         n, d = self.n, self.d
         M = _identity_stack(2 * n, A.shape[:-2])
         M[..., 0:d, d:n] = A
-        if self.params.x == "U":
-            # -J conj(A)^t J: the involution that links the blocks of V
-            M[..., n : 2 * n - d, 2 * n - d : 2 * n] = self._link(A)
-        else:
-            M[..., n + d : 2 * n, n : n + d] = self.field._neg[_t(A)]
+        M[self._h_copy] = self._link(A, self._h_mirror)
         return M
-
-    def _link(self, X: np.ndarray) -> np.ndarray:
-        """The block tied to a free block: X^t (C), -X^t (D), -J conj(X)^t J (U)."""
-        linked = mirror_codes(self.field, _V_CLASS[self.params.x][0])[_t(X)]
-        return linked[..., ::-1, ::-1] if self.params.x == "U" else linked
 
     def _a_ambient(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
         M = _identity_stack(2 * self.n, b2.shape[:-2])
         s1, s2, s_link = self._a_slots
         M[s1], M[s2] = b1, b2
-        M[s_link] = self._link(b1 if self.params.x == "U" else b2)
+        M[s_link] = self._link(self._roles((b1, b2))[1], self._v_mirror)
         return M
 
     # -- element constructors -------------------------------------------
 
     def element(self, b1, b2, a) -> "RadicalElement":
-        """The element a(V) h(A) from the free blocks of V and A.
-
-        For types C and D: b1 is the d-by-d symmetric (skew) block, b2
-        the free d-by-(n-d) block.  For type U: b1 is the free
-        d-by-(n-d) block, b2 the d-by-d block with b2 J_d
-        skew-Hermitian.  a is the H-parameter (A or A1).
-        """
+        """The element a(V) h(A) from V's blocks b1, b2 and the H-parameter a (A or A1);
+        which of b1, b2 is the constrained d-by-d block is the type's layout (module docstring)."""
         b1c, b2c = (self._coerce_block(b, shape) for b, shape in zip((b1, b2), self._v_shapes))
         ac = self._coerce_block(a, (self.d, self.n - self.d))
-        self._check_v_class(b1c, b2c)
+        self._check_v_class(self._roles((b1c, b2c))[0])
         return RadicalElement(self, b1c, b2c, ac)
 
-    def _check_v_class(self, b1: np.ndarray, b2: np.ndarray) -> None:
-        """Raise unless the constrained block (b1, or b2 J_d for U) lies in its class; blocks may be stacked."""
-        cls, message = _V_CLASS[self.params.x]
-        block = b2[..., ::-1] if self.params.x == "U" else b1
-        if not in_class(self.field, block, cls).all():
-            raise ValueError(message)
+    def _check_v_class(self, constrained: np.ndarray) -> None:
+        """Raise unless a constrained block, read through J, lies in V's class; blocks may be stacked."""
+        if not in_class(self.field, constrained[..., self._j], self._v_class).all():
+            raise ValueError(self._class_message)
 
     def identity(self) -> "RadicalElement":
         shapes = (*self._v_shapes, (self.d, self.n - self.d))
@@ -295,16 +306,13 @@ class RadicalContext:
         return digits.astype(np.int16).reshape(len(digits), rows, cols)
 
     def _v_stack(self) -> np.ndarray:
-        """Every constrained block of V: b1 for C and D, b2 for U."""
-        stack = np.concatenate(list(class_blocks(self.d, _V_CLASS[self.params.x][0], self.field)))
-        return stack[..., ::-1] if self.params.x == "U" else stack
+        """Every constrained block of V, in class_blocks order."""
+        return np.concatenate(list(class_blocks(self.d, self._v_class, self.field)))[..., self._j]
 
     def _element_blocks(self) -> tuple:
         """Stacked free blocks (b1, b2, a) of all elements, in enumeration order."""
         free = self._free_stack(self.d, self.n - self.d)
-        if self.params.x == "U":
-            return _grid(free, self._v_stack(), free)
-        return _grid(self._v_stack(), free, free)
+        return _grid(*self._roles((self._v_stack(), free)), free)
 
     def _element_stack(self) -> np.ndarray:
         """Ambient codes of all elements, in enumeration order."""
@@ -335,34 +343,29 @@ class RadicalContext:
 
     def generators(self) -> list["RadicalElement"]:
         """One-parameter elements generating all of R_u."""
-        trace_zero = [self.base_field.q * c for c in _fp_basis(self.base_field)]
-        directions = self._a_directions(_fp_basis(self.field), trace_zero)
-        return self.h_generators() + [self.a_element(b1, b2) for b1, b2 in directions]
+        return self.h_generators() + [self.a_element(b1, b2) for b1, b2 in self._a_directions(_fp_basis(self.field))]
 
-    def _a_directions(self, scalars, trace_zero) -> list[tuple]:
+    def _a_directions(self, scalars) -> list[tuple]:
         """One-parameter directions (b1, b2) of A, b1 directions first.
 
-        Each entry of the free block and of the upper triangle of the
-        constrained block (b1 for C and D, S = b2 J_d for U) takes every
-        code in scalars, the entry it is tied to following; the diagonal of
-        S takes trace_zero instead.  So an F_p-basis of k gives generators
-        of A, and an F_q-basis gives an F_q-basis of Lie(A).
+        Each entry of the free block and of the upper triangle of S (the
+        constrained block read through J) takes every code in scalars, the
+        entry it is tied to following; a diagonal entry of S takes those
+        that are their own mirror, as in class_blocks: all for C, none for
+        D, the trace-zero ones for U.  So an F_p-basis of k gives
+        generators of A, and an F_q-basis an F_q-basis of Lie(A).
         """
         n, d = self.n, self.d
-        free = _units((d, n - d), scalars)
-        zero_free, zero_v = np.zeros((d, n - d), dtype=np.int16), np.zeros((d, d), dtype=np.int16)
-        mirror = mirror_codes(self.field, _V_CLASS[self.params.x][0])
-        # a diagonal entry is its own mirror, as in class_blocks, so D has no diagonal direction
-        diagonal = [s for s in (trace_zero if self.params.x == "U" else scalars) if mirror[s] == s]
+        diagonal = [s for s in scalars if self._v_mirror[s] == s]
         v = [
-            _unit((d, d), i, j, s, mirror)
+            _unit((d, d), i, j, s, self._v_mirror)[:, self._j]
             for i in range(d)
             for j in range(i, d)
             for s in (diagonal if i == j else scalars)
         ]
-        if self.params.x == "U":
-            return [(b1, zero_v) for b1 in free] + [(zero_free, S[:, ::-1]) for S in v]
-        return [(b1, zero_free) for b1 in v] + [(zero_v, b2) for b2 in free]
+        zero_v, zero_free = np.zeros((d, d), dtype=np.int16), np.zeros((d, n - d), dtype=np.int16)
+        by_role = ([(S, zero_free) for S in v], [(zero_v, F) for F in _units((d, n - d), scalars)])
+        return [self._roles(pair) for group in self._roles(by_role) for pair in group]
 
     # -- dual space -------------------------------------------------------
 
@@ -373,37 +376,28 @@ class RadicalContext:
         return DualElement(self, b1c, b3c, b2c)
 
     def dual_from_free(self, first, second) -> "DualElement":
-        """Dual element from free blocks: (b1, b2) for C and D, (b2, b3) for U."""
-        b1_shape, b3_shape, b2_shape = self._dual_shapes
-        if self.params.x == "U":
-            b2 = self._coerce_block(first, b2_shape)
-            b3 = self._coerce_block(second, b3_shape)
-            return self.dual(self._link(b3), b3, b2)
-        b1 = self._coerce_block(first, b1_shape)
-        b2 = self._coerce_block(second, b2_shape)
-        return self.dual(b1, self._link(b2), b2)
+        """Dual element from its constrained and free blocks: (b1, b2) for C and D, (b2, b3) for U."""
+        constrained_shape, free_shape, _ = self._roles(self._dual_shapes)
+        return self.dual(*self._tie(self._coerce_block(first, constrained_shape), self._coerce_block(second, free_shape)))
+
+    def _tie(self, constrained: np.ndarray, free: np.ndarray) -> tuple:
+        """(b1, b3, b2) of the duals with these constrained and free blocks."""
+        return self._roles((constrained, free, self._link(free, self._v_mirror)))
 
     def _validate_dual_blocks(self, b1, b3, b2) -> None:
-        self._check_v_class(b1, b2)
-        if self.params.x == "U":
-            if not np.array_equal(b1, self._link(b3)):
-                raise ValueError("b1 must be the twisted transpose of b3")
-        elif not np.array_equal(b3, self._link(b2)):
-            raise ValueError("b3 must equal b2 transposed" if self.params.x == "C" else "b3 must equal minus b2 transposed")
+        constrained, free, linked = self._roles((b1, b3, b2))
+        self._check_v_class(constrained)
+        if not np.array_equal(linked, self._link(free, self._v_mirror)):
+            raise ValueError(self._link_message)
 
     def _dual_blocks(self, constrained=None) -> tuple:
         """Stacked blocks (b1, b3, b2) of the duals, in enumeration order.
 
-        Only duals whose constrained block (b1 for C and D, b2 for U) is in
-        the stack constrained are listed; all duals when it is None.
+        Only duals whose constrained block is in the stack constrained are
+        listed; all duals when it is None.
         """
-        n, d = self.n, self.d
         v = self._v_stack() if constrained is None else constrained
-        if self.params.x == "U":
-            b2, b3 = _grid(v, self._free_stack(d, n - d))
-            return self._link(b3), b3, b2
-        b1, b2 = _grid(v, self._free_stack(n - d, d))
-        return b1, self._link(b2), b2
+        return self._tie(*_grid(v, self._free_stack(*self._roles(self._dual_shapes)[1])))
 
     def _dual_stack(self) -> np.ndarray:
         """Ambient codes of all duals, in enumeration order."""
@@ -441,7 +435,7 @@ class RadicalContext:
         A = np.array(M[0 : self.d, self.d : self.n])
         a_part = matmul(f, M, self._h_ambient(f._neg[A]))
         b1, b2 = (np.array(a_part[slot]) for slot in self._a_slots[:2])
-        self._check_v_class(b1, b2)
+        self._check_v_class(self._roles((b1, b2))[0])
         if not np.array_equal(matmul(f, self._a_ambient(b1, b2), self._h_ambient(A)), M):
             raise ValueError("matrix is not an element of the group")
         return RadicalElement(self, b1, b2, A)
@@ -548,7 +542,7 @@ def _coefficient_codes(duals) -> np.ndarray:
     """Stacked stabilizer systems of duals of one context (see coefficient_matrix)."""
     ctx = duals[0].ctx
     n, d = ctx.n, ctx.d
-    block = np.stack([alpha._b2 if ctx.params.x == "U" else alpha._b1 for alpha in duals])
+    block = np.stack([ctx._roles(alpha._blocks())[0] for alpha in duals])
     M = np.zeros((len(duals), d * (n - d), d * (n - d)), dtype=np.int16)
     for c in range(n - d):
         M[..., c * d : (c + 1) * d, c * d : (c + 1) * d] = block
@@ -556,7 +550,7 @@ def _coefficient_codes(duals) -> np.ndarray:
 
 
 def coefficient_matrix(alpha: DualElement) -> FfMatrix:
-    """Block diagonal stabilizer system: n-d copies of b1 (C, D) or b2 (U)."""
+    """Block diagonal stabilizer system: n-d copies of the constrained block."""
     return FfMatrix.from_codes(alpha.ctx.field, _coefficient_codes([alpha])[0], copy=False)
 
 
@@ -700,6 +694,15 @@ def _records(duals, sizes) -> list[OrbitRecord]:
     return records
 
 
+def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str) -> None:
+    """Refuse, before anything is allocated, a walk over more points than the budget or over a stack past the cap."""
+    if points > budget:
+        raise BudgetExceeded(f"enumeration too large: {what} exceeds budget {budget}")
+    size = points * 2 * (2 * ctx.n) ** 2
+    if size > _MAX_STACK_BYTES:
+        raise BudgetExceeded(f"enumeration too large: {what} stacks {size} bytes, over the cap {_MAX_STACK_BYTES}")
+
+
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
     """Orbit of a dual element under the H-coadjoint action.
 
@@ -708,10 +711,8 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     """
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
-    if h_order > budget:
-        raise BudgetExceeded(f"enumeration too large: orbit bound {h_order} exceeds budget {budget}")
-    constrained = alpha._b2 if ctx.params.x == "U" else alpha._b1
-    fiber = ctx._dual_ambient(*ctx._dual_blocks(constrained[None]))
+    _check_walk(ctx, h_order, budget, f"orbit bound {h_order}")
+    fiber = ctx._dual_ambient(*ctx._dual_blocks(ctx._roles(alpha._blocks())[0][None]))
     labels = _orbit_labels(ctx.field, fiber, ctx._h_pairs, ctx._mask)
     (where,) = np.flatnonzero((fiber == alpha._ambient_codes()).all(axis=(-2, -1)))
     return _records([alpha], [int(np.count_nonzero(labels == labels[where]))])[0]
@@ -723,8 +724,7 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     One record per orbit, in the order of its first dual in ctx.duals(),
     which is also its representative.
     """
-    if ctx.dual_count() > budget:
-        raise BudgetExceeded(f"enumeration too large: {ctx.dual_count()} duals exceeds budget {budget}")
+    _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
     b1, b3, b2 = ctx._dual_blocks()
     labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), ctx._h_pairs, ctx._mask)
     roots = np.flatnonzero(labels == np.arange(len(labels)))
@@ -807,8 +807,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     """
     ctx = _context(params, q)
     order = ctx.q ** params.order_exponent
-    if order > budget:
-        raise BudgetExceeded(f"enumeration too large: group order {order} exceeds budget {budget}")
+    _check_walk(ctx, order, budget, f"group order {order}")
     points = ctx._element_stack()
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
@@ -837,14 +836,13 @@ def pairing_nondegeneracy_check(params: RadicalParams, q) -> bool:
 def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
     """A basis of Lie(A) over F_q (the base field), one flattened ambient matrix per row.
 
-    The pairing downstream is F_q-bilinear, so the basis must be an
-    F_q-basis: scalar 1 for types C and D, the pair {1, t} per free
-    entry (and t alone on the constrained diagonal) for type U.
+    The pairing downstream is F_q-bilinear, so the directions take an
+    F_q-basis of k: 1 for types C and D, 1 and t for type U (t alone on
+    the constrained diagonal).
     """
-    f, t = ctx.field, ctx.base_field.q
     one = np.eye(2 * ctx.n, dtype=np.int16)
-    directions = ctx._a_directions([1, t] if ctx.params.x == "U" else [1], [t])
-    return np.array([f._sub[ctx._a_ambient(b1, b2), one] for b1, b2 in directions], dtype=np.int16).reshape(-1, one.size)
+    directions = ctx._a_directions([ctx.base_field.q ** i for i in range(ctx.params.k_exponent)])
+    return np.array([ctx.field._sub[ctx._a_ambient(b1, b2), one] for b1, b2 in directions], dtype=np.int16).reshape(-1, one.size)
 
 
 def dual_index(ctx: RadicalContext):

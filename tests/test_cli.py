@@ -351,6 +351,39 @@ def test_default_enum_budget_refuses_a_minutes_long_brute_run(capsys):
     assert err == f"error: enumeration too large: {463 ** 3} matrices exceeds budget {DEFAULT_ENUM_BUDGET}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, points, side",
+    [
+        # the trivial group U(100000, 0): one point of 200000x200000 codes
+        (("census", "--type", "U", "--n", "100000", "--d", "0", "--q", "3", "--oracle"), 1, 200000),
+        # C(3,2) over F_13 has 13^7 elements, inside a budget of 10^8
+        (("census", "--type", "C", "--n", "3", "--d", "2", "--q", "13", "--oracle", "--budget", "100000000"), 13 ** 7, 6),
+    ],
+)
+def test_walks_past_the_stack_cap_exit_two_before_allocating(capsys, argv, points, side):
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    size = points * side * side * 2
+    assert err == f"error: enumeration too large: group order {points} stacks {size} bytes, over the cap {2 ** 30}\n"
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("suite, qs", [("pairings", ["3"]), ("all", ["3", "5"])])
+def test_verify_checks_a_repeated_q_once(capsys, suite, qs):
+    argv = ("verify", "--suite", suite, "--max-n", "1", "--no-timing", "--q")
+    once = run_cli(capsys, *argv, *qs)
+    repeated = run_cli(capsys, *argv, *qs, *qs)
+    assert once == repeated
+    assert once[0] == 0
+
+
 def test_huge_prime_q_is_checked_quickly(capsys):
     # a prime near 10^18 needs no field for the symbolic census; checking
     # it must not trial-divide up to its square root
