@@ -66,7 +66,9 @@ CLASSES = {
 # The command line checks it before it builds anything; the library
 # functions themselves take any size.  On 2 Xeon vCPUs with Python 3.11 the
 # `census` command, interpreter start included, takes 0.5 s at degree 1,010
-# (C(40,20)) and 1.3-1.4 s at degree 2,000 (U(40,20)), in either basis.
+# (C(40,20)) and 1.3-1.4 s at degree 2,000 (U(40,20)) when its output reads
+# the (q-1) basis (json, or --basis qminus1), and about 0.3 s at either
+# degree as md or csv in the q basis, which skips that expansion.
 MAX_DEGREE = 2000
 
 

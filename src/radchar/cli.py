@@ -162,15 +162,19 @@ def cmd_census(args):
     if args.oracle and q is None:
         raise UsageError("--oracle requires --q")
     census = census_table(params, args.variant)
+    # only json output and the (q-1) basis read the expansion
+    expand = args.fmt == "json" or args.basis == "qminus1"
+    expansions = qminus1_expansions([row.count for row in census.rows]) if expand else [None] * len(census.rows)
     rows = []
-    for row, qminus1 in zip(census.rows, qminus1_expansions([row.count for row in census.rows])):
+    for row, qminus1 in zip(census.rows, expansions):
         entry = {
             "r": row.r,
             "e": row.e,
             "degree": row.degree.to_json(),
             "count": row.count.to_json(),
-            "count_qminus1": list(map(str, qminus1)),
         }
+        if expand:
+            entry["count_qminus1"] = list(map(str, qminus1))
         if q is not None:
             entry["degree_at_q"] = row.degree_at(q)
             entry["count_at_q"] = row.count_at(q)

@@ -8,9 +8,10 @@ reduced mod p, over an extension field a loop of add/mul table lookups;
 ranks and the entrywise operations are table lookups, and rank is ranks
 on one FfMatrix.  No step ever leaves exact field arithmetic.  matmul
 serves FfMatrix @, the trace pairings, and in orbitmethod the group law
-(products, inverses, decomposition), the element enumeration and the
-pairing Gram matrix; conjugation there (the orbit and class walks,
-coadjoint_act) is sparse row and column updates instead.
+(products, inverses, decomposition), the one block product of the
+element enumeration and the pairing Gram matrix; conjugation there
+(the orbit and class walks, coadjoint_act) is sparse row and column
+updates instead.
 
 The three symmetry classes used downstream are plain symmetric
 (M^t = M), skew-symmetric (M^t = -M, zero diagonal since the

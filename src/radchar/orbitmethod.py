@@ -34,13 +34,22 @@ equal to the rank of that system.
 Everything in this module is exhaustively verifiable: brute-force
 orbit enumeration, conjugacy class counting and the pairing checks are
 the oracles the symbolic layer is tested against.  Every orbit is found
-by one engine, _orbit_labels: all points stacked as code matrices, each
-generator g acting on the whole stack as row and column updates (one
-per nonzero entry of g - I and of g^-1 - I, at most two each for a
-one-parameter generator), and orbits labelled by their least point
-index.  orbit_partition labels all duals, class_count_brute all group
-elements, and orbit_of the fiber of one dual: H fixes the constrained
-block of every dual, so an orbit lies among the |H| duals that share it.
+by one engine, _Action and _orbit_labels, which works in coordinates: a
+point is the vector of base-p digits of its ambient entries (codes add
+digit by digit, so these are F_p coordinates), and conjugation by a
+generator, being linear, is one F_p-linear map L on them, read off the
+ambient images of unit matrices (row and column updates, one per nonzero
+entry of g - I and of g^-1 - I).  The images of all points are coords @
+L mod p, taken through the few nonzeros of L - I.  A point's position is
+the Horner sum of its pivot digits, named by the block roles: for duals
+the upper triangle of the constrained block, read through J, then the
+free block, which is their enumeration order; for elements A's entries
+and the same digits of V N(A).  An image is read at its position and
+must equal the point there, so no sort and no search is needed.  Orbits
+are labelled by their least point index.  orbit_partition labels all
+duals, class_count_brute all group elements, and orbit_of the fiber of
+one dual: H fixes the constrained block of every dual, so an orbit lies
+among the |H| duals that share it.
 """
 
 from __future__ import annotations
@@ -217,6 +226,7 @@ class RadicalContext:
             cols, self._j, self._orders = (s[2 * n - d :], s[n : 2 * n - d]), s[::-1], {2: (1, 0), 3: (2, 1, 0)}
         else:
             cols, self._j, self._orders = (s[n : n + d], s[n + d :]), s[:], {2: (0, 1), 3: (0, 2, 1)}
+        self._cols = cols
         (constrained, free), (b1, b2) = cols, self._roles(cols)
         self._a_slots = (s[..., 0:d, b1], s[..., 0:d, b2], s[..., d:n, constrained])
         self._dual_slots = (s[..., b1, 0:d], s[..., constrained, d:n], s[..., b2, 0:d])
@@ -265,10 +275,27 @@ class RadicalContext:
         return M
 
     def _a_ambient(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-        M = _identity_stack(2 * self.n, b2.shape[:-2])
+        return self._with_v(_identity_stack(2 * self.n, b2.shape[:-2]), b1, b2)
+
+    def _with_v(self, M: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+        """M with V's blocks b1, b2 and the linked block written into its upper-right corner."""
         s1, s2, s_link = self._a_slots
         M[s1], M[s2] = b1, b2
         M[s_link] = self._link(self._roles((b1, b2))[1], self._v_mirror)
+        return M
+
+    def _element_ambient(self, b1: np.ndarray, b2: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """a(V) h(A) from its blocks, with no product of ambient matrices.
+
+        a(V) h(A) is h(A) with V N(A) in its upper-right corner, N(A) the
+        lower-right block of h(A).  N(A) - I is A's copy alone, which maps
+        free columns to constrained ones, so V N(A) is V plus, on the
+        constrained columns, V's free columns times that copy.
+        """
+        M = self._with_v(self._h_ambient(a), b1, b2)
+        constrained, free = self._cols
+        upper = M[..., : self.n, :]
+        upper[..., constrained] = self.field._add[upper[..., constrained], matmul(self.field, upper[..., free], M[self._h_copy])]
         return M
 
     # -- element constructors -------------------------------------------
@@ -318,10 +345,42 @@ class RadicalContext:
         """Ambient codes of all elements, in enumeration order."""
         b1, b2, a = self._element_blocks()
         out = np.empty((len(a), 2 * self.n, 2 * self.n), dtype=np.int16)
-        for s in range(0, len(a), BLOCK):
-            block = slice(s, s + BLOCK)
-            out[block] = matmul(self.field, self._a_ambient(b1[block], b2[block]), self._h_ambient(a[block]))
+        for block in _blocks(len(a)):
+            out[block] = self._element_ambient(b1[block], b2[block], a[block])
         return out
+
+    def _grid_pivots(self, constrained, free) -> list[tuple[int, int]]:
+        """(flat ambient index, digit) of the F_p digits that number a grid of blocks, most significant first.
+
+        constrained and free are ambient slots, constrained None when the
+        grid has no constrained block.  The order is that of class_blocks
+        and _free_stack: the upper triangle of the constrained block read
+        through J, row by row, then the free block row by row, each entry's
+        base-p digits most significant first.  A diagonal entry gives only
+        the digits of its allowed line, those whose unit code is its own
+        mirror: all for C, none for D, the upper ones for U.
+        """
+        f = self.field
+        flat = np.arange((2 * self.n) ** 2).reshape(2 * self.n, 2 * self.n)
+        digits = range(f.degree - 1, -1, -1)
+        line = [t for t in digits if self._v_mirror[f.p ** t] == f.p ** t]
+        pivots = []
+        if constrained is not None:
+            S = flat[constrained][:, self._j].tolist()
+            pivots = [(S[i][j], t) for i in range(len(S)) for j in range(i, len(S)) for t in (line if i == j else digits)]
+        return pivots + [(e, t) for e in flat[free].ravel().tolist() for t in digits]
+
+    @functools.cached_property
+    def _dual_pivots(self) -> list[tuple[int, int]]:
+        """The digits numbering the duals: the position of a dual in enumeration order is their Horner sum."""
+        return self._grid_pivots(*self._roles(self._dual_slots)[:2])
+
+    @functools.cached_property
+    def _element_pivots(self) -> list[tuple[int, int]]:
+        """The digits numbering the elements: A's entries, then the dual rule read on V's blocks in the
+        first d rows of the upper-right block, which hold V N(A); given A and the free block, those
+        digits fix the constrained block."""
+        return self._grid_pivots(None, np.s_[0 : self.d, self.d : self.n]) + self._grid_pivots(*self._roles(self._a_slots[:2]))
 
     def elements(self):
         """All group elements, in a fixed enumeration order."""
@@ -436,7 +495,7 @@ class RadicalContext:
         a_part = matmul(f, M, self._h_ambient(f._neg[A]))
         b1, b2 = (np.array(a_part[slot]) for slot in self._a_slots[:2])
         self._check_v_class(self._roles((b1, b2))[0])
-        if not np.array_equal(matmul(f, self._a_ambient(b1, b2), self._h_ambient(A)), M):
+        if not np.array_equal(self._element_ambient(b1, b2, A), M):
             raise ValueError("matrix is not an element of the group")
         return RadicalElement(self, b1, b2, A)
 
@@ -496,8 +555,7 @@ class RadicalElement(_BlockValue):
     h_a = _block_view("_a")
 
     def _ambient_codes(self) -> np.ndarray:
-        ctx = self.ctx
-        return matmul(ctx.field, ctx._a_ambient(self._b1, self._b2), ctx._h_ambient(self._a))
+        return self.ctx._element_ambient(self._b1, self._b2, self._a)
 
 
 class DualElement(_BlockValue):
@@ -538,20 +596,10 @@ def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
     return ctx._decompose_dual(image[0])
 
 
-def _coefficient_codes(duals) -> np.ndarray:
-    """Stacked stabilizer systems of duals of one context (see coefficient_matrix)."""
-    ctx = duals[0].ctx
-    n, d = ctx.n, ctx.d
-    block = np.stack([ctx._roles(alpha._blocks())[0] for alpha in duals])
-    M = np.zeros((len(duals), d * (n - d), d * (n - d)), dtype=np.int16)
-    for c in range(n - d):
-        M[..., c * d : (c + 1) * d, c * d : (c + 1) * d] = block
-    return M
-
-
 def coefficient_matrix(alpha: DualElement) -> FfMatrix:
     """Block diagonal stabilizer system: n-d copies of the constrained block."""
-    return FfMatrix.from_codes(alpha.ctx.field, _coefficient_codes([alpha])[0], copy=False)
+    ctx = alpha.ctx
+    return FfMatrix.from_codes(ctx.field, _coefficient_codes(ctx, ctx._roles(alpha._blocks())[0][None])[0], copy=False)
 
 
 @dataclass(frozen=True)
@@ -581,33 +629,10 @@ def _ambient_pairs(elements) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in elements]
 
 
-# -- the action engine: generators act on a stack of points ----------------
+# -- the action engine: generators act linearly on F_p coordinates ---------
 
-
-def _row_keys(stack: np.ndarray) -> np.ndarray:
-    """One opaque comparable key per matrix of a stack."""
-    flat = np.ascontiguousarray(stack, dtype=np.int16).reshape(len(stack), -1)
-    return flat.view(np.dtype((np.void, 2 * flat.shape[1]))).ravel()
-
-
-class _StackIndex:
-    """Positions of the matrices of a stack of distinct points, by sorted key."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        keys = _row_keys(points)
-        self._order = np.argsort(keys)
-        self._keys = keys[self._order]
-        if (self._keys[1:] == self._keys[:-1]).any():
-            raise ValueError("points must be distinct")
-
-    def lookup(self, images: np.ndarray) -> np.ndarray:
-        """The position of every image; raises if one is not a point."""
-        keys = _row_keys(images)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        if not (self._keys[pos] == keys).all():
-            raise ValueError("an image escapes the point set")
-        return self._order[pos]
+# points per step of a walk or of the element stack's assembly: bounds their temporaries
+_WALK_BLOCK = 2 ** 14
 
 
 def _off_identity(field: FieldCtx, g: np.ndarray) -> list[tuple[int, int, int]]:
@@ -641,28 +666,188 @@ def _conjugates(field: FieldCtx, points: np.ndarray, g: np.ndarray, g_inv: np.nd
         yield Z if support is None else np.where(support, Z, np.int16(0))
 
 
-def _permutation(field: FieldCtx, index: _StackIndex, g: np.ndarray, g_inv: np.ndarray, support=None) -> np.ndarray:
-    """perm[i] = position of the image of point i under X -> g X g^-1."""
-    perm = np.concatenate([index.lookup(b) for b in _conjugates(field, index.points, g, g_inv, support)])
-    if (np.bincount(perm, minlength=len(perm)) != 1).any():
-        raise ValueError("a generator does not permute the points")
-    return perm
+def _blocks(count: int):
+    """Slices of _WALK_BLOCK consecutive points."""
+    return (slice(s, s + _WALK_BLOCK) for s in range(0, count, _WALK_BLOCK))
 
 
-def _orbit_labels(field: FieldCtx, points: np.ndarray, gens, support=None) -> np.ndarray:
-    """For every point of a stack, the least index in its orbit.
+def _powers(field: FieldCtx) -> np.ndarray:
+    """The codes p^t of one entry's digits, most significant first."""
+    return (field.p ** np.arange(field.degree - 1, -1, -1)).astype(np.int16)
 
-    points is an int16 stack of distinct matrices; gens is a list of
-    (g, g^-1) code pairs acting by X -> g X g^-1, followed by projection
-    onto support if given.  Each generator must permute the points: an
-    image outside the stack, or two points with one image, raises
-    ValueError.  Orbits are the connected components of the generator
-    edges, found by min-label propagation with pointer jumping
-    (Shiloach-Vishkin 1982).
+
+def _digits(field: FieldCtx, codes: np.ndarray) -> np.ndarray:
+    """The base-p digits of codes, most significant first, on a new last axis.
+
+    Codes add digit by digit (gf), so the digits are F_p coordinates.
     """
-    index = _StackIndex(points)
-    images = [_permutation(field, index, g, g_inv, support) for g, g_inv in gens]
-    labels = np.arange(len(points))
+    return codes[..., None] // _powers(field) % np.int16(field.p)
+
+
+class _Action:
+    """Generators acting on a stack of distinct points, in F_p coordinates.
+
+    A generator (g, g^-1) sends X to g X g^-1, projected onto support if
+    one is given.  A point is read as X - B, B the identity without a
+    support (g I g^-1 = I) and zero with one, so the action is F_p-linear.
+    Its coordinates are the base-p digits of X - B on the entries where a
+    point differs from B, a pivot lies or the support reaches, grown until
+    every generator maps their span into itself.  Each generator is then
+    one matrix L over F_p, read off the ambient images of B plus each unit
+    matrix of those entries, and the images of all points are coords @ L
+    mod p.  A one-parameter generator moves few coordinates (L - I has 4
+    to 8 nonzeros on the oracle instances), so the product is taken
+    through the nonzeros of L - I: an image column is the point's column
+    plus a few multiples of other columns.  Images of a block of points
+    spread over the stack are also computed ambiently and must equal
+    their linear images.
+
+    pivots lists (flat ambient index, digit) of the p-digits that number
+    the points: a point's position is their Horner sum, most significant
+    first, and the positions of the stack must be 0 .. len(points) - 1.
+    An image is found at the position of its pivot digits and must equal
+    that point in every coordinate.
+    """
+
+    def __init__(self, field: FieldCtx, points: np.ndarray, gens, pivots, support=None):
+        self.field, self.points, self.support = field, points, support
+        size = points.shape[-1]
+        self._base = (np.eye(size, dtype=np.int16) if support is None else np.zeros((size, size), dtype=np.int16)).ravel()
+        flat = points.reshape(len(points), -1)
+        entries = np.zeros(flat.shape[1], dtype=bool)
+        for block in _blocks(len(flat)):
+            entries |= (flat[block] != self._base).any(axis=0)
+        pivots = np.array(pivots, dtype=np.intp).reshape(-1, 2)
+        entries[pivots[:, 0]] = True
+        if support is not None:
+            entries |= support.ravel()
+        self._sample = np.arange(len(points))[:: max(1, len(points) // BLOCK)][:BLOCK]
+        # a unit's image may leave the entries where no point's image does (terms cancel on the
+        # points), so the entries grow until closed; an image that leaves the points is then seen
+        while True:
+            self.entries = np.flatnonzero(entries)
+            self._probe = self._probe_stack()
+            self._acted = [self._act(g, g_inv) for g, g_inv in gens]
+            grown = entries.copy()
+            for units, _ in self._acted:
+                grown |= (units != self._base).any(axis=0)
+            if np.array_equal(grown, entries):
+                break
+            entries = grown
+        self._off = ~entries
+        self.coords = np.concatenate([self._coordinates(flat[block]) for block in _blocks(len(flat))])
+        where = np.full(flat.shape[1], -1)
+        where[self.entries] = np.arange(len(self.entries))
+        # the coordinate of each pivot digit, most significant first
+        self._pivots = where[pivots[:, 0]] * field.degree + field.degree - 1 - pivots[:, 1]
+        unnumbered = "points must be distinct, one at each position of their pivot digits"
+        if field.p ** len(pivots) != len(points):
+            raise ValueError(unnumbered)
+        positions = self._horner(self.coords)
+        if (np.bincount(positions, minlength=len(points)) != 1).any():
+            raise ValueError(unnumbered)
+        self._order = np.empty_like(positions)
+        self._order[positions] = np.arange(len(points))
+
+    def _probe_stack(self) -> np.ndarray:
+        """B plus each unit matrix of the coordinates (code p^t at an entry, one per digit), then the sample points."""
+        f, size = self.field, self.points.shape[-1]
+        units = np.tile(self._base, (len(self.entries) * f.degree, 1))
+        rows, cols = np.arange(len(units)), np.repeat(self.entries, f.degree)
+        units[rows, cols] = f._add[units[rows, cols], np.tile(_powers(f), len(self.entries))]
+        return np.concatenate([units.reshape(-1, size, size), self.points[self._sample]])
+
+    def _act(self, g: np.ndarray, g_inv: np.ndarray) -> tuple:
+        """Flattened ambient images of the units and of the sample points."""
+        images = np.concatenate([self._probe[:0], *_conjugates(self.field, self._probe, g, g_inv, self.support)])
+        images = images.reshape(len(images), -1)
+        units = len(images) - len(self._sample)
+        return images[:units], images[units:]
+
+    def _coordinates(self, flat: np.ndarray) -> np.ndarray:
+        """The digits of X - B on the entries for flattened matrices X, in the least unsigned dtype."""
+        values, base = flat[:, self.entries], self._base[self.entries]
+        if base.any():
+            values = self.field._sub[values, base]
+        digits = _digits(self.field, values).reshape(len(flat), -1)
+        return digits.astype(np.min_scalar_type(self.field.p - 1), order="C")
+
+    def _strays(self, flat: np.ndarray) -> bool:
+        """Whether a flattened matrix differs from B off the entries."""
+        return bool((flat[:, self._off] != self._base[self._off]).any())
+
+    def _horner(self, coords: np.ndarray) -> np.ndarray:
+        """The Horner sum of the pivot digits of each row of coordinates."""
+        positions = np.zeros(len(coords), dtype=np.intp)
+        for column in self._pivots:
+            positions *= self.field.p
+            positions += coords[:, column]
+        return positions
+
+    def _find(self, images: np.ndarray) -> np.ndarray:
+        """The index of the point equal to each image, read at the position of its pivot digits."""
+        at = self._order[self._horner(images)]
+        if not np.array_equal(np.take(self.coords, at, axis=0), images):
+            raise ValueError("an image escapes the point set")
+        return at
+
+    def lookup(self, stack: np.ndarray) -> np.ndarray:
+        """The index of each matrix of a stack among the points; raises if one is not a point."""
+        flat = stack.reshape(len(stack), -1)
+        if self._strays(flat):
+            raise ValueError("an image escapes the point set")
+        return self._find(self._coordinates(flat))
+
+    def permutations(self) -> list[np.ndarray]:
+        """The permutation of the points each generator makes, in order."""
+        return [self._permutation(*acted) for acted in self._acted]
+
+    def permutation(self, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+        """The permutation of the points one more generator makes."""
+        return self._permutation(*self._act(g, g_inv))
+
+    def _linear_map(self, units: np.ndarray) -> np.ndarray:
+        """L with row i the coordinates of the image of unit i, from the flattened ambient images."""
+        if self._strays(units):
+            raise ValueError("a generator maps the coordinates off their entries")
+        return self._coordinates(units)
+
+    def _moves(self, L: np.ndarray) -> list[tuple]:
+        """(j, sources, factors) for every column j of L - I that is not zero, with its nonzero rows and entries."""
+        moved = (L.astype(np.int64) - np.eye(len(L), dtype=np.int64)) % self.field.p
+        return [(j, np.flatnonzero(moved[:, j]), moved[moved[:, j] != 0, j]) for j in np.flatnonzero(moved.any(axis=0))]
+
+    def _apply(self, coords: np.ndarray, moves) -> np.ndarray:
+        """coords @ L mod p, with L = I plus the moves; the int64 sums stay far below 2^63."""
+        images = coords.copy()
+        for j, sources, factors in moves:
+            images[:, j] = (coords[:, j] + coords[:, sources].astype(np.int64) @ factors) % self.field.p
+        return images
+
+    def _permutation(self, units: np.ndarray, sample: np.ndarray) -> np.ndarray:
+        """perm[i] = index of the image of point i, from the ambient images of the units and the sample."""
+        moves = self._moves(self._linear_map(units))
+        # the ambient action stays the definition: the sample's ambient images must be its linear images
+        if self._strays(sample) or not np.array_equal(self._coordinates(sample), self._apply(self.coords[self._sample], moves)):
+            raise ValueError("linear images differ from the ambient action")
+        n = len(self.coords)
+        perm = np.empty(n, dtype=np.intp)
+        for block in _blocks(n):
+            perm[block] = self._find(self._apply(self.coords[block], moves))
+        if (np.bincount(perm, minlength=n) != 1).any():
+            raise ValueError("a generator does not permute the points")
+        return perm
+
+
+def _orbit_labels(action: _Action) -> np.ndarray:
+    """For every point of an action, the least index in its orbit.
+
+    Each generator must permute the points (see _Action).  Orbits are the
+    connected components of the generator edges, found by min-label
+    propagation with pointer jumping (Shiloach-Vishkin 1982).
+    """
+    images = action.permutations()
+    labels = np.arange(len(action.points))
     while True:
         before = labels
         for image in images:
@@ -679,18 +864,28 @@ def _orbit_labels(field: FieldCtx, points: np.ndarray, gens, support=None) -> np
             return labels
 
 
-def _records(duals, sizes) -> list[OrbitRecord]:
-    """One checked record per orbit; one ranks call covers all the stabilizer systems."""
-    ctx = duals[0].ctx
+def _coefficient_codes(ctx: RadicalContext, constrained: np.ndarray) -> np.ndarray:
+    """Stacked stabilizer systems of the duals with these stacked constrained blocks (see coefficient_matrix)."""
+    d, c = ctx.d, ctx.n - ctx.d
+    M = np.zeros((len(constrained), c, d, c, d), dtype=np.int16)
+    copies = np.arange(c)
+    M[:, copies, :, copies, :] = constrained
+    return M.reshape(len(constrained), c * d, c * d)
+
+
+def _records(ctx: RadicalContext, reps: tuple, sizes) -> list[OrbitRecord]:
+    """One checked record per orbit, from the stacked blocks (b1, b3, b2) of the representatives;
+    one ranks call covers all the stabilizer systems."""
     h_order = ctx.q ** ctx.params.h_exponent
     records = []
-    for alpha, size, system_rank in zip(duals, sizes, ranks(ctx.field, _coefficient_codes(duals))):
+    system_ranks = ranks(ctx.field, _coefficient_codes(ctx, ctx._roles(reps)[0]))
+    for blocks, size, system_rank in zip(zip(*reps), sizes, system_ranks):
         e = _exact_log(size, ctx.k_order)
         if h_order % size:
             raise ValueError("orbit size must divide the acting group order")
         if e != system_rank:
             raise ValueError("orbit size must match the stabilizer system rank")
-        records.append(OrbitRecord(alpha, size, h_order // size, e))
+        records.append(OrbitRecord(DualElement(ctx, *blocks), size, h_order // size, e))
     return records
 
 
@@ -713,9 +908,12 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     h_order = ctx.q ** ctx.params.h_exponent
     _check_walk(ctx, h_order, budget, f"orbit bound {h_order}")
     fiber = ctx._dual_ambient(*ctx._dual_blocks(ctx._roles(alpha._blocks())[0][None]))
-    labels = _orbit_labels(ctx.field, fiber, ctx._h_pairs, ctx._mask)
-    (where,) = np.flatnonzero((fiber == alpha._ambient_codes()).all(axis=(-2, -1)))
-    return _records([alpha], [int(np.count_nonzero(labels == labels[where]))])[0]
+    # the fiber is numbered by the digits of the free block alone
+    action = _Action(ctx.field, fiber, ctx._h_pairs, ctx._grid_pivots(None, ctx._roles(ctx._dual_slots)[1]), ctx._mask)
+    labels = _orbit_labels(action)
+    (where,) = action.lookup(alpha._ambient_codes()[None])
+    reps = tuple(block[None] for block in alpha._blocks())
+    return _records(ctx, reps, [int(np.count_nonzero(labels == labels[where]))])[0]
 
 
 def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> list[OrbitRecord]:
@@ -726,14 +924,14 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     """
     _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
     b1, b3, b2 = ctx._dual_blocks()
-    labels = _orbit_labels(ctx.field, ctx._dual_ambient(b1, b3, b2), ctx._h_pairs, ctx._mask)
+    labels = _orbit_labels(_Action(ctx.field, ctx._dual_ambient(b1, b3, b2), ctx._h_pairs, ctx._dual_pivots, ctx._mask))
     roots = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[roots]
     if sizes.sum() != ctx.dual_count():
         raise ValueError("orbits must partition the dual space")
     reps = b1[roots], b3[roots], b2[roots]
     ctx._validate_dual_blocks(*reps)
-    return _records([DualElement(ctx, *blocks) for blocks in zip(*reps)], sizes.tolist())
+    return _records(ctx, reps, sizes.tolist())
 
 
 def _context(params: RadicalParams, q) -> RadicalContext:
@@ -811,7 +1009,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     points = ctx._element_stack()
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
-    labels = _orbit_labels(ctx.field, points, _ambient_pairs(ctx.generators()))
+    labels = _orbit_labels(_Action(ctx.field, points, _ambient_pairs(ctx.generators()), ctx._element_pivots))
     return int(np.count_nonzero(labels == np.arange(order)))
 
 
@@ -845,9 +1043,13 @@ def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
     return np.array([ctx.field._sub[ctx._a_ambient(b1, b2), one] for b1, b2 in directions], dtype=np.int16).reshape(-1, one.size)
 
 
+def _dual_action(ctx: RadicalContext, gens=()) -> _Action:
+    return _Action(ctx.field, ctx._dual_stack(), gens, ctx._dual_pivots, ctx._mask)
+
+
 def dual_index(ctx: RadicalContext):
     """All duals in enumeration order, plus a position lookup over them."""
-    return list(ctx.duals()), _StackIndex(ctx._dual_stack())
+    return list(ctx.duals()), _dual_action(ctx)
 
 
 def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, index=None) -> np.ndarray:
@@ -856,5 +1058,5 @@ def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, index=None) ->
     index is the lookup dual_index returns; it is built when not given.
     """
     if index is None:
-        index = _StackIndex(ctx._dual_stack())
-    return _permutation(ctx.field, index, *_ambient_pairs([g])[0], ctx._mask)
+        index = _dual_action(ctx)
+    return index.permutation(*_ambient_pairs([g])[0])
