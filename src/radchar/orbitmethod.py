@@ -34,13 +34,15 @@ equal to the rank of that system.
 Everything in this module is exhaustively verifiable: brute-force
 orbit enumeration, conjugacy class counting and the pairing checks are
 the oracles the symbolic layer is tested against.  Every orbit is found
-by one engine, _Action and _orbit_labels, which works in coordinates: a
-point is the vector of base-p digits of its ambient entries (codes add
-digit by digit, so these are F_p coordinates), and conjugation by a
-generator, being linear, is one F_p-linear map L on them, read off the
-ambient images of unit matrices (row and column updates, one per nonzero
-entry of g - I and of g^-1 - I).  The images of all points are coords @
-L mod p, taken through the few nonzeros of L - I.  A point's position is
+by one engine, _Frame, _Action and _orbit_labels, which works in
+coordinates: a point is the vector of base-p digits of its ambient
+entries (codes add digit by digit, so these are F_p coordinates), and
+conjugation by a generator, being linear, is one F_p-linear map L on
+them, read off the ambient images of unit matrices (row and column
+updates, one per nonzero entry of g - I and of g^-1 - I).  The images of
+all points are coords @ L mod p, taken through the few nonzeros of
+L - I.  Every dual lies on one support, so H's maps on it are read once
+per context (RadicalContext._h_frame).  A point's position is
 the Horner sum of its pivot digits, named by the block roles: for duals
 the upper triangle of the constrained block, read through J, then the
 free block, which is their enumeration order; for elements A's entries
@@ -55,6 +57,7 @@ among the |H| duals that share it.
 from __future__ import annotations
 
 import functools
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -177,7 +180,15 @@ def _t(X: np.ndarray) -> np.ndarray:
 
 
 def _identity_stack(size: int, lead: tuple) -> np.ndarray:
-    return np.broadcast_to(np.eye(size, dtype=np.int16), lead + (size, size)).copy()
+    M = np.zeros(lead + (size, size), dtype=np.int16)
+    M.reshape(-1, size * size)[:, :: size + 1] = 1
+    return M
+
+
+def _flat_index(size: int, slot) -> np.ndarray:
+    """The flat indices of a slot of a size-by-size matrix, read off zero-stride views of the row and column."""
+    r = np.arange(size)
+    return np.broadcast_to(r[:, None] * size, (size, size))[slot] + np.broadcast_to(r, (size, size))[slot]
 
 
 def _grid(*stacks: np.ndarray) -> tuple:
@@ -345,7 +356,8 @@ class RadicalContext:
         """Ambient codes of all elements, in enumeration order."""
         b1, b2, a = self._element_blocks()
         out = np.empty((len(a), 2 * self.n, 2 * self.n), dtype=np.int16)
-        for block in _blocks(len(a)):
+        for s in range(0, len(a), BLOCK):
+            block = slice(s, s + BLOCK)
             out[block] = self._element_ambient(b1[block], b2[block], a[block])
         return out
 
@@ -361,19 +373,23 @@ class RadicalContext:
         mirror: all for C, none for D, the upper ones for U.
         """
         f = self.field
-        flat = np.arange((2 * self.n) ** 2).reshape(2 * self.n, 2 * self.n)
         digits = range(f.degree - 1, -1, -1)
         line = [t for t in digits if self._v_mirror[f.p ** t] == f.p ** t]
         pivots = []
         if constrained is not None:
-            S = flat[constrained][:, self._j].tolist()
+            S = _flat_index(2 * self.n, constrained)[:, self._j].tolist()
             pivots = [(S[i][j], t) for i in range(len(S)) for j in range(i, len(S)) for t in (line if i == j else digits)]
-        return pivots + [(e, t) for e in flat[free].ravel().tolist() for t in digits]
+        return pivots + [(e, t) for e in _flat_index(2 * self.n, free).ravel().tolist() for t in digits]
 
     @functools.cached_property
     def _dual_pivots(self) -> list[tuple[int, int]]:
         """The digits numbering the duals: the position of a dual in enumeration order is their Horner sum."""
         return self._grid_pivots(*self._roles(self._dual_slots)[:2])
+
+    @functools.cached_property
+    def _fiber_pivots(self) -> list[tuple[int, int]]:
+        """The digits numbering the duals that share one constrained block: the free block's."""
+        return self._grid_pivots(None, self._roles(self._dual_slots)[1])
 
     @functools.cached_property
     def _element_pivots(self) -> list[tuple[int, int]]:
@@ -399,6 +415,12 @@ class RadicalContext:
     def _h_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(g, g^-1) code pairs of the H-generators, inverted once per context."""
         return _ambient_pairs(self.h_generators())
+
+    @functools.cached_property
+    def _h_frame(self) -> "_Frame":
+        """H's generators as linear maps on the digits of the dual support, which holds every dual,
+        pivot and projected image: built and checked once per context."""
+        return _Frame(self.field, 2 * self.n, np.flatnonzero(self._mask).tolist(), self._h_pairs, self._mask)
 
     def generators(self) -> list["RadicalElement"]:
         """One-parameter elements generating all of R_u."""
@@ -631,9 +653,6 @@ def _ambient_pairs(elements) -> list[tuple[np.ndarray, np.ndarray]]:
 
 # -- the action engine: generators act linearly on F_p coordinates ---------
 
-# points per step of a walk or of the element stack's assembly: bounds their temporaries
-_WALK_BLOCK = 2 ** 14
-
 
 def _off_identity(field: FieldCtx, g: np.ndarray) -> list[tuple[int, int, int]]:
     """(i, j, code) for every nonzero entry of g - I."""
@@ -666,11 +685,6 @@ def _conjugates(field: FieldCtx, points: np.ndarray, g: np.ndarray, g_inv: np.nd
         yield Z if support is None else np.where(support, Z, np.int16(0))
 
 
-def _blocks(count: int):
-    """Slices of _WALK_BLOCK consecutive points."""
-    return (slice(s, s + _WALK_BLOCK) for s in range(0, count, _WALK_BLOCK))
-
-
 def _powers(field: FieldCtx) -> np.ndarray:
     """The codes p^t of one entry's digits, most significant first."""
     return (field.p ** np.arange(field.degree - 1, -1, -1)).astype(np.int16)
@@ -684,23 +698,116 @@ def _digits(field: FieldCtx, codes: np.ndarray) -> np.ndarray:
     return codes[..., None] // _powers(field) % np.int16(field.p)
 
 
-class _Action:
-    """Generators acting on a stack of distinct points, in F_p coordinates.
+def _differences(stack: np.ndarray, identity: bool) -> int:
+    """How many entries of a stack of matrices differ from B (I if identity, else 0), allocating no stack."""
+    count = np.count_nonzero(stack)
+    if identity:
+        diagonal = stack.diagonal(axis1=-2, axis2=-1)
+        count += np.count_nonzero(diagonal != 1) - np.count_nonzero(diagonal)
+    return count
+
+
+def _entries(stack: np.ndarray, identity: bool) -> list[int]:
+    """The flat ambient indices where some matrix of a stack differs from B, found in one matrix of memory."""
+    seen = np.bitwise_or.reduce(stack, axis=0)
+    if identity:
+        np.fill_diagonal(seen, (stack.diagonal(axis1=-2, axis2=-1) != 1).any(axis=0))
+    return np.flatnonzero(seen).tolist()
+
+
+# a wrong linear map passes this many pseudo-random points of the span with probability at most p^-32
+_SAMPLE = 32
+
+
+class _Frame:
+    """F_p coordinates on some ambient entries, with generators as linear maps on them.
 
     A generator (g, g^-1) sends X to g X g^-1, projected onto support if
-    one is given.  A point is read as X - B, B the identity without a
-    support (g I g^-1 = I) and zero with one, so the action is F_p-linear.
-    Its coordinates are the base-p digits of X - B on the entries where a
-    point differs from B, a pivot lies or the support reaches, grown until
-    every generator maps their span into itself.  Each generator is then
-    one matrix L over F_p, read off the ambient images of B plus each unit
-    matrix of those entries, and the images of all points are coords @ L
-    mod p.  A one-parameter generator moves few coordinates (L - I has 4
-    to 8 nonzeros on the oracle instances), so the product is taken
-    through the nonzeros of L - I: an image column is the point's column
-    plus a few multiples of other columns.  Images of a block of points
-    spread over the stack are also computed ambiently and must equal
-    their linear images.
+    one is given.  A matrix is read as X - B, B the identity without a
+    support (g I g^-1 = I) and zero with one, so the action is F_p-linear;
+    its coordinates are the base-p digits of X - B on the entries.  The
+    entries grow until every generator maps their span into itself.  A
+    generator's map L is read off the ambient images of B plus each unit
+    of the coordinates and kept as the nonzeros of L - I, which are few
+    for a one-parameter generator: an image column is the column plus a
+    few multiples of others.  The ambient images of _SAMPLE fixed
+    pseudo-random points of the span must equal their linear images.
+    """
+
+    def __init__(self, field: FieldCtx, size: int, entries, gens, support=None):
+        self.field, self.size, self.support, self.identity = field, size, support, support is None
+        entries = dict.fromkeys(entries)
+        while True:
+            self.entries = np.array(list(entries), dtype=np.intp)
+            self._base = (self.entries % (size + 1) == 0).astype(np.int16) * np.int16(self.identity)
+            self._units = self._matrices(np.eye(len(self.entries) * field.degree, dtype=np.uint8))
+            images = [self._image(self._units, g, g_inv) for g, g_inv in gens]
+            # a unit's image may leave the entries where no point's image does (terms cancel on the points)
+            known = len(entries)
+            for image in images:
+                entries.update(dict.fromkeys(_entries(image, self.identity)))
+            if len(entries) == known:
+                break
+        digits = random.Random(0).choices(range(field.p), k=_SAMPLE * len(self._units))
+        self._sample = np.array(digits, dtype=np.uint8).reshape(_SAMPLE, len(self._units))
+        self.moves = [self._checked(self._linear_map(image), g, g_inv) for image, (g, g_inv) in zip(images, gens)]
+
+    def _matrices(self, coords: np.ndarray) -> np.ndarray:
+        """B + X for the X with these coordinates, one matrix per row of coords."""
+        f = self.field
+        codes = (coords.reshape(len(coords), len(self.entries), f.degree) * _powers(f)).sum(axis=-1, dtype=np.int16)
+        flat = np.zeros((len(coords), self.size ** 2), dtype=np.int16)
+        flat[:, :: self.size + 1] = self.identity
+        flat[:, self.entries] = f._add[self._base, codes]
+        return flat.reshape(-1, self.size, self.size)
+
+    def _image(self, stack: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+        """The ambient images of a stack under one generator."""
+        return np.concatenate([stack[:0], *_conjugates(self.field, stack, g, g_inv, self.support)])
+
+    def coordinates(self, stack: np.ndarray, message: str) -> np.ndarray:
+        """The digits of X - B on the entries, a row per matrix X of a stack, in the least unsigned dtype;
+        ValueError(message) if some X differs from B off the entries."""
+        f = self.field
+        values = stack.reshape(len(stack), -1)[:, self.entries]
+        if self.identity:
+            values = f._sub[values, self._base]
+        if np.count_nonzero(values) != _differences(stack, self.identity):
+            raise ValueError(message)
+        return _digits(f, values).reshape(len(stack), -1).astype(np.min_scalar_type(f.p - 1))
+
+    def _linear_map(self, images: np.ndarray) -> np.ndarray:
+        """L, row i the coordinates of the ambient image of unit i."""
+        return self.coordinates(images, "a generator maps the coordinates off their entries")
+
+    def _checked(self, L: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> tuple:
+        """The rows and columns where L - I is not zero and L - I on them, once the sample's ambient
+        images are found equal to its linear images."""
+        p = self.field.p
+        moved = (L.astype(np.int64) - np.eye(len(L), dtype=np.int64)) % p
+        rows, cols = np.flatnonzero(moved.any(axis=1)), np.flatnonzero(moved.any(axis=0))
+        # the least unsigned dtype holding a column plus its moving terms, so apply makes small temporaries
+        moves = rows, cols, moved[np.ix_(rows, cols)].astype(np.min_scalar_type((p - 1) * (1 + (p - 1) * len(rows))))
+        # the ambient action stays the definition
+        differ = "linear images differ from the ambient action"
+        if not np.array_equal(self.coordinates(self._image(self._matrices(self._sample), g, g_inv), differ), self.apply(self._sample, moves)):
+            raise ValueError(differ)
+        return moves
+
+    def moves_of(self, g: np.ndarray, g_inv: np.ndarray) -> tuple:
+        """The moves of one more generator, which must map the span of the coordinates into itself."""
+        return self._checked(self._linear_map(self._image(self._units, g, g_inv)), g, g_inv)
+
+    def apply(self, coords: np.ndarray, moves) -> np.ndarray:
+        """coords @ L mod p, L = I plus the moves; only the moved columns are computed."""
+        rows, cols, moved = moves
+        images = coords.copy()
+        images[:, cols] = (coords[:, cols] + coords[:, rows].astype(moved.dtype) @ moved) % self.field.p
+        return images
+
+
+class _Action:
+    """A frame's generators acting on a stack of distinct points.
 
     pivots lists (flat ambient index, digit) of the p-digits that number
     the points: a point's position is their Horner sum, most significant
@@ -709,78 +816,27 @@ class _Action:
     that point in every coordinate.
     """
 
-    def __init__(self, field: FieldCtx, points: np.ndarray, gens, pivots, support=None):
-        self.field, self.points, self.support = field, points, support
-        size = points.shape[-1]
-        self._base = (np.eye(size, dtype=np.int16) if support is None else np.zeros((size, size), dtype=np.int16)).ravel()
-        flat = points.reshape(len(points), -1)
-        entries = np.zeros(flat.shape[1], dtype=bool)
-        for block in _blocks(len(flat)):
-            entries |= (flat[block] != self._base).any(axis=0)
-        pivots = np.array(pivots, dtype=np.intp).reshape(-1, 2)
-        entries[pivots[:, 0]] = True
-        if support is not None:
-            entries |= support.ravel()
-        self._sample = np.arange(len(points))[:: max(1, len(points) // BLOCK)][:BLOCK]
-        # a unit's image may leave the entries where no point's image does (terms cancel on the
-        # points), so the entries grow until closed; an image that leaves the points is then seen
-        while True:
-            self.entries = np.flatnonzero(entries)
-            self._probe = self._probe_stack()
-            self._acted = [self._act(g, g_inv) for g, g_inv in gens]
-            grown = entries.copy()
-            for units, _ in self._acted:
-                grown |= (units != self._base).any(axis=0)
-            if np.array_equal(grown, entries):
-                break
-            entries = grown
-        self._off = ~entries
-        self.coords = np.concatenate([self._coordinates(flat[block]) for block in _blocks(len(flat))])
-        where = np.full(flat.shape[1], -1)
-        where[self.entries] = np.arange(len(self.entries))
-        # the coordinate of each pivot digit, most significant first
-        self._pivots = where[pivots[:, 0]] * field.degree + field.degree - 1 - pivots[:, 1]
+    def __init__(self, frame: _Frame, points: np.ndarray, pivots):
+        self.frame, self.points = frame, points
+        self.coords = frame.coordinates(points, "points must lie on the entries of their coordinates")
+        column = {e: i for i, e in enumerate(frame.entries.tolist())}
+        degree = frame.field.degree
         unnumbered = "points must be distinct, one at each position of their pivot digits"
-        if field.p ** len(pivots) != len(points):
+        if frame.field.p ** len(pivots) != len(points) or any(e not in column for e, _ in pivots):
             raise ValueError(unnumbered)
+        # the coordinate of each pivot digit, most significant first
+        self._pivots = [column[e] * degree + degree - 1 - t for e, t in pivots]
         positions = self._horner(self.coords)
         if (np.bincount(positions, minlength=len(points)) != 1).any():
             raise ValueError(unnumbered)
         self._order = np.empty_like(positions)
         self._order[positions] = np.arange(len(points))
 
-    def _probe_stack(self) -> np.ndarray:
-        """B plus each unit matrix of the coordinates (code p^t at an entry, one per digit), then the sample points."""
-        f, size = self.field, self.points.shape[-1]
-        units = np.tile(self._base, (len(self.entries) * f.degree, 1))
-        rows, cols = np.arange(len(units)), np.repeat(self.entries, f.degree)
-        units[rows, cols] = f._add[units[rows, cols], np.tile(_powers(f), len(self.entries))]
-        return np.concatenate([units.reshape(-1, size, size), self.points[self._sample]])
-
-    def _act(self, g: np.ndarray, g_inv: np.ndarray) -> tuple:
-        """Flattened ambient images of the units and of the sample points."""
-        images = np.concatenate([self._probe[:0], *_conjugates(self.field, self._probe, g, g_inv, self.support)])
-        images = images.reshape(len(images), -1)
-        units = len(images) - len(self._sample)
-        return images[:units], images[units:]
-
-    def _coordinates(self, flat: np.ndarray) -> np.ndarray:
-        """The digits of X - B on the entries for flattened matrices X, in the least unsigned dtype."""
-        values, base = flat[:, self.entries], self._base[self.entries]
-        if base.any():
-            values = self.field._sub[values, base]
-        digits = _digits(self.field, values).reshape(len(flat), -1)
-        return digits.astype(np.min_scalar_type(self.field.p - 1), order="C")
-
-    def _strays(self, flat: np.ndarray) -> bool:
-        """Whether a flattened matrix differs from B off the entries."""
-        return bool((flat[:, self._off] != self._base[self._off]).any())
-
     def _horner(self, coords: np.ndarray) -> np.ndarray:
         """The Horner sum of the pivot digits of each row of coordinates."""
         positions = np.zeros(len(coords), dtype=np.intp)
         for column in self._pivots:
-            positions *= self.field.p
+            positions *= self.frame.field.p
             positions += coords[:, column]
         return positions
 
@@ -793,50 +849,25 @@ class _Action:
 
     def lookup(self, stack: np.ndarray) -> np.ndarray:
         """The index of each matrix of a stack among the points; raises if one is not a point."""
-        flat = stack.reshape(len(stack), -1)
-        if self._strays(flat):
-            raise ValueError("an image escapes the point set")
-        return self._find(self._coordinates(flat))
+        return self._find(self.frame.coordinates(stack, "an image escapes the point set"))
 
-    def permutations(self) -> list[np.ndarray]:
-        """The permutation of the points each generator makes, in order."""
-        return [self._permutation(*acted) for acted in self._acted]
-
-    def permutation(self, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-        """The permutation of the points one more generator makes."""
-        return self._permutation(*self._act(g, g_inv))
-
-    def _linear_map(self, units: np.ndarray) -> np.ndarray:
-        """L with row i the coordinates of the image of unit i, from the flattened ambient images."""
-        if self._strays(units):
-            raise ValueError("a generator maps the coordinates off their entries")
-        return self._coordinates(units)
-
-    def _moves(self, L: np.ndarray) -> list[tuple]:
-        """(j, sources, factors) for every column j of L - I that is not zero, with its nonzero rows and entries."""
-        moved = (L.astype(np.int64) - np.eye(len(L), dtype=np.int64)) % self.field.p
-        return [(j, np.flatnonzero(moved[:, j]), moved[moved[:, j] != 0, j]) for j in np.flatnonzero(moved.any(axis=0))]
-
-    def _apply(self, coords: np.ndarray, moves) -> np.ndarray:
-        """coords @ L mod p, with L = I plus the moves; the int64 sums stay far below 2^63."""
-        images = coords.copy()
-        for j, sources, factors in moves:
-            images[:, j] = (coords[:, j] + coords[:, sources].astype(np.int64) @ factors) % self.field.p
-        return images
-
-    def _permutation(self, units: np.ndarray, sample: np.ndarray) -> np.ndarray:
-        """perm[i] = index of the image of point i, from the ambient images of the units and the sample."""
-        moves = self._moves(self._linear_map(units))
-        # the ambient action stays the definition: the sample's ambient images must be its linear images
-        if self._strays(sample) or not np.array_equal(self._coordinates(sample), self._apply(self.coords[self._sample], moves)):
-            raise ValueError("linear images differ from the ambient action")
-        n = len(self.coords)
-        perm = np.empty(n, dtype=np.intp)
-        for block in _blocks(n):
-            perm[block] = self._find(self._apply(self.coords[block], moves))
-        if (np.bincount(perm, minlength=n) != 1).any():
+    def permutation(self, moves) -> np.ndarray:
+        """perm[i] = index of the image of point i under the generator with these moves."""
+        perm = self._find(self.frame.apply(self.coords, moves))
+        if (np.bincount(perm, minlength=len(perm)) != 1).any():
             raise ValueError("a generator does not permute the points")
         return perm
+
+    def permutations(self) -> list[np.ndarray]:
+        """The permutation of the points each generator of the frame makes, in order."""
+        return [self.permutation(moves) for moves in self.frame.moves]
+
+
+def _walk(field: FieldCtx, points: np.ndarray, gens, pivots, support=None) -> _Action:
+    """gens acting on points, in coordinates on the entries where a point differs from B, a pivot lies or the support reaches."""
+    reach = [] if support is None else np.flatnonzero(support).tolist()
+    entries = _entries(points, support is None) + [e for e, _ in pivots] + reach
+    return _Action(_Frame(field, points.shape[-1], entries, gens, support), points, pivots)
 
 
 def _orbit_labels(action: _Action) -> np.ndarray:
@@ -908,8 +939,7 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     h_order = ctx.q ** ctx.params.h_exponent
     _check_walk(ctx, h_order, budget, f"orbit bound {h_order}")
     fiber = ctx._dual_ambient(*ctx._dual_blocks(ctx._roles(alpha._blocks())[0][None]))
-    # the fiber is numbered by the digits of the free block alone
-    action = _Action(ctx.field, fiber, ctx._h_pairs, ctx._grid_pivots(None, ctx._roles(ctx._dual_slots)[1]), ctx._mask)
+    action = _Action(ctx._h_frame, fiber, ctx._fiber_pivots)
     labels = _orbit_labels(action)
     (where,) = action.lookup(alpha._ambient_codes()[None])
     reps = tuple(block[None] for block in alpha._blocks())
@@ -924,7 +954,7 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     """
     _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
     b1, b3, b2 = ctx._dual_blocks()
-    labels = _orbit_labels(_Action(ctx.field, ctx._dual_ambient(b1, b3, b2), ctx._h_pairs, ctx._dual_pivots, ctx._mask))
+    labels = _orbit_labels(_Action(ctx._h_frame, ctx._dual_ambient(b1, b3, b2), ctx._dual_pivots))
     roots = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[roots]
     if sizes.sum() != ctx.dual_count():
@@ -1009,7 +1039,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     points = ctx._element_stack()
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
-    labels = _orbit_labels(_Action(ctx.field, points, _ambient_pairs(ctx.generators()), ctx._element_pivots))
+    labels = _orbit_labels(_walk(ctx.field, points, _ambient_pairs(ctx.generators()), ctx._element_pivots))
     return int(np.count_nonzero(labels == np.arange(order)))
 
 
@@ -1043,13 +1073,9 @@ def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
     return np.array([ctx.field._sub[ctx._a_ambient(b1, b2), one] for b1, b2 in directions], dtype=np.int16).reshape(-1, one.size)
 
 
-def _dual_action(ctx: RadicalContext, gens=()) -> _Action:
-    return _Action(ctx.field, ctx._dual_stack(), gens, ctx._dual_pivots, ctx._mask)
-
-
 def dual_index(ctx: RadicalContext):
     """All duals in enumeration order, plus a position lookup over them."""
-    return list(ctx.duals()), _dual_action(ctx)
+    return list(ctx.duals()), _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
 
 
 def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, index=None) -> np.ndarray:
@@ -1058,5 +1084,5 @@ def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, index=None) ->
     index is the lookup dual_index returns; it is built when not given.
     """
     if index is None:
-        index = _dual_action(ctx)
-    return index.permutation(*_ambient_pairs([g])[0])
+        index = _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+    return index.permutation(index.frame.moves_of(*_ambient_pairs([g])[0]))

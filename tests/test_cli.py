@@ -375,6 +375,21 @@ def test_walks_past_the_stack_cap_exit_two_before_allocating(capsys, argv, point
     assert peak < 5_000_000
 
 
+def test_a_walk_under_the_stack_cap_takes_at_most_three_stacks(capsys):
+    # the trivial group U(300, 0) has one element and one dual, each a
+    # 600x600 point: its walks make no array per ambient entry beyond a
+    # few copies of that stack, so the cap bounds them near 2^30 as well
+    stack = 600 * 600 * 2
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "census", "--type", "U", "--n", "300", "--d", "0", "--q", "3", "--oracle")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "class count PASS (1 conjugacy classes)" in out
+    assert peak < 3 * stack
+
+
 @pytest.mark.parametrize("suite, qs", [("pairings", ["3"]), ("all", ["3", "5"])])
 def test_verify_checks_a_repeated_q_once(capsys, suite, qs):
     argv = ("verify", "--suite", suite, "--max-n", "1", "--no-timing", "--q")

@@ -1,4 +1,4 @@
-"""The orbit and class walks act in F_p coordinates (orbitmethod._Action).
+"""The orbit and class walks act in F_p coordinates (orbitmethod._Frame, _Action).
 
 Each generator acts on a point's base-p digits as one linear map L, read
 off the ambient images of unit matrices and applied through the nonzeros
@@ -20,10 +20,14 @@ from radchar.orbitmethod import (
     RadicalContext,
     RadicalParams,
     _Action,
+    _Frame,
     _ambient_pairs,
     _conjugates,
+    _walk,
     class_count_brute,
     d_range,
+    dual_index,
+    orbit_of,
     orbit_partition,
 )
 
@@ -38,10 +42,14 @@ def _action(x, n, d, q, kind):
     """(ctx, generator pairs, action) of the orbit walk (kind "duals") or the class walk ("elements")."""
     ctx = RadicalContext(RadicalParams(x, n, d), q)
     if kind == "duals":
-        gens = ctx._h_pairs
-        return ctx, gens, _Action(ctx.field, ctx._dual_stack(), gens, ctx._dual_pivots, ctx._mask)
+        return ctx, ctx._h_pairs, _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
     gens = _ambient_pairs(ctx.generators())
-    return ctx, gens, _Action(ctx.field, ctx._element_stack(), gens, ctx._element_pivots)
+    return ctx, gens, _walk(ctx.field, ctx._element_stack(), gens, ctx._element_pivots)
+
+
+def _map(frame, g, g_inv):
+    """L of one generator, read off the ambient images of the units."""
+    return frame._linear_map(frame._image(frame._units, g, g_inv))
 
 
 @pytest.mark.parametrize(
@@ -61,14 +69,12 @@ def test_linear_images_are_the_ambient_images(x, n, d, q, kind):
     # dual support for duals) has the coordinates coords @ L mod p, the walk
     # computes them, and its permutation is the one the ambient images give
     ctx, gens, action = _action(x, n, d, q, kind)
-    for (g, g_inv), (units, _), perm in zip(gens, action._acted, action.permutations()):
-        ambient = np.concatenate(list(_conjugates(ctx.field, action.points, g, g_inv, action.support)))
-        flat = ambient.reshape(len(ambient), -1)
-        assert not action._strays(flat)
-        L = action._linear_map(units)
-        linear = _dense(action.coords, L, ctx.field.p)
-        np.testing.assert_array_equal(action._coordinates(flat), linear)
-        np.testing.assert_array_equal(action._apply(action.coords, action._moves(L)), linear)
+    frame = action.frame
+    for (g, g_inv), moves, perm in zip(gens, frame.moves, action.permutations()):
+        ambient = np.concatenate(list(_conjugates(ctx.field, action.points, g, g_inv, frame.support)))
+        linear = _dense(action.coords, _map(frame, g, g_inv), ctx.field.p)
+        np.testing.assert_array_equal(frame.coordinates(ambient, "off the entries"), linear)
+        np.testing.assert_array_equal(frame.apply(action.coords, moves), linear)
         np.testing.assert_array_equal(action.lookup(ambient), perm)
 
 
@@ -90,18 +96,17 @@ def test_the_action_is_linear_in_the_coordinates(case, data):
     # a point (for elements, not a group element); its ambient image still
     # has the coordinates (coords(X) + c coords(Y)) @ L mod p
     ctx, gens, action = _action(*case)
-    f = ctx.field
+    f, frame = ctx.field, action.frame
     i, j = (data.draw(st.integers(0, len(action.points) - 1)) for _ in range(2))
     c = data.draw(st.integers(0, f.p - 1))
     k = data.draw(st.integers(0, len(gens) - 1))
-    base = action._base.reshape(action.points.shape[1:])
+    size = action.points.shape[-1]
+    base = np.eye(size, dtype=np.int16) if frame.identity else np.zeros((size, size), dtype=np.int16)
     Z = f._add[action.points[i], f._mul[c, f._sub[action.points[j], base]]]
-    (image,) = _conjugates(f, Z[None], *gens[k], action.support)
-    flat = image.reshape(1, -1)
-    assert not action._strays(flat)
+    image = np.concatenate(list(_conjugates(f, Z[None], *gens[k], frame.support)))
     summed = action.coords[i] + c * action.coords[j].astype(np.int64)
-    linear = _dense(summed[None], action._linear_map(action._acted[k][0]), f.p)
-    np.testing.assert_array_equal(action._coordinates(flat), linear)
+    linear = _dense(summed[None], _map(frame, *gens[k]), f.p)
+    np.testing.assert_array_equal(frame.coordinates(image, "off the entries"), linear)
 
 
 def _instances(kind, limit):
@@ -121,7 +126,7 @@ def test_pivots_number_the_duals_in_enumeration_order():
     count = 0
     for x, n, d, q in _instances("duals", 3 ** 9):
         ctx = RadicalContext(RadicalParams(x, n, d), q)
-        action = _Action(ctx.field, ctx._dual_stack(), [], ctx._dual_pivots, ctx._mask)
+        action = _walk(ctx.field, ctx._dual_stack(), [], ctx._dual_pivots, ctx._mask)
         np.testing.assert_array_equal(action._order, np.arange(ctx.dual_count()))
         count += 1
     assert count == 59
@@ -136,20 +141,20 @@ def test_pivots_number_the_elements():
         ctx = RadicalContext(RadicalParams(x, n, d), q)
         stack = ctx._element_stack()
         assert ctx.field.p ** len(ctx._element_pivots) == len(stack)
-        _Action(ctx.field, stack, [], ctx._element_pivots)
+        _walk(ctx.field, stack, [], ctx._element_pivots)
         count += 1
     assert count == 51
 
 
 def test_a_corrupted_linear_map_trips_the_ambient_cross_check(monkeypatch):
-    real = _Action._linear_map
+    real = _Frame._linear_map
 
-    def corrupted(self, units):
-        L = real(self, units)
+    def corrupted(self, images):
+        L = real(self, images)
         L[:, -1] = (L[:, -1] + 1) % self.field.p
         return L
 
-    monkeypatch.setattr(_Action, "_linear_map", corrupted)
+    monkeypatch.setattr(_Frame, "_linear_map", corrupted)
     with pytest.raises(ValueError, match="linear images differ from the ambient action"):
         orbit_partition(RadicalContext(RadicalParams("C", 3, 2), 3))
     with pytest.raises(ValueError, match="linear images differ from the ambient action"):
@@ -181,3 +186,22 @@ def test_a_wrong_pivot_set_trips_the_permutation_check(monkeypatch):
     monkeypatch.setattr(ctx, "_element_pivots", pivots[1:] + pivots[-1:])
     with pytest.raises(ValueError, match=message):
         class_count_brute(ctx.params, ctx)
+
+
+def test_h_maps_are_read_once_per_context(monkeypatch):
+    # the dual walk, every fiber orbit_of labels and every index share the
+    # context's frame: H's maps are read off the ambient action once
+    built = []
+    real = _Frame.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(_Frame, "__init__", counting)
+    ctx = RadicalContext(RadicalParams("D", 4, 2), 3)
+    orbit_partition(ctx)
+    for alpha in ctx.duals():
+        orbit_of(alpha)
+    _, index = dual_index(ctx)
+    assert len(built) == 1 and index.frame is built[0]

@@ -30,7 +30,7 @@ from radchar.orbitmethod import (
     orbit_partition,
     pairing_nondegeneracy_check,
     radical_order,
-    _Action,
+    _walk,
     _orbit_labels,
 )
 
@@ -536,7 +536,7 @@ def test_orbit_engine_labels_least_index():
     # and 8 classes of size 3, each labelled by its first element
     ctx = ctx_for("C", 2, 1, 3)
     points = ctx._element_stack()
-    labels = _orbit_labels(_Action(ctx.field, points, [_pair(g) for g in ctx.generators()], ctx._element_pivots))
+    labels = _orbit_labels(_walk(ctx.field, points, [_pair(g) for g in ctx.generators()], ctx._element_pivots))
     roots = np.flatnonzero(labels == np.arange(len(points)))
     assert len(roots) == 11
     assert sorted(np.bincount(labels)[roots]) == [1] * 3 + [3] * 8
@@ -549,7 +549,7 @@ def test_orbit_engine_rejects_escaping_images():
     points = np.stack([h._ambient_codes() for h in ctx.h_elements()])
     g = ctx.a_element([[0]], [[1]])
     with pytest.raises(ValueError, match="escapes the point set"):
-        _orbit_labels(_Action(ctx.field, points, [_pair(g)], ctx._grid_pivots(None, np.s_[0:1, 1:2])))
+        _orbit_labels(_walk(ctx.field, points, [_pair(g)], ctx._grid_pivots(None, np.s_[0:1, 1:2])))
 
 
 def test_orbit_engine_rejects_non_permutations():
@@ -558,9 +558,9 @@ def test_orbit_engine_rejects_non_permutations():
     one = np.eye(4, dtype=np.int16)
     # projecting onto an empty support sends every dual to zero
     with pytest.raises(ValueError, match="does not permute"):
-        _orbit_labels(_Action(ctx.field, duals, [(one, one)], ctx._dual_pivots, np.zeros((4, 4), dtype=bool)))
+        _orbit_labels(_walk(ctx.field, duals, [(one, one)], ctx._dual_pivots, np.zeros((4, 4), dtype=bool)))
     with pytest.raises(ValueError, match="distinct"):
-        _orbit_labels(_Action(ctx.field, np.stack([duals[0], duals[0]]), [], ctx._dual_pivots))
+        _orbit_labels(_walk(ctx.field, np.stack([duals[0], duals[0]]), [], ctx._dual_pivots))
 
 
 def test_oracle_checks_raise_value_error(monkeypatch):
