@@ -691,11 +691,13 @@ def _powers(field: FieldCtx) -> np.ndarray:
 
 
 def _digits(field: FieldCtx, codes: np.ndarray) -> np.ndarray:
-    """The base-p digits of codes, most significant first, on a new last axis.
+    """The base-p digits of codes, most significant first, on a new last axis, in the least
+    unsigned dtype that holds a code.
 
     Codes add digit by digit (gf), so the digits are F_p coordinates.
     """
-    return codes[..., None] // _powers(field) % np.int16(field.p)
+    small = np.min_scalar_type(field.q - 1)
+    return codes.astype(small)[..., None] // _powers(field).astype(small) % small.type(field.p)
 
 
 def _differences(stack: np.ndarray, identity: bool) -> int:
@@ -774,7 +776,7 @@ class _Frame:
             values = f._sub[values, self._base]
         if np.count_nonzero(values) != _differences(stack, self.identity):
             raise ValueError(message)
-        return _digits(f, values).reshape(len(stack), -1).astype(np.min_scalar_type(f.p - 1))
+        return _digits(f, values).reshape(len(stack), -1).astype(np.min_scalar_type(f.p - 1), copy=False)
 
     def _linear_map(self, images: np.ndarray) -> np.ndarray:
         """L, row i the coordinates of the ambient image of unit i."""
