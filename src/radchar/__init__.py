@@ -9,6 +9,7 @@ charcensus (symbolic character degree tables), cli (command line).
 from .census import (
     brute_rank_census,
     census_polynomial,
+    rank_censuses,
     skew_rank_census,
     skewherm_rank_census,
     sym_rank_census,

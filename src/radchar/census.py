@@ -6,12 +6,26 @@ ground field (for the skew-Hermitian class the matrix entries live in
 the quadratic extension, but the count is still a polynomial in q).
 
 All three counts are products of a power of q, a Gaussian binomial and
-factors q^m +- 1, so they are built by multiplication alone (s = r // 2,
-[n r]_q the Gaussian binomial):
+factors q^m +- 1 (s = r // 2, [n r]_q the Gaussian binomial):
 
     sym(n, r)   = q^(s(s+1)) [n r]_q       prod_{j=1..ceil(r/2)} (q^(2j-1) - 1)
     skew(n, 2s) = q^(s(s-1)) [n 2s]_q      prod_{j=1..s} (q^(2j-1) - 1)
     herm(n, r)  = q^(r(r-1)/2) [n r]_{q^2} prod_{t=1..r} (q^t + (-1)^t)
+
+Each count is one ratio step from the count at the attainable rank below
+(factors q^m +- 1, at most one division by q^k - 1, then a coefficient
+shift by the power of q it gains):
+
+    sym,  r-1 -> r:  (q^(n-r+1) - 1), then / (q^r - 1) * q^r at even r only
+    skew, r-2 -> r:  (q^(n-r+2) - 1)(q^(n-r+1) - 1) / (q^r - 1) * q^(r-2)
+    herm, r-1 -> r:  (q^(2(n-r+1)) - 1)(q^r + (-1)^r) / (q^(2r) - 1) * q^(r-1)
+
+They follow from [n r] = [n r-1] (q^(n-r+1) - 1) / (q^r - 1) (in q^2 for herm),
+with the new factor q^(2j-1) - 1 cancelling a divisor at odd sym ranks and
+at every skew step.  Each division is exact, as its quotient is the next
+count, a product in Z[q], and the divisor is monic; QPoly.exact_div checks
+it all the same.  rank_censuses walks the chain once; a census function
+steps from `below`, the count at the rank below, or walks up to its rank.
 
 These are the classical counts of MacWilliams (symmetric matrices, Amer.
 Math. Monthly 1969), Carlitz (skew-symmetric, Duke Math. J. 1954) and
@@ -38,7 +52,7 @@ import numpy as np
 
 from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass, class_blocks, ranks
 from .gf import BudgetExceeded, FieldCtx
-from .qpoly import QPoly, gaussian_binomial
+from .qpoly import QPoly
 
 __all__ = [
     "CLASSES",
@@ -50,6 +64,7 @@ __all__ = [
     "skew_rank_census",
     "skewherm_rank_census",
     "census_polynomial",
+    "rank_censuses",
     "brute_rank_census",
 ]
 
@@ -65,10 +80,10 @@ CLASSES = {
 # Largest degree in q of a polynomial that one symbolic request may build.
 # The command line checks it before it builds anything; the library
 # functions themselves take any size.  On 2 Xeon vCPUs with Python 3.11 the
-# `census` command, interpreter start included, takes 0.5 s at degree 1,010
-# (C(40,20)) and 1.3-1.4 s at degree 2,000 (U(40,20)) when its output reads
-# the (q-1) basis (json, or --basis qminus1), and about 0.3 s at either
-# degree as md or csv in the q basis, which skips that expansion.
+# `census` command, interpreter start included, takes 0.55-0.6 s at degree
+# 1,010 (C(40,20)) and 1.4-1.5 s at degree 2,000 (U(40,20)) as json or
+# --basis qminus1, mostly the (q-1) expansion, and 0.35-0.45 s at either
+# degree as md or csv in the q basis, which skips it (best of 3 processes).
 MAX_DEGREE = 2000
 
 
@@ -95,56 +110,65 @@ def attainable_ranks(kind: str, n: int) -> range:
     return range(0, n + 1, 2 if kind == "skew" else 1)
 
 
-def _times(p: QPoly, factors) -> QPoly:
-    """p * prod (q^m + sign) over the (m, sign) pairs."""
+def _ratio(kind: str, n: int, r: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Step to rank r: factors (m, sign) for q^m + sign, divisor q^k - 1 (none if k is 0), shift."""
+    if kind == "sym":
+        return [(n - r + 1, -1)], r * (1 - r % 2), r * (1 - r % 2)
+    if kind == "skew":
+        return [(n - r + 2, -1), (n - r + 1, -1)], r, r - 2
+    return [(2 * (n - r + 1), -1), (r, (-1) ** r)], 2 * r, r - 1
+
+
+def _step(kind: str, n: int, r: int, below, variant: str = "corrected") -> QPoly:
+    """The rank-r count, one ratio step from below or walked up from rank 0."""
+    if below is None:  # q - 1 (printed) or 1 at rank 0
+        return rank_censuses(kind, n, variant, top=r)[r] if r else QPoly((-1, 1) if variant == "printed" else (1,))
+    factors, k, shift = _ratio(kind, n, r)
     for m, sign in factors:
-        p = p * (QPoly.q_power(m) + sign)
-    return p
+        below = below.times_binomial(m, sign)
+    return (below.exact_div(QPoly.q_power(k) - 1) if k else below).shifted(shift)
 
 
-def sym_rank_census(n: int, r: int) -> QPoly:
+def sym_rank_census(n: int, r: int, below: QPoly | None = None) -> QPoly:
     """Count of n-by-n symmetric matrices of rank r over F_q (MacWilliams)."""
     _check_range(n, r)
-    s, t = r // 2, (r + 1) // 2
-    head = QPoly.q_power(s * (s + 1)) * gaussian_binomial(n, r)
-    return _times(head, [(2 * j - 1, -1) for j in range(1, t + 1)])
+    return _step("sym", n, r, below)
 
 
-def skew_rank_census(n: int, r: int) -> QPoly:
+def skew_rank_census(n: int, r: int, below: QPoly | None = None) -> QPoly:
     """Count of n-by-n skew-symmetric matrices of rank r over F_q (Carlitz)."""
     _check_range(n, r)
     if r % 2:
         raise ValueError("skew-symmetric rank must be even")
-    s = r // 2
-    head = QPoly.q_power(s * (s - 1)) * gaussian_binomial(n, r)
-    return _times(head, [(2 * j - 1, -1) for j in range(1, s + 1)])
+    return _step("skew", n, r, below)
 
 
-def skewherm_rank_census(n: int, r: int, variant: str = "corrected") -> QPoly:
+def skewherm_rank_census(n: int, r: int, variant: str = "corrected", below: QPoly | None = None) -> QPoly:
     """Count of n-by-n skew-Hermitian matrices of rank r over F_{q^2} (Carlitz-Hodges)."""
     _check_range(n, r)
     check_variant(variant)
-    # [n r] in q^2: coefficient k of [n r]_q moves to degree 2k
-    binom = gaussian_binomial(n, r).coeffs
-    spread = [0] * (2 * len(binom) - 1)
-    spread[::2] = binom
-    head = QPoly.q_power(r * (r - 1) // 2) * QPoly(spread)
-    out = _times(head, [(t, (-1) ** t) for t in range(1, r + 1)])
-    if variant == "printed":
-        out = out * (QPoly.q() - 1)
-    return out
+    return _step("herm", n, r, below, variant)
 
 
-def census_polynomial(kind: str, n: int, r: int, variant: str = "corrected") -> QPoly:
+def census_polynomial(kind: str, n: int, r: int, variant: str = "corrected", below: QPoly | None = None) -> QPoly:
     """Dispatch by class name: sym, skew or herm."""
     check_variant(variant)
     if kind == "sym":
-        return sym_rank_census(n, r)
+        return sym_rank_census(n, r, below)
     if kind == "skew":
-        return skew_rank_census(n, r)
+        return skew_rank_census(n, r, below)
     if kind == "herm":
-        return skewherm_rank_census(n, r, variant)
+        return skewherm_rank_census(n, r, variant, below)
     raise ValueError("unknown census kind")
+
+
+def rank_censuses(kind: str, n: int, variant: str = "corrected", top: int | None = None) -> dict[int, QPoly]:
+    """The count at every attainable rank up to top (default n), by one walk up the ratio chain."""
+    _check_range(n, 0)
+    counts, below = {}, None
+    for r in attainable_ranks(kind, n if top is None else top):
+        below = counts[r] = census_polynomial(kind, n, r, variant, below)
+    return counts
 
 
 def brute_rank_census(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import attainable_ranks, census_polynomial, check_variant
+from .census import attainable_ranks, census_polynomial, check_variant, rank_censuses
 from .orbitmethod import RadicalParams, radical_order
 from .qpoly import QPoly, qminus1_expansions
 
@@ -83,7 +83,7 @@ def char_count_poly(params: RadicalParams, e: int, variant: str = "corrected") -
     r, rest = divmod(e, n - d)
     if rest or r not in attainable_ranks(kind, d):
         return QPoly.zero()
-    return QPoly.q_power(2 * params.k_exponent * (d * (n - d) - e)) * census_polynomial(kind, d, r, variant)
+    return census_polynomial(kind, d, r, variant).shifted(2 * params.k_exponent * (d * (n - d) - e))
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,12 @@ class DegreeCensus:
 
 
 def census_table(params: RadicalParams, variant: str = "corrected") -> DegreeCensus:
-    """Symbolic census of character degrees for R_u(x, n, d)."""
+    """Symbolic census of character degrees for R_u(x, n, d), every row from one rank chain."""
+    check_variant(variant)
+    n, d = params.n, params.d
+    counts = rank_censuses(_CENSUS_KIND[params.x], d, variant) if d < n else {0: radical_order(params)}
     rows = tuple(
-        DegreeCensusRow(r, e, degree_poly(params, e), char_count_poly(params, e, variant))
+        DegreeCensusRow(r, e, degree_poly(params, e), counts[r].shifted(2 * params.k_exponent * (d * (n - d) - e)))
         for r, e in degree_exponents(params)
     )
     return DegreeCensus(params, variant, rows)

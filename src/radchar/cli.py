@@ -42,7 +42,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from .census import CLASSES, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree
+from .census import CLASSES, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree, rank_censuses
 from .charcensus import DegreeCensus, census_table, qminus1_report
 from .falinalg import DEFAULT_ENUM_BUDGET, class_dimension
 from .gf import BudgetExceeded, field_for_order, odd_prime_power, quadratic_extension
@@ -179,13 +179,14 @@ def cmd_census(args):
             entry["degree_at_q"] = row.degree_at(q)
             entry["count_at_q"] = row.count_at(q)
         rows.append(entry)
-    sos_ok = census.sum_of_squares() == census.order_poly()
+    order = census.order_poly()
+    sos_ok = census.sum_of_squares() == order
     record = {
         "command": "census",
         "params": {"type": params.x, "n": params.n, "d": params.d, "q": q},
         "variant": args.variant,
         "basis": args.basis,
-        "order": census.order_poly().to_json(),
+        "order": order.to_json(),
         "rows": rows,
         "sum_of_squares_ok": sos_ok,
     }
@@ -222,22 +223,19 @@ def cmd_ranks(args):
     q = _checked_q(args.q) if args.q is not None else None
     if args.brute and q is None:
         raise UsageError("--brute requires --q")
-    rank_list = attainable_ranks(kind, n) if args.r is None else [args.r]
-    polys = {}
-    printed = {}
+    try:
+        polys = rank_censuses(kind, n) if args.r is None else {args.r: census_polynomial(kind, n, args.r)}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    # the printed variant is the corrected count times q - 1
+    printed = {r: p.times_binomial(1, -1) for r, p in polys.items()} if kind == "herm" else {}
     rows = []
-    for r in rank_list:
-        try:
-            polys[r] = census_polynomial(kind, n, r, "corrected")
-            if kind == "herm":
-                printed[r] = census_polynomial(kind, n, r, "printed")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        entry = {"r": r, "count": polys[r].to_json()}
+    for r, count in polys.items():
+        entry = {"r": r, "count": count.to_json()}
         if kind == "herm":
             entry["count_printed"] = printed[r].to_json()
         if q is not None:
-            entry["count_at_q"] = polys[r].eval_at(q)
+            entry["count_at_q"] = count.eval_at(q)
         rows.append(entry)
     record = {"command": "ranks", "class": kind, "n": n, "q": q, "rows": rows}
     code = 0
@@ -276,7 +274,7 @@ def _suite_ranks(args, qs):
     checks = []
     for kind, n, q in sorted(set(grid)):
         hist = _brute_histogram(kind, n, q, args)
-        expected = {r: census_polynomial(kind, n, r).eval_at(q) for r in attainable_ranks(kind, n)}
+        expected = {r: p.eval_at(q) for r, p in rank_censuses(kind, n).items()}
         ok = _histogram_agrees(hist, kind, n, expected)
         detail = (
             "closed form equals brute histogram"

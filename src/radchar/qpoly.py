@@ -202,6 +202,17 @@ class QPoly:
             raise ValueError("not divisible")
         return _poly(quot)
 
+    def times_binomial(self, m: int, sign: int) -> "QPoly":
+        """self * (q^m + sign) for sign +-1: one copy shifted up m places, plus or minus self."""
+        pad = (0,) * m
+        return _poly(list(map(add if sign > 0 else sub, pad + self.coeffs, self.coeffs + pad)))
+
+    def shifted(self, k: int) -> "QPoly":
+        """self * q^k by moving the coefficients up k places."""
+        if k < 0:
+            raise ValueError("negative power of q")
+        return _poly([0] * k + list(self.coeffs))
+
     def eval_at(self, q0: int) -> int:
         """Evaluate at an integer (Horner's rule)."""
         acc = 0

@@ -1,5 +1,8 @@
 """Rank census closed forms against the brute-force histogram oracle."""
 
+from functools import reduce
+from operator import mul
+
 import pytest
 
 from radchar.census import (
@@ -7,6 +10,7 @@ from radchar.census import (
     attainable_ranks,
     brute_rank_census,
     census_polynomial,
+    rank_censuses,
     skew_rank_census,
     skewherm_rank_census,
     sym_rank_census,
@@ -30,27 +34,28 @@ F9 = field_create(3, 2)
 F25 = field_create(5, 2)
 
 
-def _quotient_reference(kind, n, r, variant="corrected"):
-    # the paper's quotient formulas: numerator and denominator built in
-    # full, then divided once; every denominator is monic, so the exact
-    # division stays in Z[q]
-    num, den = QPoly.one(), QPoly.one()
+def _quotient_parts(kind, n, r, variant="corrected"):
+    # the paper's quotient formulas: the numerator built in full, and the
+    # denominator's factors, each monic
     if kind == "herm":
         num = QPoly.q_power(r * (r - 1) // 2)
         for i in range(n - r + 1, n + 1):
             num = num * (QPoly.q_power(2 * i) - 1)
-        for s in range(1, r + 1):
-            den = den * (QPoly.q_power(s) - (-1) ** s)
         if variant == "printed":
             num = num * (q - 1)
-        return num.exact_div(den)
+        return num, [QPoly.q_power(s) - (-1) ** s for s in range(1, r + 1)]
     s = r // 2
     num = QPoly.q_power(s * s + s if kind == "sym" else s * s - s)
     for i in range(r):
         num = num * (QPoly.q_power(n - i) - 1)
-    for i in range(1, s + 1):
-        den = den * (QPoly.q_power(2 * i) - 1)
-    return num.exact_div(den)
+    return num, [QPoly.q_power(2 * i) - 1 for i in range(1, s + 1)]
+
+
+def _quotient_reference(kind, n, r, variant="corrected"):
+    # divided once by the whole denominator; it is monic, so the exact
+    # division stays in Z[q]
+    num, dens = _quotient_parts(kind, n, r, variant)
+    return num.exact_div(reduce(mul, dens, QPoly.one()))
 
 
 def test_product_forms_match_quotient_reference():
@@ -62,6 +67,20 @@ def test_product_forms_match_quotient_reference():
             for variant in ("corrected", "printed"):
                 got = skewherm_rank_census(n, r, variant)
                 assert got == _quotient_reference("herm", n, r, variant), (n, r, variant)
+
+
+def test_rank_censuses_match_quotient_reference_to_n_40():
+    # cross-multiplied, count * denominator == numerator: the same identity
+    # in Z[q] as _quotient_reference's division, but through products by
+    # sparse factors, where dividing by the dense denominator at n = 40
+    # would take several times as long
+    for n in range(41):
+        for kind, variant in (("sym", "corrected"), ("skew", "corrected"), ("herm", "corrected"), ("herm", "printed")):
+            counts = rank_censuses(kind, n, variant)
+            assert list(counts) == list(attainable_ranks(kind, n))
+            for r, count in counts.items():
+                num, dens = _quotient_parts(kind, n, r, variant)
+                assert reduce(mul, dens, count) == num, (kind, n, r, variant)
 
 
 def test_frozen_small_values():
@@ -181,6 +200,12 @@ def test_census_errors():
         skewherm_rank_census(2, 1, "fixed")
     with pytest.raises(ValueError, match="unknown census kind"):
         census_polynomial("hermitian", 2, 1)
+    with pytest.raises(ValueError, match="unknown census kind"):
+        rank_censuses("hermitian", 2)
+    with pytest.raises(ValueError, match="matrix size must be nonnegative"):
+        rank_censuses("sym", -1)
+    with pytest.raises(ValueError, match="unknown variant"):
+        rank_censuses("herm", 2, "fixed")
     with pytest.raises(ValueError, match="enumeration too large"):
         brute_rank_census(4, SymmetryClass.SYMMETRIC, F3, budget=100)
 

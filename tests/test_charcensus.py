@@ -2,6 +2,7 @@
 
 import pytest
 
+from radchar import census
 from radchar.census import sym_rank_census
 from radchar.charcensus import (
     census_table,
@@ -11,7 +12,7 @@ from radchar.charcensus import (
     qminus1_report,
     sum_of_squares_check,
 )
-from radchar.orbitmethod import RadicalParams, orbit_census, radical_order
+from radchar.orbitmethod import RadicalParams, d_range, orbit_census, radical_order
 from radchar.qpoly import QPoly
 
 
@@ -163,6 +164,42 @@ def test_c_census_sums_to_symmetric_matrix_count():
             for r in range(d + 1):
                 direct = direct + QPoly.q_power(2 * d * (n - d) - 2 * (n - d) * r) * sym_rank_census(d, r)
             assert total == direct
+
+
+def test_census_table_rows_are_char_count_poly_per_e():
+    # the table reads every row off one rank chain, char_count_poly walks
+    # the chain afresh for its one e
+    for x in ("C", "D", "U"):
+        for n in range(1, 21):
+            for d in d_range(x, n):
+                for variant in ("corrected", "printed"):
+                    params = P(x, n, d)
+                    rows = census_table(params, variant).rows
+                    assert [row.count for row in rows] == [char_count_poly(params, row.e, variant) for row in rows]
+
+
+def test_census_table_divides_once_per_chain_step(monkeypatch):
+    calls = []
+    exact_div = QPoly.exact_div
+    monkeypatch.setattr(QPoly, "exact_div", lambda self, other: calls.append(other) or exact_div(self, other))
+    census_table(P("C", 100, 50))
+    # [50 r] from [50 r-1] divides only at even r
+    assert len(calls) <= 25
+
+
+def test_census_table_refuses_a_wrong_ratio(monkeypatch):
+    # every chain step divides exactly or raises: a wrong divisor, q^(k+2) - 1
+    # in place of q^k - 1, must end in ValueError, not in a polynomial
+    ratio = census._ratio
+
+    def wrong(kind, n, r):
+        factors, k, shift = ratio(kind, n, r)
+        return factors, k + 2 if k else 0, shift
+
+    monkeypatch.setattr(census, "_ratio", wrong)
+    for x, n, d in (("C", 100, 50), ("D", 8, 6), ("U", 6, 4)):
+        with pytest.raises(ValueError, match="not divisible"):
+            census_table(P(x, n, d))
 
 
 def test_qminus1_report_frozen_example():

@@ -228,3 +228,17 @@ units_and_terms = st.one_of(
 def test_product_matches_schoolbook(a_cs, b_cs):
     a, b = QPoly(a_cs), QPoly(b_cs)
     assert a * b == b * a == schoolbook(a.coeffs, b.coeffs)
+
+
+@given(st.lists(wide, max_size=40), st.integers(0, 20), st.sampled_from([1, -1]))
+def test_times_binomial_is_the_schoolbook_product(cs, m, sign):
+    binomial = [sign] + [0] * m
+    binomial[m] += 1
+    assert QPoly(cs).times_binomial(m, sign) == schoolbook(cs, binomial)
+
+
+@given(st.lists(wide, max_size=40), st.integers(0, 20))
+def test_shifted_is_the_product_by_a_power_of_q(cs, k):
+    assert QPoly(cs).shifted(k) == schoolbook(cs, [0] * k + [1])
+    with pytest.raises(ValueError, match="negative power of q"):
+        QPoly(cs).shifted(-1 - k)
