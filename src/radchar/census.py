@@ -119,7 +119,7 @@ def _ratio(kind: str, n: int, r: int) -> tuple[list[tuple[int, int]], int, int]:
     return [(2 * (n - r + 1), -1), (r, (-1) ** r)], 2 * r, r - 1
 
 
-def _step(kind: str, n: int, r: int, below, variant: str = "corrected") -> QPoly:
+def _step(kind: str, n: int, r: int, below: QPoly | None, variant: str = "corrected") -> QPoly:
     """The rank-r count, one ratio step from below or walked up from rank 0."""
     if below is None:  # q - 1 (printed) or 1 at rank 0
         return rank_censuses(kind, n, variant, top=r)[r] if r else QPoly((-1, 1) if variant == "printed" else (1,))

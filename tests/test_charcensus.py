@@ -183,7 +183,7 @@ def test_census_table_divides_once_per_chain_step(monkeypatch):
     exact_div = QPoly.exact_div
     monkeypatch.setattr(QPoly, "exact_div", lambda self, other: calls.append(other) or exact_div(self, other))
     census_table(P("C", 100, 50))
-    # [50 r] from [50 r-1] divides only at even r
+    # the sym chain up to rank 50 divides at even ranks only
     assert len(calls) <= 25
 
 
