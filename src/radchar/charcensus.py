@@ -118,8 +118,18 @@ class DegreeCensus:
         return sum((row.count for row in self.rows), QPoly.zero())
 
     def sum_of_squares(self) -> QPoly:
-        """Sum of count * degree^2 over all rows; should be the group order."""
-        return sum((row.count * row.degree * row.degree for row in self.rows), QPoly.zero())
+        """Sum of count * degree^2 over all rows; should be the group order.
+
+        Each degree must be a power q^k, so its row adds the count shifted
+        up 2k places; any other degree raises ValueError.
+        """
+        total = QPoly.zero()
+        for row in self.rows:
+            k = row.degree.degree
+            if row.degree.coeffs != (0,) * k + (1,):
+                raise ValueError(f"character degree {row.degree} is not a power of q")
+            total += row.count.shifted(2 * k)
+        return total
 
     def order_poly(self) -> QPoly:
         return radical_order(self.params)

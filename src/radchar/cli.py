@@ -202,9 +202,8 @@ def cmd_census(args):
 # -- ranks ------------------------------------------------------------------
 
 
-def _brute_histogram(kind: str, n: int, q: int, args) -> dict[int, int]:
-    """Rank histogram of the class by enumeration, over F_q (F_{q^2} for herm)."""
-    base = _field_for(q)
+def _brute_histogram(kind: str, n: int, base, args) -> dict[int, int]:
+    """Rank histogram of the class by enumeration, over the field base (its quadratic extension for herm)."""
     field = quadratic_extension(base) if kind == "herm" else base
     return brute_rank_census(n, CLASSES[kind], field, budget=resolve_budget(args, DEFAULT_ENUM_BUDGET))
 
@@ -240,7 +239,7 @@ def cmd_ranks(args):
     record = {"command": "ranks", "class": kind, "n": n, "q": q, "rows": rows}
     code = 0
     if args.brute:
-        hist = _brute_histogram(kind, n, q, args)
+        hist = _brute_histogram(kind, n, _field_for(q), args)
         match = _histogram_agrees(hist, kind, n, {r: p.eval_at(q) for r, p in polys.items()})
         record["brute"] = {
             "histogram": {str(k): v for k, v in hist.items()},
@@ -262,6 +261,13 @@ def _capped(limit: int, max_n) -> int:
     return limit if max_n is None else min(limit, max_n)
 
 
+def _suite_fields():
+    """q -> F_q, each built at its first use and shared by one suite; extensions are cached on
+    their base.  Nothing outlives the suite: a process-wide cache could hold every order up to
+    gf.MAX_FIELD_ORDER."""
+    return functools.cache(_field_for)
+
+
 def _suite_ranks(args, qs):
     grid = [
         (kind, n, q)
@@ -271,9 +277,10 @@ def _suite_ranks(args, qs):
     ]
     if _capped(3, args.max_n) >= 3 and 3 in (qs or (3, 5)):
         grid.append(("herm", 3, 3))
+    field = _suite_fields()
     checks = []
     for kind, n, q in sorted(set(grid)):
-        hist = _brute_histogram(kind, n, q, args)
+        hist = _brute_histogram(kind, n, field(q), args)
         expected = {r: p.eval_at(q) for r, p in rank_censuses(kind, n).items()}
         ok = _histogram_agrees(hist, kind, n, expected)
         detail = (
@@ -290,12 +297,13 @@ def _oracle_suite(suite: str, triples, check, args, qs):
     instances = {(x, n, d, q) for x, n, d in triples for q in qs or (3,)}
     if qs is None:
         instances.add(("C", 2, 1, 5))
+    field = _suite_fields()
     checks = []
     for x, n, d, q in sorted(instances):
         if args.max_n is not None and n > args.max_n:
             continue
         params = RadicalParams(x, n, d)
-        _, ok, detail = check(census_table(params), RadicalContext(params, _field_for(q)), args)
+        _, ok, detail = check(census_table(params), RadicalContext(params, field(q)), args)
         checks.append({"suite": suite, "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
     return checks
 
@@ -308,8 +316,9 @@ def _suite_pairings(args, qs):
             for d in d_range(x, n):
                 for q in qs or (3, 5):
                     grid.append((x, n, d, q))
+    field = _suite_fields()
     for x, n, d, q in sorted(grid):
-        ok = pairing_nondegeneracy_check(RadicalParams(x, n, d), _field_for(q))
+        ok = pairing_nondegeneracy_check(RadicalParams(x, n, d), field(q))
         detail = "trace pairing Gram matrix invertible" if ok else "degenerate trace pairing"
         checks.append({"suite": "pairings", "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
     return checks

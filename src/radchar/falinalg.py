@@ -60,10 +60,12 @@ __all__ = [
 # measured rate, about 5 us per matrix for n = 5 (2 Xeon vCPUs)
 DEFAULT_ENUM_BUDGET = 2 * 10 ** 6
 
-# matrices per stacked step of an enumeration or product: bounds the int64
-# and index temporaries, which set the peak memory of the oracles (1024 was
-# no faster)
-BLOCK = 256
+# matrices per stacked step of an enumeration, rank or product: bounds the
+# int64 and index temporaries, which set the peak memory of the oracles.
+# verify --suite ranks takes 40-45 ms at 256 and 22-24 ms at 4096 (no
+# faster beyond 2048); the verify_all and oracle_large benchmarks peak at
+# 34.9 and 34.8 MB RSS at 256, 35.8 and 35.2 MB at 4096 (2 Xeon vCPUs)
+BLOCK = 4096
 
 
 class SymmetryClass(enum.Enum):
@@ -241,26 +243,35 @@ def matmul(field: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def ranks(field: FieldCtx, A: np.ndarray) -> np.ndarray:
     """Rank of every matrix of a code stack A[..., m, n], as an array of shape A.shape[:-2].
 
-    Gaussian elimination of the whole stack at once, column by column: a
-    matrix's pivot is its first nonzero entry in a row holding no earlier
-    pivot; that row, scaled to a leading 1, clears the column from the
-    other such rows.  A matrix with no rows or columns has rank 0.
+    Row-echelon elimination of the whole stack at once, row by row, on an
+    intp copy (A is never written): the pivot of row i is its first
+    nonzero entry; that row, scaled to a leading 1, clears its pivot column
+    from the rows below it only.  Every nonzero row met is then the only
+    one at or below it with an entry in its pivot column, so the rank is
+    the number of nonzero rows.  Table reads are flat, at a * q + b.  A
+    matrix with no rows or columns has rank 0.
     """
     A = np.asarray(A)
     if A.ndim < 2:
         raise ValueError("ranks takes a matrix or a stack of matrices")
-    pivoted = np.zeros(A.shape[:-1], dtype=bool)
-    MUL, SUB, INV = field._mul, field._sub, field._inv
-    for c in range(A.shape[-1]):
-        free = (A[..., c] != 0) & ~pivoted
-        pivot = free & (free.cumsum(axis=-1) == 1)
-        # the pivot row scaled to a leading 1; all zero where there is no pivot
-        row = (A * pivot[..., None]).sum(axis=-2)
-        row = MUL[INV[row[..., c]][..., None], row]
-        factor = np.where(free & ~pivot, A[..., c], 0)
-        A = SUB[A, MUL[factor[..., None], row[..., None, :]]]
-        pivoted |= pivot
-    return pivoted.sum(axis=-1)
+    m, n = A.shape[-2:]
+    W = A.reshape((math.prod(A.shape[:-2]), m, n)).astype(np.intp)
+    q, MUL, SUB, INV = field.q, field._mul.ravel(), field._sub.ravel(), field._inv
+    stack = np.arange(len(W))
+    nonzero_rows = np.zeros(len(W), dtype=np.intp)
+    # with no columns every row is zero (and argmax has nothing to search)
+    for i in range(m if n else 0):
+        row = W[:, i]
+        nonzero = row != 0
+        nonzero_rows += nonzero.any(axis=-1)
+        if i + 1 == m:
+            break
+        # a zero row has pivot column 0, leading entry 0 and clears nothing
+        c = nonzero.argmax(axis=-1)
+        row = MUL[INV[row[stack, c]][:, None] * q + row]
+        below = W[:, i + 1 :]
+        W[:, i + 1 :] = SUB[below * q + MUL[below[stack, :, c][..., None] * q + row[:, None, :]]]
+    return nonzero_rows.reshape(A.shape[:-2])
 
 
 def rank(M: FfMatrix) -> int:

@@ -16,14 +16,16 @@ from radchar.census import (
     sym_rank_census,
 )
 from radchar.falinalg import (
+    BLOCK,
     FfMatrix,
     SymmetryClass,
+    class_size,
     conj_transpose,
     enumerate_class,
     rank,
     skew_hermitian_normal_form,
 )
-from radchar.gf import field_create, norm
+from radchar.gf import field_create, field_for_order, norm, quadratic_extension
 from radchar.qpoly import QPoly
 
 q = QPoly.q()
@@ -124,6 +126,22 @@ def test_skewherm_census_matches_brute():
         hist = brute_rank_census(n, SymmetryClass.SKEW_HERMITIAN, ext)
         for r in range(n + 1):
             assert skewherm_rank_census(n, r).eval_at(base_q) == hist.get(r, 0)
+
+
+def test_brute_histograms_equal_the_closed_forms_on_the_ranks_suite_grid():
+    # the classes verify --suite ranks checks; the largest span several
+    # blocks of class_blocks, whose histograms brute_rank_census sums
+    grid = [("sym", n, q) for n in (1, 2, 3) for q in (3, 5)]
+    grid += [("skew", n, 3) for n in (1, 2, 3, 4)]
+    grid += [("herm", n, q) for n in (1, 2) for q in (3, 5)] + [("herm", 3, 3)]
+    sizes = []
+    for kind, n, q in grid:
+        base = field_for_order(q)
+        field = quadratic_extension(base) if kind == "herm" else base
+        sizes.append(class_size(n, CLASSES[kind], field))
+        expected = {r: p.eval_at(q) for r, p in rank_censuses(kind, n).items()}
+        assert brute_rank_census(n, CLASSES[kind], field) == expected, (kind, n, q)
+    assert max(sizes) > 4 * BLOCK
 
 
 def test_printed_variant_fails_brute_at_n1():

@@ -1,8 +1,10 @@
 """Tests for the symbolic character degree censuses."""
 
+import dataclasses
+
 import pytest
 
-from radchar import census
+from radchar import census, charcensus
 from radchar.census import sym_rank_census
 from radchar.charcensus import (
     census_table,
@@ -138,6 +140,30 @@ def test_sum_of_squares_fails_for_printed_variant():
     # types C and D do not depend on the variant at all
     assert sum_of_squares_check(P("C", 4, 2), variant="printed")
     assert sum_of_squares_check(P("D", 4, 2), variant="printed")
+
+
+def test_sum_of_squares_reads_every_rows_degree(monkeypatch):
+    # each row's term is its count shifted by twice its degree's exponent:
+    # a degree that is not a power of q raises, a wrong power fails the identity
+    params = P("C", 4, 2)
+    table = census_table(params)
+    for i, row in enumerate(table.rows):
+        for degree, raises in ((row.degree * 2, True), (row.degree + 1, True), (row.degree.shifted(1), False)):
+            rows = table.rows[:i] + (dataclasses.replace(row, degree=degree),) + table.rows[i + 1 :]
+            corrupted = dataclasses.replace(table, rows=rows)
+            if raises:
+                with pytest.raises(ValueError, match="not a power of q"):
+                    corrupted.sum_of_squares()
+            else:
+                assert corrupted.sum_of_squares() != radical_order(params), (i, degree)
+    for x, n, d in (("C", 4, 2), ("D", 5, 3), ("U", 4, 2)):
+        with monkeypatch.context() as m:
+            m.setattr(charcensus, "degree_poly", lambda params, e: QPoly.q_power(params.k_exponent * e) + 1)
+            with pytest.raises(ValueError, match="not a power of q"):
+                sum_of_squares_check(P(x, n, d))
+        with monkeypatch.context() as m:
+            m.setattr(charcensus, "degree_poly", lambda params, e: QPoly.q_power(params.k_exponent * e + 1))
+            assert not sum_of_squares_check(P(x, n, d)), (x, n, d)
 
 
 def test_d_count_equals_explicit_product_form():
