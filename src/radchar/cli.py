@@ -261,13 +261,6 @@ def _capped(limit: int, max_n) -> int:
     return limit if max_n is None else min(limit, max_n)
 
 
-def _suite_fields():
-    """q -> F_q, each built at its first use and shared by one suite; extensions are cached on
-    their base.  Nothing outlives the suite: a process-wide cache could hold every order up to
-    gf.MAX_FIELD_ORDER."""
-    return functools.cache(_field_for)
-
-
 def _suite_ranks(args, qs):
     grid = [
         (kind, n, q)
@@ -277,7 +270,9 @@ def _suite_ranks(args, qs):
     ]
     if _capped(3, args.max_n) >= 3 and 3 in (qs or (3, 5)):
         grid.append(("herm", 3, 3))
-    field = _suite_fields()
+    # each field built once per suite (extensions are cached on their base); not process-wide,
+    # where it could hold every order up to gf.MAX_FIELD_ORDER
+    field = functools.cache(_field_for)
     checks = []
     for kind, n, q in sorted(set(grid)):
         hist = _brute_histogram(kind, n, field(q), args)
@@ -297,7 +292,7 @@ def _oracle_suite(suite: str, triples, check, args, qs):
     instances = {(x, n, d, q) for x, n, d in triples for q in qs or (3,)}
     if qs is None:
         instances.add(("C", 2, 1, 5))
-    field = _suite_fields()
+    field = functools.cache(_field_for)
     checks = []
     for x, n, d, q in sorted(instances):
         if args.max_n is not None and n > args.max_n:
@@ -316,7 +311,7 @@ def _suite_pairings(args, qs):
             for d in d_range(x, n):
                 for q in qs or (3, 5):
                     grid.append((x, n, d, q))
-    field = _suite_fields()
+    field = functools.cache(_field_for)
     for x, n, d, q in sorted(grid):
         ok = pairing_nondegeneracy_check(RadicalParams(x, n, d), field(q))
         detail = "trace pairing Gram matrix invertible" if ok else "degenerate trace pairing"

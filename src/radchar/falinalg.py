@@ -62,10 +62,10 @@ DEFAULT_ENUM_BUDGET = 2 * 10 ** 6
 
 # matrices per stacked step of an enumeration, rank or product: bounds the
 # int64 and index temporaries, which set the peak memory of the oracles.
-# verify --suite ranks takes 40-45 ms at 256 and 22-24 ms at 4096 (no
-# faster beyond 2048); the verify_all and oracle_large benchmarks peak at
-# 34.9 and 34.8 MB RSS at 256, 35.8 and 35.2 MB at 4096 (2 Xeon vCPUs)
-BLOCK = 4096
+# verify --suite ranks takes 34-43 ms at 256 and 21-27 ms at 1024, no
+# faster at 2048 or 4096; the verify_all and oracle_large benchmarks peak at
+# 34.7-34.9 and 34.6-34.8 MB RSS at 256, 35.1 and 34.6 MB at 1024 (2 Xeon vCPUs)
+BLOCK = 1024
 
 
 class SymmetryClass(enum.Enum):
@@ -256,7 +256,8 @@ def ranks(field: FieldCtx, A: np.ndarray) -> np.ndarray:
         raise ValueError("ranks takes a matrix or a stack of matrices")
     m, n = A.shape[-2:]
     W = A.reshape((math.prod(A.shape[:-2]), m, n)).astype(np.intp)
-    q, MUL, SUB, INV = field.q, field._mul.ravel(), field._sub.ravel(), field._inv
+    # the inverse codes are widened before they meet q: int16 code * q wraps past q = 181
+    q, MUL, SUB, INV = field.q, field._mul.ravel(), field._sub.ravel(), field._inv.astype(np.intp)
     stack = np.arange(len(W))
     nonzero_rows = np.zeros(len(W), dtype=np.intp)
     # with no columns every row is zero (and argmax has nothing to search)

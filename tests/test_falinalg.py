@@ -146,8 +146,15 @@ def _rank_reference(field, A):
     return r
 
 
-# F_25 and F_49 take ranks' flat table reads at a * q + b past q = 9
-RANK_FIELDS = {**FIELDS, 7: field_create(7), 49: field_create(7, 2)}
+# F_25 and F_49 take ranks' flat table reads at a * q + b past q = 9; F_289
+# and F_1021 take them past q = 181, where an int16 code times q would wrap
+RANK_FIELDS = {
+    **FIELDS,
+    7: field_create(7),
+    49: field_create(7, 2),
+    289: field_create(17, 2),
+    1021: field_create(1021),
+}
 
 
 @st.composite
@@ -179,6 +186,13 @@ def test_ranks_match_scalar_elimination(stack):
     assert got.ravel().tolist() == expected
     if A.ndim == 2:
         assert rank(FfMatrix.from_codes(field, A)) == expected[0]
+
+
+def test_ranks_scale_by_every_inverse_in_large_fields():
+    # [[x, x], [x, x]] has rank 1 only if the pivot row is scaled by exactly 1/x
+    for field in (RANK_FIELDS[289], RANK_FIELDS[1021]):
+        x = np.arange(1, field.q, dtype=np.int16)
+        assert ranks(field, np.broadcast_to(x[:, None, None], (field.q - 1, 2, 2))).tolist() == [1] * (field.q - 1)
 
 
 def test_ranks_of_empty_shapes():
