@@ -222,12 +222,14 @@ def cmd_ranks(args):
     q = _checked_q(args.q) if args.q is not None else None
     if args.brute and q is None:
         raise UsageError("--brute requires --q")
+
+    def counts(variant):
+        return rank_censuses(kind, n, variant) if args.r is None else {args.r: census_polynomial(kind, n, args.r, variant)}
     try:
-        polys = rank_censuses(kind, n) if args.r is None else {args.r: census_polynomial(kind, n, args.r)}
+        polys = counts("corrected")
+        printed = counts("printed") if kind == "herm" else {}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # the printed variant is the corrected count times q - 1
-    printed = {r: p.times_binomial(1, -1) for r, p in polys.items()} if kind == "herm" else {}
     rows = []
     for r, count in polys.items():
         entry = {"r": r, "count": count.to_json()}

@@ -31,27 +31,27 @@ by linear equations whose coefficient matrix is block diagonal (n-d
 copies of the constrained block); every orbit is checked to have e
 equal to the rank of that system.
 
-Everything in this module is exhaustively verifiable: brute-force
-orbit enumeration, conjugacy class counting and the pairing checks are
-the oracles the symbolic layer is tested against.  Every orbit is found
-by one engine, _Frame, _Action and _orbit_labels, which works in
-coordinates: a point is the vector of base-p digits of its ambient
-entries (codes add digit by digit, so these are F_p coordinates), and
-conjugation by a generator, being linear, is one F_p-linear map L on
-them, read off the ambient images of unit matrices (row and column
-updates, one per nonzero entry of g - I and of g^-1 - I).  The images of
-all points are coords @ L mod p, taken through the few nonzeros of
-L - I.  Every dual lies on one support, so H's maps on it are read once
-per context (RadicalContext._h_frame).  A point's position is
-the Horner sum of its pivot digits, named by the block roles: for duals
-the upper triangle of the constrained block, read through J, then the
-free block, which is their enumeration order; for elements A's entries
-and the same digits of V N(A).  An image is read at its position and
-must equal the point there, so no sort and no search is needed.  Orbits
-are labelled by their least point index.  orbit_partition labels all
-duals, class_count_brute all group elements, and orbit_of the fiber of
-one dual: H fixes the constrained block of every dual, so an orbit lies
-among the |H| duals that share it.
+Everything in this module is exhaustively verifiable: brute-force orbit
+enumeration, conjugacy class counting and the pairing checks are the
+oracles the symbolic layer is tested against.  Every orbit is found by
+one engine, _Frame, _Action and _orbit_labels, which works in
+coordinates: a point (a dual, or g - I for an element g) is the vector
+of base-p digits of its ambient entries (codes add digit by digit, so
+these are F_p coordinates), and conjugation by a generator, linear in
+the point, is one F_p-linear map L on them, read off the ambient images
+of unit matrices (row and column updates, one per nonzero entry of g - I
+and of g^-1 - I).  The images of all points are coords @ L mod p, taken
+through the few nonzeros of L - I.  Every dual lies on one support, so
+H's maps on it are read once per context (RadicalContext._h_frame).  A
+point's position is the Horner sum of its pivot digits, named by the
+block roles: for duals the upper triangle of the constrained block, read
+through J, then the free block, which is their enumeration order; for
+elements A's entries and the same digits of V N(A).  An image is read at
+its position and must equal the point there, so no sort and no search is
+needed.  Orbits are labelled by their least point index.
+orbit_partition labels all duals, class_count_brute all group elements,
+and orbit_of the fiber of one dual: H fixes the constrained block of
+every dual, so an orbit lies among the |H| duals that share it.
 """
 
 from __future__ import annotations
@@ -614,8 +614,7 @@ def group_inv(g: RadicalElement) -> RadicalElement:
 def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
     """g . alpha = projection of g alpha g^(-1) onto the dual support."""
     ctx = _same_ctx(g, alpha)
-    (image,) = _conjugates(ctx.field, alpha._ambient_codes()[None], *_ambient_pairs([g])[0], ctx._mask)
-    return ctx._decompose_dual(image[0])
+    return ctx._decompose_dual(_conjugates(ctx.field, alpha._ambient_codes(), *_ambient_pairs([g])[0], ctx._mask))
 
 
 def coefficient_matrix(alpha: DualElement) -> FfMatrix:
@@ -661,28 +660,24 @@ def _off_identity(field: FieldCtx, g: np.ndarray) -> list[tuple[int, int, int]]:
     return list(zip(rows.tolist(), cols.tolist(), N[rows, cols].tolist()))
 
 
-def _conjugates(field: FieldCtx, points: np.ndarray, g: np.ndarray, g_inv: np.ndarray, support=None):
-    """g X g^-1 for the X of a stack, projected onto support if given.
+def _conjugates(field: FieldCtx, points: np.ndarray, g: np.ndarray, g_inv: np.ndarray, support=None) -> np.ndarray:
+    """g X g^-1 for each X of a stack (or for one matrix X), projected onto support if given.
 
     With N = g - I and M = g^-1 - I, g X g^-1 = Y + Y M for Y = X + N X:
     each nonzero N[i, k] adds a multiple of row k of X to row i of Y, and
     each nonzero M[k, j] a multiple of column k of Y to column j.  Updates
     read the rows of X and the columns of Y, never the copies they write,
     so the result is exact for any pair, at a cost proportional to the
-    nonzeros of N and M.  Yields one stack per block of BLOCK consecutive
-    points.
+    nonzeros of N and M.
     """
     ADD, MUL = field._add, field._mul
-    row_terms, col_terms = _off_identity(field, g), _off_identity(field, g_inv)
-    for s in range(0, len(points), BLOCK):
-        X = points[s : s + BLOCK]
-        Y = X.copy()
-        for i, k, c in row_terms:
-            Y[..., i, :] = ADD[Y[..., i, :], MUL[c, X[..., k, :]]]
-        Z = Y.copy()
-        for k, j, c in col_terms:
-            Z[..., j] = ADD[Z[..., j], MUL[Y[..., k], c]]
-        yield Z if support is None else np.where(support, Z, np.int16(0))
+    Y = points.copy()
+    for i, k, c in _off_identity(field, g):
+        Y[..., i, :] = ADD[Y[..., i, :], MUL[c, points[..., k, :]]]
+    Z = Y.copy()
+    for k, j, c in _off_identity(field, g_inv):
+        Z[..., j] = ADD[Z[..., j], MUL[Y[..., k], c]]
+    return Z if support is None else np.where(support, Z, np.int16(0))
 
 
 def _powers(field: FieldCtx) -> np.ndarray:
@@ -700,21 +695,9 @@ def _digits(field: FieldCtx, codes: np.ndarray) -> np.ndarray:
     return codes.astype(small)[..., None] // _powers(field).astype(small) % small.type(field.p)
 
 
-def _differences(stack: np.ndarray, identity: bool) -> int:
-    """How many entries of a stack of matrices differ from B (I if identity, else 0), allocating no stack."""
-    count = np.count_nonzero(stack)
-    if identity:
-        diagonal = stack.diagonal(axis1=-2, axis2=-1)
-        count += np.count_nonzero(diagonal != 1) - np.count_nonzero(diagonal)
-    return count
-
-
-def _entries(stack: np.ndarray, identity: bool) -> list[int]:
-    """The flat ambient indices where some matrix of a stack differs from B, found in one matrix of memory."""
-    seen = np.bitwise_or.reduce(stack, axis=0)
-    if identity:
-        np.fill_diagonal(seen, (stack.diagonal(axis1=-2, axis2=-1) != 1).any(axis=0))
-    return np.flatnonzero(seen).tolist()
+def _entries(stack: np.ndarray) -> list[int]:
+    """The flat ambient indices where some matrix of a stack is nonzero, found in one matrix of memory."""
+    return np.flatnonzero(np.bitwise_or.reduce(stack, axis=0)).tolist()
 
 
 # a wrong linear map passes this many pseudo-random points of the span with probability at most p^-32
@@ -725,29 +708,28 @@ class _Frame:
     """F_p coordinates on some ambient entries, with generators as linear maps on them.
 
     A generator (g, g^-1) sends X to g X g^-1, projected onto support if
-    one is given.  A matrix is read as X - B, B the identity without a
-    support (g I g^-1 = I) and zero with one, so the action is F_p-linear;
-    its coordinates are the base-p digits of X - B on the entries.  The
-    entries grow until every generator maps their span into itself.  A
-    generator's map L is read off the ambient images of B plus each unit
-    of the coordinates and kept as the nonzeros of L - I, which are few
-    for a one-parameter generator: an image column is the column plus a
-    few multiples of others.  The ambient images of _SAMPLE fixed
-    pseudo-random points of the span must equal their linear images.
+    one is given, which is F_p-linear in X; a matrix's coordinates are the
+    base-p digits of its entries.  A frame reads the matrices it is given,
+    with no base point: the class walk hands it g - I, not g.  The entries
+    grow until every generator maps their span into itself.  A generator's
+    map L is read off the ambient images of the units of the coordinates
+    and kept as the nonzeros of L - I, which are few for a one-parameter
+    generator: an image column is the column plus a few multiples of
+    others.  The ambient images of _SAMPLE fixed pseudo-random points of
+    the span must equal their linear images.
     """
 
     def __init__(self, field: FieldCtx, size: int, entries, gens, support=None):
-        self.field, self.size, self.support, self.identity = field, size, support, support is None
+        self.field, self.size, self.support = field, size, support
         entries = dict.fromkeys(entries)
         while True:
             self.entries = np.array(list(entries), dtype=np.intp)
-            self._base = (self.entries % (size + 1) == 0).astype(np.int16) * np.int16(self.identity)
             self._units = self._matrices(np.eye(len(self.entries) * field.degree, dtype=np.uint8))
             images = [self._image(self._units, g, g_inv) for g, g_inv in gens]
             # a unit's image may leave the entries where no point's image does (terms cancel on the points)
             known = len(entries)
             for image in images:
-                entries.update(dict.fromkeys(_entries(image, self.identity)))
+                entries.update(dict.fromkeys(_entries(image)))
             if len(entries) == known:
                 break
         digits = random.Random(0).choices(range(field.p), k=_SAMPLE * len(self._units))
@@ -755,26 +737,23 @@ class _Frame:
         self.moves = [self._checked(self._linear_map(image), g, g_inv) for image, (g, g_inv) in zip(images, gens)]
 
     def _matrices(self, coords: np.ndarray) -> np.ndarray:
-        """B + X for the X with these coordinates, one matrix per row of coords."""
+        """The matrices with these coordinates, one per row of coords."""
         f = self.field
         codes = (coords.reshape(len(coords), len(self.entries), f.degree) * _powers(f)).sum(axis=-1, dtype=np.int16)
         flat = np.zeros((len(coords), self.size ** 2), dtype=np.int16)
-        flat[:, :: self.size + 1] = self.identity
-        flat[:, self.entries] = f._add[self._base, codes]
+        flat[:, self.entries] = codes
         return flat.reshape(-1, self.size, self.size)
 
     def _image(self, stack: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
         """The ambient images of a stack under one generator."""
-        return np.concatenate([stack[:0], *_conjugates(self.field, stack, g, g_inv, self.support)])
+        return _conjugates(self.field, stack, g, g_inv, self.support)
 
     def coordinates(self, stack: np.ndarray, message: str) -> np.ndarray:
-        """The digits of X - B on the entries, a row per matrix X of a stack, in the least unsigned dtype;
-        ValueError(message) if some X differs from B off the entries."""
+        """The digits on the entries, a row per matrix of a stack, in the least unsigned dtype;
+        ValueError(message) if some matrix is nonzero off the entries."""
         f = self.field
         values = stack.reshape(len(stack), -1)[:, self.entries]
-        if self.identity:
-            values = f._sub[values, self._base]
-        if np.count_nonzero(values) != _differences(stack, self.identity):
+        if np.count_nonzero(values) != np.count_nonzero(stack):
             raise ValueError(message)
         return _digits(f, values).reshape(len(stack), -1).astype(np.min_scalar_type(f.p - 1), copy=False)
 
@@ -865,11 +844,9 @@ class _Action:
         return [self.permutation(moves) for moves in self.frame.moves]
 
 
-def _walk(field: FieldCtx, points: np.ndarray, gens, pivots, support=None) -> _Action:
-    """gens acting on points, in coordinates on the entries where a point differs from B, a pivot lies or the support reaches."""
-    reach = [] if support is None else np.flatnonzero(support).tolist()
-    entries = _entries(points, support is None) + [e for e, _ in pivots] + reach
-    return _Action(_Frame(field, points.shape[-1], entries, gens, support), points, pivots)
+def _walk(field: FieldCtx, points: np.ndarray, gens, pivots) -> _Action:
+    """gens acting on points, in coordinates on the entries where a point is nonzero or a pivot lies."""
+    return _Action(_Frame(field, points.shape[-1], _entries(points) + [e for e, _ in pivots], gens), points, pivots)
 
 
 def _orbit_labels(action: _Action) -> np.ndarray:
@@ -1030,8 +1007,8 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     """Number of conjugacy classes of R_u by exhaustive enumeration.
 
     Independent of the coadjoint orbit machinery (duals, stabilizer
-    ranks): stacks all group elements as ambient matrices, conjugates the
-    stack by every one-parameter generator of R_u, and counts the orbits
+    ranks): stacks g - I for all group elements g, conjugates the stack
+    by every one-parameter generator of R_u, and counts the orbits
     of that action with the same generic labelling engine orbit_partition
     uses.  The orbits of conjugation are the conjugacy classes.
     """
@@ -1041,6 +1018,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     points = ctx._element_stack()
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
+    points.reshape(order, -1)[:, :: 2 * ctx.n + 1] = 0  # g - I, which conjugation maps linearly
     labels = _orbit_labels(_walk(ctx.field, points, _ambient_pairs(ctx.generators()), ctx._element_pivots))
     return int(np.count_nonzero(labels == np.arange(order)))
 

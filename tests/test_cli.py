@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -243,10 +245,14 @@ def test_verify_md_has_per_check_lines(capsys):
 
 
 def test_console_entry_point_runs():
+    # the subprocess finds radchar in src/, as from a fresh checkout
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "radchar.cli", "census", "--type", "C", "--n", "2", "--d", "1",
          "--q", "3", "--format", "json", "--no-timing"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     record = json.loads(proc.stdout)

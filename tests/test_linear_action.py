@@ -7,7 +7,8 @@ These tests compare the linear images, as a dense product mod p and as
 the walk applies them, with the ambient action (_conjugates, masked for
 duals) point by point, check linearity on random points off the stack,
 pin the positions to the enumeration order, and check that a corrupted
-map or a wrong pivot set is refused with ValueError.
+map or a wrong pivot set is refused with ValueError.  The class walk's
+points are g - I for the group elements g, as class_count_brute reads them.
 """
 
 import functools
@@ -37,6 +38,13 @@ def _dense(coords, L, p):
     return (coords.astype(np.int64) @ L.astype(np.int64)) % p
 
 
+def _element_points(ctx):
+    """g - I for every group element g, in enumeration order: the points of the class walk."""
+    points = ctx._element_stack()
+    points.reshape(len(points), -1)[:, :: 2 * ctx.n + 1] = 0
+    return points
+
+
 @functools.cache
 def _action(x, n, d, q, kind):
     """(ctx, generator pairs, action) of the orbit walk (kind "duals") or the class walk ("elements")."""
@@ -44,7 +52,7 @@ def _action(x, n, d, q, kind):
     if kind == "duals":
         return ctx, ctx._h_pairs, _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
     gens = _ambient_pairs(ctx.generators())
-    return ctx, gens, _walk(ctx.field, ctx._element_stack(), gens, ctx._element_pivots)
+    return ctx, gens, _walk(ctx.field, _element_points(ctx), gens, ctx._element_pivots)
 
 
 def _map(frame, g, g_inv):
@@ -71,7 +79,7 @@ def test_linear_images_are_the_ambient_images(x, n, d, q, kind):
     ctx, gens, action = _action(x, n, d, q, kind)
     frame = action.frame
     for (g, g_inv), moves, perm in zip(gens, frame.moves, action.permutations()):
-        ambient = np.concatenate(list(_conjugates(ctx.field, action.points, g, g_inv, frame.support)))
+        ambient = _conjugates(ctx.field, action.points, g, g_inv, frame.support)
         linear = _dense(action.coords, _map(frame, g, g_inv), ctx.field.p)
         np.testing.assert_array_equal(frame.coordinates(ambient, "off the entries"), linear)
         np.testing.assert_array_equal(frame.apply(action.coords, moves), linear)
@@ -92,18 +100,16 @@ LINEARITY_CASES = (
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(LINEARITY_CASES), st.data())
 def test_the_action_is_linear_in_the_coordinates(case, data):
-    # Z = X + c (Y - B) for two points X, Y and c in F_p is in general not
-    # a point (for elements, not a group element); its ambient image still
-    # has the coordinates (coords(X) + c coords(Y)) @ L mod p
+    # Z = X + c Y for two points X, Y and c in F_p is in general not a
+    # point (for elements, not g - I for a group element g); its ambient
+    # image still has the coordinates (coords(X) + c coords(Y)) @ L mod p
     ctx, gens, action = _action(*case)
     f, frame = ctx.field, action.frame
     i, j = (data.draw(st.integers(0, len(action.points) - 1)) for _ in range(2))
     c = data.draw(st.integers(0, f.p - 1))
     k = data.draw(st.integers(0, len(gens) - 1))
-    size = action.points.shape[-1]
-    base = np.eye(size, dtype=np.int16) if frame.identity else np.zeros((size, size), dtype=np.int16)
-    Z = f._add[action.points[i], f._mul[c, f._sub[action.points[j], base]]]
-    image = np.concatenate(list(_conjugates(f, Z[None], *gens[k], frame.support)))
+    Z = f._add[action.points[i], f._mul[c, action.points[j]]]
+    image = _conjugates(f, Z[None], *gens[k], frame.support)
     summed = action.coords[i] + c * action.coords[j].astype(np.int64)
     linear = _dense(summed[None], _map(frame, *gens[k]), f.p)
     np.testing.assert_array_equal(frame.coordinates(image, "off the entries"), linear)
@@ -126,7 +132,8 @@ def test_pivots_number_the_duals_in_enumeration_order():
     count = 0
     for x, n, d, q in _instances("duals", 3 ** 9):
         ctx = RadicalContext(RadicalParams(x, n, d), q)
-        action = _walk(ctx.field, ctx._dual_stack(), [], ctx._dual_pivots, ctx._mask)
+        frame = _Frame(ctx.field, 2 * n, np.flatnonzero(ctx._mask).tolist(), [], ctx._mask)
+        action = _Action(frame, ctx._dual_stack(), ctx._dual_pivots)
         np.testing.assert_array_equal(action._order, np.arange(ctx.dual_count()))
         count += 1
     assert count == 59
@@ -139,7 +146,7 @@ def test_pivots_number_the_elements():
     count = 0
     for x, n, d, q in _instances("elements", 9 ** 5):
         ctx = RadicalContext(RadicalParams(x, n, d), q)
-        stack = ctx._element_stack()
+        stack = _element_points(ctx)
         assert ctx.field.p ** len(ctx._element_pivots) == len(stack)
         _walk(ctx.field, stack, [], ctx._element_pivots)
         count += 1

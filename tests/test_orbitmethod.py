@@ -30,6 +30,8 @@ from radchar.orbitmethod import (
     orbit_partition,
     pairing_nondegeneracy_check,
     radical_order,
+    _Action,
+    _Frame,
     _walk,
     _orbit_labels,
 )
@@ -503,16 +505,11 @@ def test_walks_make_no_dense_product(monkeypatch):
         return real_matmul(*args)
 
     def watched_conjugates(*args):
-        blocks = real_conjugates(*args)
-        while True:
-            inside[0] = True
-            try:
-                block = next(blocks)
-            except StopIteration:
-                return
-            finally:
-                inside[0] = False
-            yield block
+        inside[0] = True
+        try:
+            return real_conjugates(*args)
+        finally:
+            inside[0] = False
 
     for module in (orbitmethod, falinalg):
         monkeypatch.setattr(module, "matmul", counting_matmul)
@@ -531,11 +528,16 @@ def _pair(g):
     return g._ambient_codes(), group_inv(g)._ambient_codes()
 
 
+def _minus_identity(stack):
+    """g - I for each g of a stack of unitriangular matrices, the points the class walk reads."""
+    return stack - np.eye(stack.shape[-1], dtype=np.int16)
+
+
 def test_orbit_engine_labels_least_index():
     # classes of the extraspecial group of order 27: 3 central singletons
     # and 8 classes of size 3, each labelled by its first element
     ctx = ctx_for("C", 2, 1, 3)
-    points = ctx._element_stack()
+    points = _minus_identity(ctx._element_stack())
     labels = _orbit_labels(_walk(ctx.field, points, [_pair(g) for g in ctx.generators()], ctx._element_pivots))
     roots = np.flatnonzero(labels == np.arange(len(points)))
     assert len(roots) == 11
@@ -546,7 +548,7 @@ def test_orbit_engine_labels_least_index():
 def test_orbit_engine_rejects_escaping_images():
     # conjugating H by a(V) with b2 != 0 leaves H
     ctx = ctx_for("C", 2, 1, 3)
-    points = np.stack([h._ambient_codes() for h in ctx.h_elements()])
+    points = _minus_identity(np.stack([h._ambient_codes() for h in ctx.h_elements()]))
     g = ctx.a_element([[0]], [[1]])
     with pytest.raises(ValueError, match="escapes the point set"):
         _orbit_labels(_walk(ctx.field, points, [_pair(g)], ctx._grid_pivots(None, np.s_[0:1, 1:2])))
@@ -557,10 +559,30 @@ def test_orbit_engine_rejects_non_permutations():
     duals = ctx._dual_stack()
     one = np.eye(4, dtype=np.int16)
     # projecting onto an empty support sends every dual to zero
+    frame = _Frame(ctx.field, 4, np.flatnonzero(ctx._mask).tolist(), [(one, one)], np.zeros((4, 4), dtype=bool))
     with pytest.raises(ValueError, match="does not permute"):
-        _orbit_labels(_walk(ctx.field, duals, [(one, one)], ctx._dual_pivots, np.zeros((4, 4), dtype=bool)))
+        _orbit_labels(_Action(frame, duals, ctx._dual_pivots))
     with pytest.raises(ValueError, match="distinct"):
         _orbit_labels(_walk(ctx.field, np.stack([duals[0], duals[0]]), [], ctx._dual_pivots))
+
+
+@pytest.mark.parametrize("x, n, d", [("C", 3, 2), ("D", 4, 2), ("U", 2, 1)])
+def test_the_class_walk_reads_g_minus_identity(monkeypatch, x, n, d):
+    # every g - I is zero on the diagonal, so no coordinate sits there; were
+    # g read instead, counts would stay right but every point would carry
+    # 2n constant coordinates
+    ctx = ctx_for(x, n, d, 3)
+    actions, real_labels = [], orbitmethod._orbit_labels
+
+    def capturing(action):
+        actions.append(action)
+        return real_labels(action)
+
+    monkeypatch.setattr(orbitmethod, "_orbit_labels", capturing)
+    class_count_brute(ctx.params, ctx, budget=3 ** 9)
+    ((frame, coords),) = [(action.frame, action.coords) for action in actions]
+    assert len(frame.entries) and (frame.entries % (2 * n + 1) != 0).all()
+    assert coords.shape == (3 ** ctx.params.order_exponent, len(frame.entries) * ctx.field.degree)
 
 
 def test_oracle_checks_raise_value_error(monkeypatch):

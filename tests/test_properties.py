@@ -120,6 +120,6 @@ def test_sparse_conjugation_matches_dense_products(case):
     dense = matmul(f, matmul(f, g_codes, stack), g_inv_codes)
     if support is not None:
         dense = np.where(support, dense, np.int16(0))
-    sparse = np.concatenate(list(_conjugates(f, stack, g_codes, g_inv_codes, support)))
+    sparse = _conjugates(f, stack, g_codes, g_inv_codes, support)
     assert sparse.dtype == np.int16
     np.testing.assert_array_equal(sparse, dense)
