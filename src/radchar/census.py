@@ -44,14 +44,13 @@ default everywhere downstream.
 brute_rank_census is the independent oracle: it enumerates the class
 exhaustively in code stacks (falinalg.class_blocks) and histograms the
 ranks falinalg.ranks gives for each stack, with no closed form involved.
+It alone imports numpy and falinalg, when it runs, so the closed forms
+load neither.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .falinalg import DEFAULT_ENUM_BUDGET, SymmetryClass, class_blocks, ranks
-from .gf import BudgetExceeded, FieldCtx
+from .params import DEFAULT_ENUM_BUDGET, BudgetExceeded, SymmetryClass
 from .qpoly import QPoly
 
 __all__ = [
@@ -175,6 +174,10 @@ def brute_rank_census(
     n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET
 ) -> dict[int, int]:
     """Rank histogram of a symmetry class by exhaustive enumeration."""
+    import numpy as np
+
+    from .falinalg import class_blocks, ranks
+
     counts = np.zeros(n + 1, dtype=np.int64)
     for stack in class_blocks(n, cls, field, budget=budget):
         counts += np.bincount(ranks(field, stack), minlength=n + 1)

@@ -28,9 +28,10 @@ factor), which is exactly what sum_of_squares_check is for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .census import attainable_ranks, census_polynomial, check_variant, rank_censuses
-from .orbitmethod import RadicalParams, radical_order
+from .params import RadicalParams, radical_order
 from .qpoly import QPoly, qminus1_expansions
 
 __all__ = [
@@ -120,16 +121,20 @@ class DegreeCensus:
     def sum_of_squares(self) -> QPoly:
         """Sum of count * degree^2 over all rows; should be the group order.
 
-        Each degree must be a power q^k, so its row adds the count shifted
-        up 2k places; any other degree raises ValueError.
+        Each degree must be a power q^k, so its row adds the count's
+        coefficients in place, 2k places up, to one running list; any
+        other degree raises ValueError.
         """
-        total = QPoly.zero()
+        total: list[int] = []
         for row in self.rows:
             k = row.degree.degree
             if row.degree.coeffs != (0,) * k + (1,):
                 raise ValueError(f"character degree {row.degree} is not a power of q")
-            total += row.count.shifted(2 * k)
-        return total
+            lo, count = 2 * k, row.count.coeffs
+            hi = lo + len(count)
+            total.extend([0] * (hi - len(total)))
+            total[lo:hi] = map(add, total[lo:hi], count)
+        return QPoly(total)
 
     def order_poly(self) -> QPoly:
         return radical_order(self.params)

@@ -12,6 +12,9 @@ census --oracle and the orbits and classes suites share one orbit-layer
 and one class-count check; ranks --brute and the ranks suite share one
 brute histogram (over F_{q^2} for herm) and its comparison with the
 closed forms.  Class names and attainable ranks come from census.
+The oracle modules (gf, falinalg, orbitmethod, and numpy with them) are
+imported inside the functions that run an oracle, so the symbolic
+commands load none of them.
 
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict
 failed, 2 usage or parameter error, including every request over an
@@ -27,7 +30,7 @@ indenting encoder is pure Python.
 All configuration is by flags; enumeration sizes are guarded by --budget
 with a hard ceiling of 10^8, and each command checks the degree of the
 largest polynomial it would build before it builds anything.  The
-library raises gf.BudgetExceeded for an oversized request, and main()
+library raises BudgetExceeded for an oversized request, and main()
 alone maps it to exit code 2.
 """
 
@@ -44,18 +47,7 @@ from dataclasses import asdict
 
 from .census import CLASSES, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree, rank_censuses
 from .charcensus import DegreeCensus, census_table, qminus1_report
-from .falinalg import DEFAULT_ENUM_BUDGET, class_dimension
-from .gf import BudgetExceeded, field_for_order, odd_prime_power, quadratic_extension
-from .orbitmethod import (
-    DEFAULT_CLASS_BUDGET,
-    DEFAULT_ORBIT_BUDGET,
-    RadicalContext,
-    RadicalParams,
-    class_count_brute,
-    d_range,
-    orbit_census,
-    pairing_nondegeneracy_check,
-)
+from .params import DEFAULT_ENUM_BUDGET, BudgetExceeded, RadicalParams, class_dimension, d_range, odd_prime_power
 from .qpoly import QPoly, format_terms, qminus1_expansions
 
 __all__ = ["main", "build_parser"]
@@ -80,6 +72,8 @@ def _checked_q(q: int) -> int:
 
 
 def _field_for(q: int):
+    from .gf import field_for_order
+
     try:
         return field_for_order(q)
     except ValueError as exc:
@@ -117,6 +111,8 @@ def _count_str(row: dict, basis: str) -> str:
 
 def _orbit_check(table: DegreeCensus, ctx: RadicalContext, args):
     """(rows, ok, detail): the orbit census over ctx, checked against the table's layers."""
+    from .orbitmethod import DEFAULT_ORBIT_BUDGET, orbit_census
+
     orbits = orbit_census(table.params, ctx, budget=resolve_budget(args, DEFAULT_ORBIT_BUDGET))
     symbolic = table.counts_at(ctx.q)
     orbital = {r.e: (r.degree, r.char_count) for r in orbits.rows}
@@ -127,6 +123,8 @@ def _orbit_check(table: DegreeCensus, ctx: RadicalContext, args):
 
 def _class_check(table: DegreeCensus, ctx: RadicalContext, args):
     """(classes, ok, detail): the conjugacy class count over ctx, checked against the table's total."""
+    from .orbitmethod import DEFAULT_CLASS_BUDGET, class_count_brute
+
     classes = class_count_brute(table.params, ctx, budget=resolve_budget(args, DEFAULT_CLASS_BUDGET))
     total = table.total_poly().eval_at(ctx.q)
     ok = classes == total
@@ -139,6 +137,8 @@ def _class_check(table: DegreeCensus, ctx: RadicalContext, args):
 
 
 def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
+    from .orbitmethod import RadicalContext
+
     ctx = RadicalContext(table.params, _field_for(q))
     # classes first: there are never more duals than group elements and the
     # orbit budget is never below the class budget, so an oversized request
@@ -204,6 +204,8 @@ def cmd_census(args):
 
 def _brute_histogram(kind: str, n: int, base, args) -> dict[int, int]:
     """Rank histogram of the class by enumeration, over the field base (its quadratic extension for herm)."""
+    from .gf import quadratic_extension
+
     field = quadratic_extension(base) if kind == "herm" else base
     return brute_rank_census(n, CLASSES[kind], field, budget=resolve_budget(args, DEFAULT_ENUM_BUDGET))
 
@@ -291,6 +293,8 @@ def _suite_ranks(args, qs):
 
 def _oracle_suite(suite: str, triples, check, args, qs):
     """One check per radical instance: check(census table, context, args), as census --oracle runs it."""
+    from .orbitmethod import RadicalContext
+
     instances = {(x, n, d, q) for x, n, d in triples for q in qs or (3,)}
     if qs is None:
         instances.add(("C", 2, 1, 5))
@@ -306,6 +310,8 @@ def _oracle_suite(suite: str, triples, check, args, qs):
 
 
 def _suite_pairings(args, qs):
+    from .orbitmethod import pairing_nondegeneracy_check
+
     checks = []
     grid = []
     for x in ("C", "D", "U"):

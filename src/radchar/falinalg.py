@@ -28,13 +28,13 @@ mirror_codes: the code map from entry (i, j) of a member to entry (j, i).
 
 from __future__ import annotations
 
-import enum
 import math
 from itertools import chain, combinations
 
 import numpy as np
 
 from .gf import BudgetExceeded, FieldCtx, FieldElement, frobenius, norm, relative_trace
+from .params import DEFAULT_ENUM_BUDGET, SymmetryClass, class_dimension
 
 __all__ = [
     "FfMatrix",
@@ -56,22 +56,12 @@ __all__ = [
     "reversal_matrix",
 ]
 
-# class matrices one default enumeration may visit: about 3 s at the slowest
-# measured rate, 1.5-1.7 us per matrix for skew n = 5 over F_3 (2 Xeon vCPUs)
-DEFAULT_ENUM_BUDGET = 2 * 10 ** 6
-
 # matrices per stacked step of an enumeration, rank or product: bounds the
 # int64 and index temporaries, which set the peak memory of the oracles.
 # verify --suite ranks takes 34-43 ms at 256 and 21-27 ms at 1024, no
 # faster at 2048 or 4096; the verify_all and oracle_large benchmarks peak at
 # 34.7-34.9 and 34.6-34.8 MB RSS at 256, 35.1 and 34.6 MB at 1024 (2 Xeon vCPUs)
 BLOCK = 1024
-
-
-class SymmetryClass(enum.Enum):
-    SYMMETRIC = "symmetric"
-    SKEW_SYMMETRIC = "skew-symmetric"
-    SKEW_HERMITIAN = "skew-hermitian"
 
 
 class FfMatrix:
@@ -310,17 +300,6 @@ def in_class(field: FieldCtx, A: np.ndarray, cls: SymmetryClass) -> np.ndarray:
 
 def is_in_class(M: FfMatrix, cls: SymmetryClass) -> bool:
     return bool(in_class(M.field, M.codes, cls))
-
-
-def class_dimension(n: int, cls: SymmetryClass) -> int:
-    """log_q of the class size, q the ground field (F_q under F_{q^2} for skew-Hermitian)."""
-    if cls is SymmetryClass.SYMMETRIC:
-        return n * (n + 1) // 2
-    if cls is SymmetryClass.SKEW_SYMMETRIC:
-        return n * (n - 1) // 2
-    if cls is SymmetryClass.SKEW_HERMITIAN:
-        return n * n
-    raise ValueError("unknown symmetry class")
 
 
 def class_size(n: int, cls: SymmetryClass, field: FieldCtx) -> int:

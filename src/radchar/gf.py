@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .params import BudgetExceeded, odd_prime_power
+
 __all__ = [
     "FieldCtx",
     "FieldElement",
@@ -42,58 +44,6 @@ __all__ = [
 
 
 MAX_FIELD_ORDER = 1024
-
-
-class BudgetExceeded(ValueError):
-    """A requested field or enumeration is larger than its cap or budget."""
-
-
-# Miller-Rabin with the primes up to 41 as bases decides primality of
-# every n below this bound (Sorenson and Webster 2015); the primes up to
-# 37 alone are fooled by 318665857834031151167461
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; BudgetExceeded where its bases do not decide."""
-    if n < 2 or any(n % b == 0 for b in _MR_BASES):
-        return n in _MR_BASES
-    if n >= _MR_LIMIT:
-        raise BudgetExceeded(f"cannot decide whether {n} is prime: it is not below {_MR_LIMIT}")
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    d = (n - 1) >> s
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x != 1 and n - 1 not in (pow(x, 2 ** k, n) for k in range(s)):
-            return False
-    return True
-
-
-def _iroot(n: int, m: int) -> int:
-    """The integer part of the m-th root of n >= 1, by Newton's method from above."""
-    r = 1 << -(-n.bit_length() // m)
-    while True:
-        s = ((m - 1) * r + n // r ** (m - 1)) // m
-        if s >= r:
-            return r
-        r = s
-
-
-def odd_prime_power(q) -> tuple[int, int] | None:
-    """(p, m) with q = p^m for an odd prime p, or None if q is no such power.
-
-    Tests the exact m-th roots of q, largest m first, so the prime root
-    comes before any composite one.  BudgetExceeded if primality of a
-    root cannot be decided.
-    """
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
-        return None
-    for m in range(q.bit_length() - 1, 0, -1):
-        p = _iroot(q, m)
-        if p ** m == q and _is_prime(p):
-            return p, m
-    return None
 
 
 # generator symbols for successive quadratic extensions, used only in repr

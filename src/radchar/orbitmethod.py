@@ -8,8 +8,8 @@ for type U) and factors as R_u = A x| H with both factors abelian:
   linked copy in the lower-right block N; a(V) places the n-by-n block
   V in the upper-right corner.  Every element is uniquely a(V) h(A).
 
-The types differ only in one block layout, stated once in _V_CLASS and
-RadicalContext.__init__, with roles listed as (constrained, free, linked):
+The types differ only in one block layout, stated once in params._V_CLASS
+and RadicalContext.__init__, with roles listed as (constrained, free, linked):
 
      V's class       A's tie         roles in V   roles in a dual
   C  symmetric       skew-symmetric  b1, b2, b3   b1, b2, b3
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import random
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +65,7 @@ import numpy as np
 from .falinalg import (
     BLOCK,
     FfMatrix,
-    SymmetryClass,
     class_blocks,
-    class_dimension,
     in_class,
     matmul,
     mirror_codes,
@@ -76,7 +73,7 @@ from .falinalg import (
     ranks,
 )
 from .gf import BudgetExceeded, FieldCtx, field_for_order, quadratic_extension
-from .qpoly import QPoly
+from .params import TYPES, _V_CLASS, RadicalParams, d_range, radical_order
 
 __all__ = [
     "RadicalParams",
@@ -100,76 +97,12 @@ __all__ = [
     "coadjoint_permutation",
 ]
 
-TYPES = ("C", "D", "U")
-
 DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
 
 # bytes a walk's point stack ((2n)^2 int16 codes a point) may take; peak memory is 3-4 times it.
 # The largest default-budget walk with d >= 1, the 3^12 duals of D(13,1) at q = 3, takes 718 MB
 _MAX_STACK_BYTES = 2 ** 30
-
-# per type: V's class, A's tie (the class whose mirror links A to its copy
-# in h(A)), and the messages refusing a constrained and a linked block
-_V_CLASS = {
-    x: (SymmetryClass(v_class), SymmetryClass(h_class), class_message, link_message)
-    for x, v_class, h_class, class_message, link_message in (
-        ("C", "symmetric", "skew-symmetric", "b1 must be symmetric", "b3 must equal b2 transposed"),
-        ("D", "skew-symmetric", "skew-symmetric", "b1 must be skew-symmetric", "b3 must equal minus b2 transposed"),
-        ("U", "skew-hermitian", "skew-hermitian", "b2 J must be skew-Hermitian", "b1 must be the twisted transpose of b3"),
-    )
-}
-
-
-def d_range(x: str, n: int) -> range:
-    """The d a radical of type x and size n admits: 0..n-1 for U, 1..n otherwise."""
-    return range(0, n) if x == "U" else range(1, n + 1)
-
-
-@dataclass(frozen=True)
-class RadicalParams:
-    """Combinatorial data (type, n, d) of one radical group."""
-
-    x: str
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.x not in TYPES:
-            raise ValueError("type must be one of C, D, U")
-        if self.n < 1:
-            raise ValueError("n out of range")
-        if self.d not in d_range(self.x, self.n):
-            raise ValueError("d out of range")
-        if self.x == "C" and self.n < 3:
-            warnings.warn("type C with n < 3 is outside the standard Dynkin range; the matrix model is still well defined")
-        if self.x == "D" and self.n < 4:
-            warnings.warn("type D with n < 4 is outside the standard Dynkin range; the matrix model is still well defined")
-
-    @property
-    def k_exponent(self) -> int:
-        """|k| = q ** k_exponent for the entry field k."""
-        return 2 if self.x == "U" else 1
-
-    @property
-    def a_exponent(self) -> int:
-        """|A| = q ** a_exponent: the constrained class times the free block."""
-        return class_dimension(self.d, _V_CLASS[self.x][0]) + self.k_exponent * self.d * (self.n - self.d)
-
-    @property
-    def h_exponent(self) -> int:
-        """|H| = q ** h_exponent."""
-        return self.d * (self.n - self.d) * self.k_exponent
-
-    @property
-    def order_exponent(self) -> int:
-        return self.a_exponent + self.h_exponent
-
-
-def radical_order(params: RadicalParams) -> QPoly:
-    """|R_u| as a power of q."""
-    return QPoly.q_power(params.order_exponent)
-
 
 # Block builders and the enumerations below act on the last two axes, so
 # they take a single matrix or a stack of them alike.

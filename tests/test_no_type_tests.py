@@ -1,14 +1,16 @@
 """The radical types differ only in the block layout RadicalContext reads.
 
-Every other function of orbitmethod reads block roles (constrained, free,
-linked) off that layout instead of testing the type, so a new caller
-cannot restate a per-type decision.
+Every other function of orbitmethod, and of params, where RadicalParams
+and d_range live, reads block roles (constrained, free, linked) off that
+layout instead of testing the type, so a new caller cannot restate a
+per-type decision.
 """
 
 import ast
 from pathlib import Path
 
-ORBITMETHOD = Path(__file__).resolve().parents[1] / "src" / "radchar" / "orbitmethod.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "radchar"
+MODULES = (SRC / "orbitmethod.py", SRC / "params.py")
 
 # where the type may still be tested: the d range, the Dynkin warnings, |k|,
 # the constructor (entry field and layout) and the pairing's twisted trace
@@ -57,8 +59,13 @@ def _allowed(scope: str) -> bool:
 
 
 def test_only_the_layout_tests_the_type():
-    found = type_tests(ast.parse(ORBITMETHOD.read_text(), filename=str(ORBITMETHOD)))
-    assert [(scope, line) for scope, line in found if not _allowed(scope)] == []
+    found = [
+        (path.name, scope, line)
+        for path in MODULES
+        for scope, line in type_tests(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert {name for name, _, _ in found} == {"orbitmethod.py", "params.py"}  # each has its allowed tests
+    assert [(name, scope, line) for name, scope, line in found if not _allowed(scope)] == []
 
 
 def test_type_test_finder_sees_every_form():
