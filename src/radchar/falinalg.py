@@ -16,24 +16,23 @@ coadjoint_act) is sparse row and column updates instead.
 The three symmetry classes used downstream are plain symmetric
 (M^t = M), skew-symmetric (M^t = -M, zero diagonal since the
 characteristic is odd), and skew-Hermitian over a quadratic extension
-(conj(M)^t = -M, diagonal on the trace-zero line).  Each class can be
-enumerated exhaustively in a deterministic order, as code stacks
-(class_blocks) or one FfMatrix at a time (enumerate_class): free
-positions are visited row by row and the candidate codes ascend, so the
-first free entry is the most significant digit.  Membership is tested
-the same two ways: in_class on a code stack, is_in_class on one FfMatrix.
-Both, and orbitmethod's block links, read a class's one mirror table,
-mirror_codes: the code map from entry (i, j) of a member to entry (j, i).
+(conj(M)^t = -M, diagonal on the trace-zero line).  class_blocks
+enumerates a class exhaustively as code stacks in a deterministic order:
+free positions are visited row by row and the candidate codes ascend, so
+the first free entry is the most significant digit.  in_class tests
+membership of every matrix of a code stack.  Both, and orbitmethod's
+block links, read a class's one mirror table, mirror_codes: the code map
+from entry (i, j) of a member to entry (j, i).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+import operator
 
 import numpy as np
 
-from .gf import BudgetExceeded, FieldCtx, FieldElement, frobenius, norm, relative_trace
+from .gf import BudgetExceeded, FieldCtx, FieldElement, relative_trace
 from .params import DEFAULT_ENUM_BUDGET, SymmetryClass, class_dimension
 
 __all__ = [
@@ -42,18 +41,14 @@ __all__ = [
     "SymmetryClass",
     "ranks",
     "rank",
-    "conj_transpose",
     "mirror_codes",
     "in_class",
-    "is_in_class",
     "class_dimension",
     "class_size",
     "class_blocks",
     "enumerate_class",
     "trace_pairing",
     "twisted_trace_pairing",
-    "skew_hermitian_normal_form",
-    "reversal_matrix",
 ]
 
 # matrices per stacked step of an enumeration, rank or product: bounds the
@@ -77,11 +72,15 @@ class FfMatrix:
 
     @classmethod
     def from_codes(cls, field: FieldCtx, array: np.ndarray, copy: bool = True) -> "FfMatrix":
-        a = np.array(array, dtype=np.int16, copy=copy)
-        if a.ndim != 2:
+        # checked before the int16 cast, which would wrap a wide code into range
+        array = np.asarray(array)
+        if array.dtype.kind not in "iu":
+            raise TypeError("element codes must be integers")
+        if array.ndim != 2:
             raise ValueError("codes array must be two-dimensional")
-        if a.size and (a.min() < 0 or a.max() >= field.q):
+        if array.size and (array.min() < 0 or array.max() >= field.q):
             raise ValueError("element code out of range")
+        a = np.array(array, dtype=np.int16, copy=copy)
         a.setflags(write=False)
         return cls.__new__(cls)._init_raw(field, a)
 
@@ -119,7 +118,7 @@ class FfMatrix:
             if isinstance(i, slice) or isinstance(j, slice):
                 sub = self.codes[i, j]
                 if sub.ndim == 1:
-                    sub = sub.reshape(1, -1) if isinstance(i, int) else sub.reshape(-1, 1)
+                    sub = sub.reshape(-1, 1) if isinstance(i, slice) else sub.reshape(1, -1)
                 return FfMatrix.from_codes(self.field, sub)
             return self.entry(i, j)
         raise TypeError("index with a pair (i, j) of ints or slices")
@@ -192,7 +191,10 @@ def _codes_from(field: FieldCtx, data) -> np.ndarray:
                     raise ValueError("entry from a different field")
                 r.append(x.code)
             else:
-                c = int(x)
+                try:
+                    c = operator.index(x)
+                except TypeError:
+                    raise TypeError("element codes must be integers") from None
                 if not 0 <= c < field.q:
                     raise ValueError("element code out of range")
                 r.append(c)
@@ -270,13 +272,6 @@ def rank(M: FfMatrix) -> int:
     return int(ranks(M.field, M.codes))
 
 
-def conj_transpose(M: FfMatrix) -> "FfMatrix":
-    """Entrywise conjugate of the transpose; needs a quadratic extension."""
-    if M.field.base is None:
-        raise ValueError("no conjugation defined")
-    return FfMatrix.from_codes(M.field, M.field._frob[M.codes.T])
-
-
 def mirror_codes(field: FieldCtx, cls: SymmetryClass) -> np.ndarray:
     """The code table sending entry (i, j) of a member of cls to entry (j, i): x, -x or -conj(x)."""
     if cls is SymmetryClass.SYMMETRIC:
@@ -296,10 +291,6 @@ def in_class(field: FieldCtx, A: np.ndarray, cls: SymmetryClass) -> np.ndarray:
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("matrix must be square")
     return (A == mirror_codes(field, cls)[np.swapaxes(A, -1, -2)]).all(axis=(-2, -1))
-
-
-def is_in_class(M: FfMatrix, cls: SymmetryClass) -> bool:
-    return bool(in_class(M.field, M.codes, cls))
 
 
 def class_size(n: int, cls: SymmetryClass, field: FieldCtx) -> int:
@@ -351,7 +342,11 @@ def class_blocks(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFA
 
 
 def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET):
-    """The matrices of class_blocks one by one, as FfMatrix."""
+    """The matrices of class_blocks one by one, as FfMatrix.
+
+    No route runs it: it stays only because the perfbench tracer wraps it
+    by name, and goes when the tracer reads the library's own stages.
+    """
     return (FfMatrix.from_codes(field, M, copy=False) for stack in class_blocks(n, cls, field, budget) for M in stack)
 
 
@@ -368,75 +363,3 @@ def trace_pairing(X: FfMatrix, Y: FfMatrix) -> FieldElement:
 def twisted_trace_pairing(X: FfMatrix, Y: FfMatrix) -> FieldElement:
     """tr(X Y) + tr(X Y)^Q, an element of the base field."""
     return relative_trace(trace_pairing(X, Y))
-
-
-def _norm_preimage(field: FieldCtx, target: FieldElement) -> FieldElement:
-    # smallest-code c with c * c^Q = target; exists since the norm is onto
-    for c in field.elements():
-        if c.code and norm(c) == target:
-            return c
-    raise ValueError("norm equation has no solution")
-
-
-def skew_hermitian_normal_form(C: FfMatrix):
-    """Congruence transform of a skew-Hermitian matrix to alpha * diag(I_r, 0).
-
-    Returns (A, r, alpha) with A invertible, r = rank(C), alpha the
-    adjoined generator t, and A C conj(A)^t = alpha * diag(I_r, 0).
-    """
-    field = C.field
-    if field.base is None:
-        raise ValueError("no conjugation defined")
-    if not is_in_class(C, SymmetryClass.SKEW_HERMITIAN):
-        raise ValueError("matrix is not skew-hermitian")
-    n = C.rows
-    alpha = field.gen()
-    one = field.one()
-
-    def form(x: FfMatrix, y: FfMatrix) -> FieldElement:
-        return (x @ C @ conj_transpose(y)).entry(0, 0)
-
-    rows = [FfMatrix.identity(field, n)[i : i + 1, :] for i in range(n)]
-    pivots: list[FfMatrix] = []
-    while rows:
-        # the first row the form does not vanish on; failing that, the
-        # first v_i + c v_j it does not vanish on, which exists whenever
-        # some off-diagonal value form(v_i, v_j) is nonzero
-        sums = ((i, rows[i] + c * rows[j]) for i, j in combinations(range(len(rows)), 2) for c in (one, alpha))
-        drop, pick = next(((i, v) for i, v in chain(enumerate(rows), sums) if form(v, v)), (-1, None))
-        if pick is None:
-            break
-        beta = form(pick, pick)
-        target = alpha / beta
-        if target.code >= field.base.q:
-            raise ValueError("diagonal ratio must lie in the base field")
-        c = _norm_preimage(field, field.base.elem(target.code))
-        x = c * pick
-        if form(x, x) != alpha:
-            raise ValueError("scaled pivot must have form value alpha")
-        pivots.append(x)
-        rest = []
-        for idx, y in enumerate(rows):
-            if idx == drop:
-                continue
-            gamma = form(y, x) / alpha
-            rest.append(y - gamma * x)
-        rows = rest
-    r = len(pivots)
-    stacked = np.vstack([v.codes for v in pivots + rows]) if pivots + rows else np.zeros((0, 0), dtype=np.int16)
-    A = FfMatrix.from_codes(field, stacked)
-    if rank(A) != n:
-        raise ValueError("transform must be invertible")
-    target = np.zeros((n, n), dtype=np.int16)
-    for i in range(r):
-        target[i, i] = alpha.code
-    if A @ C @ conj_transpose(A) != FfMatrix.from_codes(field, target):
-        raise ValueError("normal form identity failed")
-    if r != rank(C):
-        raise ValueError("pivot count must equal the rank")
-    return A, r, alpha
-
-
-def reversal_matrix(field: FieldCtx, n: int) -> FfMatrix:
-    """The antidiagonal permutation matrix (ones from corner to corner)."""
-    return FfMatrix.from_codes(field, np.eye(n, dtype=np.int16)[::-1])

@@ -163,16 +163,6 @@ class FieldCtx:
         for c in range(self.q):
             yield FieldElement(self, c)
 
-    def trace_zero_codes(self) -> list[int]:
-        """Codes of the solutions of x + x^Q = 0, in code order.
-
-        For an extension this is the line {b*t : b in base}, of size Q.
-        """
-        if self.base is None:
-            raise ValueError("no conjugation defined")
-        Q = self.base.q
-        return [b * Q for b in range(Q)]
-
     # -- misc ----------------------------------------------------------
 
     def _gen_symbol(self) -> str:

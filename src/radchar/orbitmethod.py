@@ -76,6 +76,7 @@ from .gf import BudgetExceeded, FieldCtx, field_for_order, quadratic_extension
 from .params import TYPES, _V_CLASS, RadicalParams, d_range, radical_order
 
 __all__ = [
+    "TYPES",
     "RadicalParams",
     "RadicalContext",
     "RadicalElement",

@@ -1,8 +1,12 @@
 """Rank census closed forms against the brute-force histogram oracle."""
 
+import random
+import sys
 from functools import reduce
+from itertools import chain, combinations
 from operator import mul
 
+import numpy as np
 import pytest
 
 from radchar.census import (
@@ -20,12 +24,12 @@ from radchar.falinalg import (
     FfMatrix,
     SymmetryClass,
     class_size,
-    conj_transpose,
     enumerate_class,
+    in_class,
+    mirror_codes,
     rank,
-    skew_hermitian_normal_form,
 )
-from radchar.gf import field_create, field_for_order, norm, quadratic_extension
+from radchar.gf import FieldCtx, FieldElement, field_create, field_for_order, norm, quadratic_extension
 from radchar.qpoly import QPoly
 
 q = QPoly.q()
@@ -186,6 +190,143 @@ def test_qminus1_positivity_of_censuses():
                 if p is None:
                     continue
                 assert all(c >= 0 for c in p.to_qminus1_basis())
+
+
+def conj_transpose(M: FfMatrix) -> "FfMatrix":
+    """Entrywise conjugate of the transpose; needs a quadratic extension."""
+    if M.field.base is None:
+        raise ValueError("no conjugation defined")
+    return FfMatrix.from_codes(M.field, M.field._frob[M.codes.T])
+
+
+def _norm_preimage(field: FieldCtx, target: FieldElement) -> FieldElement:
+    # smallest-code c with c * c^Q = target; exists since the norm is onto
+    for c in field.elements():
+        if c.code and norm(c) == target:
+            return c
+    raise ValueError("norm equation has no solution")
+
+
+def skew_hermitian_normal_form(C: FfMatrix):
+    """Congruence transform of a skew-Hermitian matrix to alpha * diag(I_r, 0).
+
+    Returns (A, r, alpha) with A invertible, r = rank(C), alpha the
+    adjoined generator t, and A C conj(A)^t = alpha * diag(I_r, 0).
+    """
+    field = C.field
+    if field.base is None:
+        raise ValueError("no conjugation defined")
+    if not in_class(field, C.codes, SymmetryClass.SKEW_HERMITIAN):
+        raise ValueError("matrix is not skew-hermitian")
+    n = C.rows
+    alpha = field.gen()
+    one = field.one()
+
+    def form(x: FfMatrix, y: FfMatrix) -> FieldElement:
+        return (x @ C @ conj_transpose(y)).entry(0, 0)
+
+    rows = [FfMatrix.identity(field, n)[i : i + 1, :] for i in range(n)]
+    pivots: list[FfMatrix] = []
+    while rows:
+        # the first row the form does not vanish on; failing that, the
+        # first v_i + c v_j it does not vanish on, which exists whenever
+        # some off-diagonal value form(v_i, v_j) is nonzero
+        sums = ((i, rows[i] + c * rows[j]) for i, j in combinations(range(len(rows)), 2) for c in (one, alpha))
+        drop, pick = next(((i, v) for i, v in chain(enumerate(rows), sums) if form(v, v)), (-1, None))
+        if pick is None:
+            break
+        beta = form(pick, pick)
+        target = alpha / beta
+        if target.code >= field.base.q:
+            raise ValueError("diagonal ratio must lie in the base field")
+        c = _norm_preimage(field, field.base.elem(target.code))
+        x = c * pick
+        if form(x, x) != alpha:
+            raise ValueError("scaled pivot must have form value alpha")
+        pivots.append(x)
+        rest = []
+        for idx, y in enumerate(rows):
+            if idx == drop:
+                continue
+            gamma = form(y, x) / alpha
+            rest.append(y - gamma * x)
+        rows = rest
+    r = len(pivots)
+    stacked = np.vstack([v.codes for v in pivots + rows]) if pivots + rows else np.zeros((0, 0), dtype=np.int16)
+    A = FfMatrix.from_codes(field, stacked)
+    if rank(A) != n:
+        raise ValueError("transform must be invertible")
+    target = np.zeros((n, n), dtype=np.int16)
+    for i in range(r):
+        target[i, i] = alpha.code
+    if A @ C @ conj_transpose(A) != FfMatrix.from_codes(field, target):
+        raise ValueError("normal form identity failed")
+    if r != rank(C):
+        raise ValueError("pivot count must equal the rank")
+    return A, r, alpha
+
+
+def test_conj_transpose():
+    t = F9.gen()
+    M = FfMatrix(F9, [[t, 1], [0, t]])
+    Mh = conj_transpose(M)
+    assert Mh == FfMatrix(F9, [[-t, F9.zero()], [F9.one(), -t]])
+    assert conj_transpose(Mh) == M
+    with pytest.raises(ValueError, match="no conjugation defined"):
+        conj_transpose(FfMatrix.identity(F3, 2))
+
+
+def test_normal_form_exhaustive_small():
+    for n in (1, 2):
+        for C in enumerate_class(n, SymmetryClass.SKEW_HERMITIAN, F9):
+            A, r, alpha = skew_hermitian_normal_form(C)
+            assert alpha == F9.gen()
+            assert r == rank(C)
+            # the defining identity is asserted inside; spot-check shape
+            assert A.shape == (n, n)
+
+
+def test_normal_form_zero_and_scalar():
+    A, r, alpha = skew_hermitian_normal_form(FfMatrix.zeros(F9, 2, 2))
+    assert (r, alpha) == (0, F9.gen())
+    assert A == FfMatrix.identity(F9, 2)
+    t = F9.gen()
+    A, r, alpha = skew_hermitian_normal_form(FfMatrix(F9, [[t]]))
+    assert (r, alpha) == (1, t)
+    assert A == FfMatrix.identity(F9, 1)
+
+
+def test_normal_form_random_larger():
+    rng = random.Random(11)
+    for field in (F9, F25):
+        neg, frob = field._neg, field._frob
+        # the trace-zero line, in code order: the codes the skew-Hermitian mirror fixes
+        mirror = mirror_codes(field, SymmetryClass.SKEW_HERMITIAN)
+        zero_line = np.flatnonzero(mirror == np.arange(field.q)).tolist()
+        for _ in range(10):
+            M = np.zeros((3, 3), dtype=np.int16)
+            for i in range(3):
+                M[i, i] = rng.choice(zero_line)
+                for j in range(i + 1, 3):
+                    c = rng.randrange(field.q)
+                    M[i, j] = c
+                    M[j, i] = neg[frob[c]]
+            C = FfMatrix.from_codes(field, M)
+            A, r, alpha = skew_hermitian_normal_form(C)
+            assert r == rank(C)
+            assert alpha == field.gen()
+
+
+def test_normal_form_checks_raise(monkeypatch):
+    C = FfMatrix(F9, [[F9.gen(), 0], [0, 0]])
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules[__name__], "rank", lambda M: -1)
+        with pytest.raises(ValueError, match="transform must be invertible"):
+            skew_hermitian_normal_form(C)
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules[__name__], "_norm_preimage", lambda field, target: field.one())
+        with pytest.raises(ValueError, match="form value alpha"):
+            skew_hermitian_normal_form(2 * C)
 
 
 def test_scaled_identity_classes_coincide():

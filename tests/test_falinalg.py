@@ -1,4 +1,4 @@
-"""Matrix layer: ranks, symmetry classes, pairings, normal form."""
+"""Matrix layer: ranks, symmetry classes, pairings."""
 
 import math
 import random
@@ -12,19 +12,15 @@ from radchar.falinalg import (
     FfMatrix,
     SymmetryClass,
     class_size,
-    conj_transpose,
     enumerate_class,
     in_class,
-    is_in_class,
     matmul,
     rank,
     ranks,
-    reversal_matrix,
-    skew_hermitian_normal_form,
     trace_pairing,
     twisted_trace_pairing,
 )
-from radchar.gf import field_create, quadratic_extension
+from radchar.gf import field_create, frobenius, quadratic_extension
 
 F3 = field_create(3)
 F9 = field_create(3, 2)
@@ -210,26 +206,30 @@ def test_matmul_shape_errors():
         matmul(F9, np.zeros(3, dtype=np.int16), np.zeros((3, 3), dtype=np.int16))
 
 
-def test_conj_transpose():
-    t = F9.gen()
-    M = FfMatrix(F9, [[t, 1], [0, t]])
-    Mh = conj_transpose(M)
-    assert Mh == FfMatrix(F9, [[-t, F9.zero()], [F9.one(), -t]])
-    assert conj_transpose(Mh) == M
-    with pytest.raises(ValueError, match="no conjugation defined"):
-        conj_transpose(FfMatrix.identity(F3, 2))
-
-
 def test_is_in_class():
-    assert is_in_class(FfMatrix(F3, [[1, 2], [2, 0]]), SymmetryClass.SYMMETRIC)
-    assert not is_in_class(FfMatrix(F3, [[1, 2], [1, 0]]), SymmetryClass.SYMMETRIC)
-    assert is_in_class(FfMatrix(F3, [[0, 1], [2, 0]]), SymmetryClass.SKEW_SYMMETRIC)
-    assert not is_in_class(FfMatrix(F3, [[1, 1], [2, 0]]), SymmetryClass.SKEW_SYMMETRIC)
+    assert in_class(F3, FfMatrix(F3, [[1, 2], [2, 0]]).codes, SymmetryClass.SYMMETRIC)
+    assert not in_class(F3, FfMatrix(F3, [[1, 2], [1, 0]]).codes, SymmetryClass.SYMMETRIC)
+    assert in_class(F3, FfMatrix(F3, [[0, 1], [2, 0]]).codes, SymmetryClass.SKEW_SYMMETRIC)
+    assert not in_class(F3, FfMatrix(F3, [[1, 1], [2, 0]]).codes, SymmetryClass.SKEW_SYMMETRIC)
     t = F9.gen()
-    assert is_in_class(FfMatrix(F9, [[t]]), SymmetryClass.SKEW_HERMITIAN)
-    assert not is_in_class(FfMatrix(F9, [[1]]), SymmetryClass.SKEW_HERMITIAN)
+    assert in_class(F9, FfMatrix(F9, [[t]]).codes, SymmetryClass.SKEW_HERMITIAN)
+    assert not in_class(F9, FfMatrix(F9, [[1]]).codes, SymmetryClass.SKEW_HERMITIAN)
     with pytest.raises(ValueError, match="must be square"):
-        is_in_class(FfMatrix.zeros(F3, 2, 3), SymmetryClass.SYMMETRIC)
+        in_class(F3, FfMatrix.zeros(F3, 2, 3).codes, SymmetryClass.SYMMETRIC)
+
+
+# entry (j, i) of a class member, from entry (i, j)
+MIRRORS = {
+    SymmetryClass.SYMMETRIC: lambda x: x,
+    SymmetryClass.SKEW_SYMMETRIC: lambda x: -x,
+    SymmetryClass.SKEW_HERMITIAN: lambda x: -frobenius(x),
+}
+
+
+def _in_class_reference(field, M, cls):
+    """Class membership by its definition, in FieldElement arithmetic."""
+    E = [[field.elem(int(c)) for c in row] for row in M]
+    return all(E[j][i] == MIRRORS[cls](E[i][j]) for i in range(len(E)) for j in range(len(E)))
 
 
 def test_in_class_tests_a_stack_like_is_in_class():
@@ -241,7 +241,7 @@ def test_in_class_tests_a_stack_like_is_in_class():
             members = in_class(field, stack, cls)
             assert members.shape == (field.q ** 2, field.q ** 2)
             assert members.sum() == class_size(2, cls, field)
-            assert [is_in_class(FfMatrix.from_codes(field, M), cls) for M in stack.reshape(-1, 2, 2)] == members.ravel().tolist()
+            assert [_in_class_reference(field, M, cls) for M in stack.reshape(-1, 2, 2)] == members.ravel().tolist()
     with pytest.raises(ValueError, match="must be square"):
         in_class(F3, np.zeros((4, 2, 3), dtype=np.int16), SymmetryClass.SYMMETRIC)
     with pytest.raises(ValueError, match="no conjugation defined"):
@@ -260,7 +260,7 @@ def test_enumerate_class_counts_and_membership():
         seen = list(enumerate_class(n, cls, field))
         assert len(seen) == expected
         assert len(set(seen)) == expected
-        assert all(is_in_class(M, cls) for M in seen)
+        assert all(in_class(field, M.codes, cls) for M in seen)
         assert seen[0].is_zero()
 
 
@@ -306,48 +306,9 @@ def test_gram_matrix_symmetric_pairing_perfect():
     assert rank(G) == 3
 
 
-def test_normal_form_exhaustive_small():
-    for n in (1, 2):
-        for C in enumerate_class(n, SymmetryClass.SKEW_HERMITIAN, F9):
-            A, r, alpha = skew_hermitian_normal_form(C)
-            assert alpha == F9.gen()
-            assert r == rank(C)
-            # the defining identity is asserted inside; spot-check shape
-            assert A.shape == (n, n)
-
-
-def test_normal_form_zero_and_scalar():
-    A, r, alpha = skew_hermitian_normal_form(FfMatrix.zeros(F9, 2, 2))
-    assert (r, alpha) == (0, F9.gen())
-    assert A == FfMatrix.identity(F9, 2)
-    t = F9.gen()
-    A, r, alpha = skew_hermitian_normal_form(FfMatrix(F9, [[t]]))
-    assert (r, alpha) == (1, t)
-    assert A == FfMatrix.identity(F9, 1)
-
-
-def test_normal_form_random_larger():
-    rng = random.Random(11)
-    F25 = field_create(5, 2)
-    for field in (F9, F25):
-        neg, frob = field._neg, field._frob
-        zero_line = field.trace_zero_codes()
-        for _ in range(10):
-            M = np.zeros((3, 3), dtype=np.int16)
-            for i in range(3):
-                M[i, i] = rng.choice(zero_line)
-                for j in range(i + 1, 3):
-                    c = rng.randrange(field.q)
-                    M[i, j] = c
-                    M[j, i] = neg[frob[c]]
-            C = FfMatrix.from_codes(field, M)
-            A, r, alpha = skew_hermitian_normal_form(C)
-            assert r == rank(C)
-            assert alpha == field.gen()
-
-
 def test_reversal_matrix():
-    J = reversal_matrix(F3, 3)
+    # the antidiagonal permutation, read from a reversed view of the identity
+    J = FfMatrix.from_codes(F3, np.eye(3, dtype=np.int16)[::-1])
     assert J @ J == FfMatrix.identity(F3, 3)
     assert J == FfMatrix(F3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
@@ -358,3 +319,23 @@ def test_getitem_blocks():
     assert M[0:2, 1:3] == FfMatrix(F3, [[1, 2], [2, 0]])
     assert M[1, :] == FfMatrix(F3, [[1, 2, 0]])
     assert M[:, 0].shape == (3, 1)
+    # numpy integer indices orient the block like int ones: by which index is a slice
+    assert M[np.int64(1), :] == FfMatrix(F3, [[1, 2, 0]])
+    assert M[np.int16(1), 0:2] == FfMatrix(F3, [[1, 2]])
+    assert M[:, np.int64(0)] == FfMatrix(F3, [[0], [1], [2]])
+    assert M[np.int64(0), np.int64(2)] == F3.elem(2)
+
+
+def test_non_integer_codes_are_refused():
+    # a float or string code is refused, not truncated
+    for data in ([[1.7, 2.2]], [["2"]], [[1.0]]):
+        with pytest.raises(TypeError, match="must be integers"):
+            FfMatrix(F3, data)
+    for array in (np.array([[1.7, 2.2]]), np.array([[1.0]]), np.array([[True]])):
+        with pytest.raises(TypeError, match="must be integers"):
+            FfMatrix.from_codes(F3, array)
+    # integer codes of any width are taken, and range-checked before the int16 cast
+    assert FfMatrix(F3, [[np.int64(1), np.uint8(2)]]) == FfMatrix(F3, [[1, 2]])
+    assert FfMatrix.from_codes(F3, np.array([[1, 2]], dtype=np.uint64)) == FfMatrix(F3, [[1, 2]])
+    with pytest.raises(ValueError, match="out of range"):
+        FfMatrix.from_codes(F3, np.array([[2 ** 16 + 1]]))

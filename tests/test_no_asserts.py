@@ -10,9 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from radchar import falinalg
-from radchar.falinalg import FfMatrix, skew_hermitian_normal_form
-from radchar.gf import field_create
 from radchar.qpoly import QPoly
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "radchar"
@@ -42,15 +39,3 @@ def test_qpoly_integrality_checks_raise():
     with pytest.raises(ValueError, match="not divisible"):
         (2 * q + 1).exact_div(2 * q)
 
-
-def test_normal_form_checks_raise(monkeypatch):
-    F9 = field_create(3, 2)
-    C = FfMatrix(F9, [[F9.gen(), 0], [0, 0]])
-    with monkeypatch.context() as m:
-        m.setattr(falinalg, "rank", lambda M: -1)
-        with pytest.raises(ValueError, match="transform must be invertible"):
-            skew_hermitian_normal_form(C)
-    with monkeypatch.context() as m:
-        m.setattr(falinalg, "_norm_preimage", lambda field, target: field.one())
-        with pytest.raises(ValueError, match="form value alpha"):
-            skew_hermitian_normal_form(2 * C)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from radchar import falinalg, orbitmethod
-from radchar.falinalg import FfMatrix, conj_transpose, rank, ranks, reversal_matrix
+from radchar.falinalg import FfMatrix, rank, ranks
 from radchar.qpoly import QPoly
 from radchar.orbitmethod import (
     DualElement,
@@ -182,6 +182,11 @@ def test_element_validation_errors():
     with pytest.raises(ValueError, match="wrong field"):
         other = FfMatrix(ctx_for("C", 3, 2, 5).field, [[0, 0], [0, 0]])
         ctx.element(other, [[0], [0]], [[0], [0]])
+    # a non-integer code is refused, not truncated
+    with pytest.raises(TypeError, match="must be integers"):
+        ctx.element([[0, 0], [0, 0]], [[0], [0]], [[1.5], [0]])
+    with pytest.raises(TypeError, match="must be integers"):
+        ctx.element([[0, 0], [0, 0]], [[0], [0]], np.array([[1.5], [0.0]]))
 
 
 def test_dual_validation_errors():
@@ -228,7 +233,11 @@ def _u_closed_form(alpha, A1: FfMatrix) -> DualElement:
     ctx = alpha.ctx
     f = ctx.field
     d, n = ctx.d, ctx.n
-    A2 = -(reversal_matrix(f, n - d) @ conj_transpose(A1) @ reversal_matrix(f, d))
+    # A2 = -J conj(A1)^t J, with J the reversal (antidiagonal permutation) matrix
+    def J(k):
+        return FfMatrix.from_codes(f, np.eye(k, dtype=np.int16)[::-1])
+
+    A2 = -(J(n - d) @ FfMatrix.from_codes(f, f._frob[A1.codes.T]) @ J(d))
     b1, b3, b2 = alpha.b1, alpha.b3, alpha.b2
     return ctx.dual(b1 + A2 @ b2, b3 - b2 @ A1, b2)
 
