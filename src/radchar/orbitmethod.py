@@ -36,13 +36,14 @@ enumeration, conjugacy class counting and the pairing checks are the
 oracles the symbolic layer is tested against.  Every orbit is found by
 one engine, _Frame, _Action and _orbit_labels, which works in
 coordinates: a point (a dual, or g - I for an element g) is the vector
-of base-p digits of its ambient entries (codes add digit by digit, so
-these are F_p coordinates), and conjugation by a generator, linear in
-the point, is one F_p-linear map L on them, read off the ambient images
-of unit matrices (row and column updates, one per nonzero entry of g - I
-and of g^-1 - I).  The images of all points are coords @ L mod p, taken
-through the few nonzeros of L - I.  Every dual lies on one support, so
-H's maps on it are read once per context (RadicalContext._h_frame).  A
+of base-p digits of its entries on a support the layout states and
+conjugation keeps (RadicalContext._mask, _element_mask).  Codes add
+digit by digit, so these are F_p coordinates, and conjugation by a
+generator, linear in the point, is one F_p-linear map L on them, read
+off the ambient images of unit matrices (row and column updates, one per
+nonzero entry of g - I and of g^-1 - I).  The images of all points are
+coords @ L mod p, taken through the few nonzeros of L - I; H's maps on
+the dual support are read once per context (RadicalContext._h_frame).  A
 point's position is the Horner sum of its pivot digits, named by the
 block roles: for duals the upper triangle of the constrained block, read
 through J, then the free block, which is their enumeration order; for
@@ -181,12 +182,28 @@ class RadicalContext:
         self._v_shapes = [ambient[slot].shape for slot in self._a_slots[:2]]
         self._dual_shapes = [ambient[slot].shape for slot in self._dual_slots]
 
+    def _slot_mask(self, slots) -> np.ndarray:
+        """The ambient entries of some slots, as a read-only bool mask."""
+        mask = np.zeros((2 * self.n, 2 * self.n), dtype=bool)
+        for slot in slots:
+            mask[slot] = True
+        mask.setflags(write=False)
+        return mask
+
     @functools.cached_property
     def _mask(self) -> np.ndarray:
         """The support of the duals in an ambient matrix, built on first use."""
-        mask = self._dual_ambient(*(np.ones(shape, dtype=np.int16) for shape in self._dual_shapes)) != 0
-        mask.setflags(write=False)
-        return mask
+        return self._slot_mask(self._dual_slots)
+
+    @functools.cached_property
+    def _element_mask(self) -> np.ndarray:
+        """The support of g - I for the elements g: A's block, its copy and V's slots.
+
+        Conjugation keeps it.  h(A') leaves each block in place; a(V') adds V' X22 - X11 V' to the
+        upper-right block of X = g - I, and both terms land in V's first d rows: X22 is A's copy, met
+        only by V's free columns, which lie in those rows, and X11 is A's block, in those rows too.
+        """
+        return self._slot_mask((np.s_[..., 0 : self.d, self.d : self.n], self._h_copy, *self._a_slots))
 
     def _roles(self, blocks) -> tuple:
         """V's (b1, b2) as (constrained, free), a dual's (b1, b3, b2) as
@@ -354,7 +371,7 @@ class RadicalContext:
     def _h_frame(self) -> "_Frame":
         """H's generators as linear maps on the digits of the dual support, which holds every dual,
         pivot and projected image: built and checked once per context."""
-        return _Frame(self.field, 2 * self.n, np.flatnonzero(self._mask).tolist(), self._h_pairs, self._mask)
+        return _Frame(self.field, self._mask, self._h_pairs, self._mask)
 
     def generators(self) -> list["RadicalElement"]:
         """One-parameter elements generating all of R_u."""
@@ -524,15 +541,15 @@ class DualElement(_BlockValue):
         return self.ctx._dual_ambient(self._b1, self._b3, self._b2)
 
 
-def _same_ctx(a, b) -> RadicalContext:
-    if a.ctx.params != b.ctx.params or a.ctx.q != b.ctx.q:
+def _same_ctx(a: RadicalContext, b: RadicalContext) -> RadicalContext:
+    if a.params != b.params or a.q != b.q:
         raise ValueError("elements from different radical groups")
-    return a.ctx
+    return a
 
 
 def group_mul(g: RadicalElement, h: RadicalElement) -> RadicalElement:
     """Product in R_u; ValueError if it fails to decompose back into R_u."""
-    ctx = _same_ctx(g, h)
+    ctx = _same_ctx(g.ctx, h.ctx)
     return ctx._decompose(matmul(ctx.field, g._ambient_codes(), h._ambient_codes()))
 
 
@@ -547,7 +564,7 @@ def group_inv(g: RadicalElement) -> RadicalElement:
 
 def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
     """g . alpha = projection of g alpha g^(-1) onto the dual support."""
-    ctx = _same_ctx(g, alpha)
+    ctx = _same_ctx(g.ctx, alpha.ctx)
     return ctx._decompose_dual(_conjugates(ctx.field, alpha._ambient_codes(), *_ambient_pairs([g])[0], ctx._mask))
 
 
@@ -629,46 +646,32 @@ def _digits(field: FieldCtx, codes: np.ndarray) -> np.ndarray:
     return codes.astype(small)[..., None] // _powers(field).astype(small) % small.type(field.p)
 
 
-def _entries(stack: np.ndarray) -> list[int]:
-    """The flat ambient indices where some matrix of a stack is nonzero, found in one matrix of memory."""
-    return np.flatnonzero(np.bitwise_or.reduce(stack, axis=0)).tolist()
-
-
 # a wrong linear map passes this many pseudo-random points of the span with probability at most p^-32
 _SAMPLE = 32
 
 
 class _Frame:
-    """F_p coordinates on some ambient entries, with generators as linear maps on them.
+    """F_p coordinates on fixed ambient entries, with generators as linear maps on them.
 
-    A generator (g, g^-1) sends X to g X g^-1, projected onto support if
-    one is given, which is F_p-linear in X; a matrix's coordinates are the
-    base-p digits of its entries.  A frame reads the matrices it is given,
-    with no base point: the class walk hands it g - I, not g.  The entries
-    grow until every generator maps their span into itself.  A generator's
-    map L is read off the ambient images of the units of the coordinates
-    and kept as the nonzeros of L - I, which are few for a one-parameter
-    generator: an image column is the column plus a few multiples of
-    others.  The ambient images of _SAMPLE fixed pseudo-random points of
-    the span must equal their linear images.
+    The entries are a bool mask the layout states.  A generator (g, g^-1)
+    sends X to g X g^-1, projected onto support if one is given, which is
+    F_p-linear in X; a matrix's coordinates are the base-p digits of its
+    entries.  A frame reads the matrices it is given, with no base point:
+    the class walk hands it g - I, not g.  A generator's map L is read off
+    the ambient images of the units of the coordinates, which must lie on
+    the entries, and kept as the nonzeros of L - I, which are few for a
+    one-parameter generator: an image column is the column plus a few
+    multiples of others.  The ambient images of _SAMPLE fixed pseudo-random
+    points of the span must equal their linear images.
     """
 
-    def __init__(self, field: FieldCtx, size: int, entries, gens, support=None):
-        self.field, self.size, self.support = field, size, support
-        entries = dict.fromkeys(entries)
-        while True:
-            self.entries = np.array(list(entries), dtype=np.intp)
-            self._units = self._matrices(np.eye(len(self.entries) * field.degree, dtype=np.uint8))
-            images = [self._image(self._units, g, g_inv) for g, g_inv in gens]
-            # a unit's image may leave the entries where no point's image does (terms cancel on the points)
-            known = len(entries)
-            for image in images:
-                entries.update(dict.fromkeys(_entries(image)))
-            if len(entries) == known:
-                break
+    def __init__(self, field: FieldCtx, entries: np.ndarray, gens, support=None):
+        self.field, self.size, self.support = field, len(entries), support
+        self.entries = np.flatnonzero(entries)
+        self._units = self._matrices(np.eye(len(self.entries) * field.degree, dtype=np.uint8))
         digits = random.Random(0).choices(range(field.p), k=_SAMPLE * len(self._units))
         self._sample = np.array(digits, dtype=np.uint8).reshape(_SAMPLE, len(self._units))
-        self.moves = [self._checked(self._linear_map(image), g, g_inv) for image, (g, g_inv) in zip(images, gens)]
+        self.moves = [self.moves_of(g, g_inv) for g, g_inv in gens]
 
     def _matrices(self, coords: np.ndarray) -> np.ndarray:
         """The matrices with these coordinates, one per row of coords."""
@@ -710,7 +713,7 @@ class _Frame:
         return moves
 
     def moves_of(self, g: np.ndarray, g_inv: np.ndarray) -> tuple:
-        """The moves of one more generator, which must map the span of the coordinates into itself."""
+        """The moves of one generator, which must map the span of the coordinates into itself."""
         return self._checked(self._linear_map(self._image(self._units, g, g_inv)), g, g_inv)
 
     def apply(self, coords: np.ndarray, moves) -> np.ndarray:
@@ -776,11 +779,6 @@ class _Action:
     def permutations(self) -> list[np.ndarray]:
         """The permutation of the points each generator of the frame makes, in order."""
         return [self.permutation(moves) for moves in self.frame.moves]
-
-
-def _walk(field: FieldCtx, points: np.ndarray, gens, pivots) -> _Action:
-    """gens acting on points, in coordinates on the entries where a point is nonzero or a pivot lies."""
-    return _Action(_Frame(field, points.shape[-1], _entries(points) + [e for e, _ in pivots], gens), points, pivots)
 
 
 def _orbit_labels(action: _Action) -> np.ndarray:
@@ -942,9 +940,9 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
 
     Independent of the coadjoint orbit machinery (duals, stabilizer
     ranks): stacks g - I for all group elements g, conjugates the stack
-    by every one-parameter generator of R_u, and counts the orbits
-    of that action with the same generic labelling engine orbit_partition
-    uses.  The orbits of conjugation are the conjugacy classes.
+    by every one-parameter generator of R_u on the support the layout
+    states for it (_element_mask), and counts the orbits with the engine
+    orbit_partition uses.  The orbits of conjugation are the conjugacy classes.
     """
     ctx = _context(params, q)
     order = ctx.q ** params.order_exponent
@@ -953,7 +951,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
     points.reshape(order, -1)[:, :: 2 * ctx.n + 1] = 0  # g - I, which conjugation maps linearly
-    labels = _orbit_labels(_walk(ctx.field, points, _ambient_pairs(ctx.generators()), ctx._element_pivots))
+    labels = _orbit_labels(_Action(_Frame(ctx.field, ctx._element_mask, _ambient_pairs(ctx.generators())), points, ctx._element_pivots))
     return int(np.count_nonzero(labels == np.arange(order)))
 
 
@@ -995,8 +993,9 @@ def dual_index(ctx: RadicalContext):
 def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, index=None) -> np.ndarray:
     """The permutation a dual index experiences under one group element.
 
-    index is the lookup dual_index returns; it is built when not given.
+    index is the lookup dual_index returns, built when not given; ValueError unless g is in ctx's group.
     """
+    _same_ctx(ctx, g.ctx)
     if index is None:
         index = _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
     return index.permutation(index.frame.moves_of(*_ambient_pairs([g])[0]))

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radchar.cli import CLASS_TRIPLES
 from radchar.orbitmethod import (
     RadicalContext,
     RadicalParams,
@@ -24,7 +25,6 @@ from radchar.orbitmethod import (
     _Frame,
     _ambient_pairs,
     _conjugates,
-    _walk,
     class_count_brute,
     d_range,
     dual_index,
@@ -52,7 +52,7 @@ def _action(x, n, d, q, kind):
     if kind == "duals":
         return ctx, ctx._h_pairs, _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
     gens = _ambient_pairs(ctx.generators())
-    return ctx, gens, _walk(ctx.field, _element_points(ctx), gens, ctx._element_pivots)
+    return ctx, gens, _Action(_Frame(ctx.field, ctx._element_mask, gens), _element_points(ctx), ctx._element_pivots)
 
 
 def _map(frame, g, g_inv):
@@ -132,7 +132,7 @@ def test_pivots_number_the_duals_in_enumeration_order():
     count = 0
     for x, n, d, q in _instances("duals", 3 ** 9):
         ctx = RadicalContext(RadicalParams(x, n, d), q)
-        frame = _Frame(ctx.field, 2 * n, np.flatnonzero(ctx._mask).tolist(), [], ctx._mask)
+        frame = _Frame(ctx.field, ctx._mask, [], ctx._mask)
         action = _Action(frame, ctx._dual_stack(), ctx._dual_pivots)
         np.testing.assert_array_equal(action._order, np.arange(ctx.dual_count()))
         count += 1
@@ -148,9 +148,34 @@ def test_pivots_number_the_elements():
         ctx = RadicalContext(RadicalParams(x, n, d), q)
         stack = _element_points(ctx)
         assert ctx.field.p ** len(ctx._element_pivots) == len(stack)
-        _walk(ctx.field, stack, [], ctx._element_pivots)
+        _Action(_Frame(ctx.field, ctx._element_mask, []), stack, ctx._element_pivots)
         count += 1
     assert count == 51
+
+
+@pytest.mark.parametrize("x, n, d, q", [(*triple, 3) for triple in CLASS_TRIPLES] + [("C", 2, 1, 5), ("U", 2, 1, 5)])
+def test_the_layout_states_the_support_of_g_minus_identity(x, n, d, q):
+    # A's block, its copy and V's slots are exactly where some g - I is
+    # nonzero, and every generator maps their span into itself; the dual
+    # mask is where the blocks of a dual sit, as when built from one of ones
+    ctx = RadicalContext(RadicalParams(x, n, d), q)
+    np.testing.assert_array_equal(ctx._element_mask, (_element_points(ctx) != 0).any(axis=0))
+    gens = _ambient_pairs(ctx.generators())
+    assert len(_Frame(ctx.field, ctx._element_mask, gens).moves) == len(gens)
+    ones = (np.ones(shape, dtype=np.int16) for shape in ctx._dual_shapes)
+    np.testing.assert_array_equal(ctx._mask, ctx._dual_ambient(*ones) != 0)
+    assert not (ctx._mask.flags.writeable or ctx._element_mask.flags.writeable)
+
+
+@pytest.mark.parametrize("x, n, d", [("C", 3, 2), ("D", 4, 1), ("U", 2, 1), ("U", 3, 1)])
+def test_a_frame_that_misses_an_image_is_refused(x, n, d):
+    # a(V') adds V' X22 - X11 V' to g - I, in V's first d rows on the
+    # constrained columns; without that slot the entries are not kept
+    ctx = RadicalContext(RadicalParams(x, n, d), 3)
+    entries = ctx._element_mask.copy()
+    entries[0:d, ctx._cols[0]] = False
+    with pytest.raises(ValueError, match="a generator maps the coordinates off their entries"):
+        _Frame(ctx.field, entries, _ambient_pairs(ctx.generators()))
 
 
 def test_a_corrupted_linear_map_trips_the_ambient_cross_check(monkeypatch):

@@ -32,7 +32,6 @@ from radchar.orbitmethod import (
     radical_order,
     _Action,
     _Frame,
-    _walk,
     _orbit_labels,
 )
 
@@ -320,6 +319,24 @@ def test_orbit_of_agrees_with_orbit_partition(x, n, d, q):
         assert (mine.size, mine.stabilizer_order, mine.e) == (theirs.size, theirs.stabilizer_order, theirs.e)
 
 
+def test_elements_of_another_group_are_refused():
+    # another (n, d) over the same field, and the same (n, d) over F_5 on a
+    # q = 3 context, whose codes would run past the F_3 tables
+    ctx = ctx_for("C", 3, 2, 3)
+    alpha = next(ctx.duals())
+    _, index = dual_index(ctx)
+    for other in (ctx_for("C", 3, 1, 3), ctx_for("C", 3, 2, 5)):
+        g = other.generators()[-1]
+        with pytest.raises(ValueError, match="elements from different radical groups"):
+            coadjoint_permutation(ctx, g)
+        with pytest.raises(ValueError, match="elements from different radical groups"):
+            coadjoint_permutation(ctx, g, index)
+        with pytest.raises(ValueError, match="elements from different radical groups"):
+            coadjoint_act(g, alpha)
+        with pytest.raises(ValueError, match="elements from different radical groups"):
+            group_mul(g, ctx.identity())
+
+
 def test_orbit_walks_invert_the_h_generators_once_per_context(monkeypatch):
     # orbit_partition and orbit_of on every dual share the (g, g^-1) pairs
     # their context built, so each H-generator is inverted once, not once
@@ -547,7 +564,8 @@ def test_orbit_engine_labels_least_index():
     # and 8 classes of size 3, each labelled by its first element
     ctx = ctx_for("C", 2, 1, 3)
     points = _minus_identity(ctx._element_stack())
-    labels = _orbit_labels(_walk(ctx.field, points, [_pair(g) for g in ctx.generators()], ctx._element_pivots))
+    frame = _Frame(ctx.field, ctx._element_mask, [_pair(g) for g in ctx.generators()])
+    labels = _orbit_labels(_Action(frame, points, ctx._element_pivots))
     roots = np.flatnonzero(labels == np.arange(len(points)))
     assert len(roots) == 11
     assert sorted(np.bincount(labels)[roots]) == [1] * 3 + [3] * 8
@@ -560,7 +578,7 @@ def test_orbit_engine_rejects_escaping_images():
     points = _minus_identity(np.stack([h._ambient_codes() for h in ctx.h_elements()]))
     g = ctx.a_element([[0]], [[1]])
     with pytest.raises(ValueError, match="escapes the point set"):
-        _orbit_labels(_walk(ctx.field, points, [_pair(g)], ctx._grid_pivots(None, np.s_[0:1, 1:2])))
+        _orbit_labels(_Action(_Frame(ctx.field, ctx._element_mask, [_pair(g)]), points, ctx._grid_pivots(None, np.s_[0:1, 1:2])))
 
 
 def test_orbit_engine_rejects_non_permutations():
@@ -568,18 +586,17 @@ def test_orbit_engine_rejects_non_permutations():
     duals = ctx._dual_stack()
     one = np.eye(4, dtype=np.int16)
     # projecting onto an empty support sends every dual to zero
-    frame = _Frame(ctx.field, 4, np.flatnonzero(ctx._mask).tolist(), [(one, one)], np.zeros((4, 4), dtype=bool))
+    frame = _Frame(ctx.field, ctx._mask, [(one, one)], np.zeros((4, 4), dtype=bool))
     with pytest.raises(ValueError, match="does not permute"):
         _orbit_labels(_Action(frame, duals, ctx._dual_pivots))
     with pytest.raises(ValueError, match="distinct"):
-        _orbit_labels(_walk(ctx.field, np.stack([duals[0], duals[0]]), [], ctx._dual_pivots))
+        _orbit_labels(_Action(_Frame(ctx.field, ctx._mask, []), np.stack([duals[0], duals[0]]), ctx._dual_pivots))
 
 
 @pytest.mark.parametrize("x, n, d", [("C", 3, 2), ("D", 4, 2), ("U", 2, 1)])
 def test_the_class_walk_reads_g_minus_identity(monkeypatch, x, n, d):
     # every g - I is zero on the diagonal, so no coordinate sits there; were
-    # g read instead, counts would stay right but every point would carry
-    # 2n constant coordinates
+    # g read instead, the walk would raise, the diagonal being off the mask
     ctx = ctx_for(x, n, d, 3)
     actions, real_labels = [], orbitmethod._orbit_labels
 
