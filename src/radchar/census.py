@@ -170,10 +170,8 @@ def rank_censuses(kind: str, n: int, variant: str = "corrected", top: int | None
     return counts
 
 
-def brute_rank_census(
-    n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFAULT_ENUM_BUDGET
-) -> dict[int, int]:
-    """Rank histogram of a symmetry class by exhaustive enumeration."""
+def brute_rank_census(n: int, cls: SymmetryClass, field, budget: int = DEFAULT_ENUM_BUDGET) -> dict[int, int]:
+    """Rank histogram of a symmetry class over field, a gf.FieldCtx, by exhaustive enumeration."""
     import numpy as np
 
     from .falinalg import class_blocks, ranks

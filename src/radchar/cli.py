@@ -109,8 +109,8 @@ def _count_str(row: dict, basis: str) -> str:
 # -- census -----------------------------------------------------------------
 
 
-def _orbit_check(table: DegreeCensus, ctx: RadicalContext, args):
-    """(rows, ok, detail): the orbit census over ctx, checked against the table's layers."""
+def _orbit_check(table: DegreeCensus, ctx, args):
+    """(rows, ok, detail): the orbit census over ctx, a RadicalContext, checked against the table's layers."""
     from .orbitmethod import DEFAULT_ORBIT_BUDGET, orbit_census
 
     orbits = orbit_census(table.params, ctx, budget=resolve_budget(args, DEFAULT_ORBIT_BUDGET))
@@ -121,8 +121,8 @@ def _orbit_check(table: DegreeCensus, ctx: RadicalContext, args):
     return orbits.rows, ok, detail
 
 
-def _class_check(table: DegreeCensus, ctx: RadicalContext, args):
-    """(classes, ok, detail): the conjugacy class count over ctx, checked against the table's total."""
+def _class_check(table: DegreeCensus, ctx, args):
+    """(classes, ok, detail): the conjugacy class count over ctx, a RadicalContext, checked against the table's total."""
     from .orbitmethod import DEFAULT_CLASS_BUDGET, class_count_brute
 
     classes = class_count_brute(table.params, ctx, budget=resolve_budget(args, DEFAULT_CLASS_BUDGET))

@@ -95,14 +95,14 @@ __all__ = [
     "orbit_census",
     "class_count_brute",
     "pairing_nondegeneracy_check",
-    "dual_index",
     "coadjoint_permutation",
 ]
 
 DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
 
-# bytes a walk's point stack ((2n)^2 int16 codes a point) may take; peak memory is 3-4 times it.
+# bytes a walk's point stack ((2n)^2 int16 codes a point) may take.  A walk keeps only the points'
+# coordinates; fresh-process peaks at q = 3 are 1.4-1.6 times the stack (C(5,4): 1,380 MB for 956 MB, D(5,2): 516 for 319 MB).
 # The largest default-budget walk with d >= 1, the 3^12 duals of D(13,1) at q = 3, takes 718 MB
 _MAX_STACK_BYTES = 2 ** 30
 
@@ -725,7 +725,7 @@ class _Frame:
 
 
 class _Action:
-    """A frame's generators acting on a stack of distinct points.
+    """A frame's generators acting on a stack of distinct points, kept only as their coordinates.
 
     pivots lists (flat ambient index, digit) of the p-digits that number
     the points: a point's position is their Horner sum, most significant
@@ -735,7 +735,7 @@ class _Action:
     """
 
     def __init__(self, frame: _Frame, points: np.ndarray, pivots):
-        self.frame, self.points = frame, points
+        self.frame = frame
         self.coords = frame.coordinates(points, "points must lie on the entries of their coordinates")
         column = {e: i for i, e in enumerate(frame.entries.tolist())}
         degree = frame.field.degree
@@ -789,7 +789,7 @@ def _orbit_labels(action: _Action) -> np.ndarray:
     propagation with pointer jumping (Shiloach-Vishkin 1982).
     """
     images = action.permutations()
-    labels = np.arange(len(action.points))
+    labels = np.arange(len(action.coords))
     while True:
         before = labels
         for image in images:
@@ -849,8 +849,8 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     _check_walk(ctx, h_order, budget, f"orbit bound {h_order}")
-    fiber = ctx._dual_ambient(*ctx._dual_blocks(ctx._roles(alpha._blocks())[0][None]))
-    action = _Action(ctx._h_frame, fiber, ctx._fiber_pivots)
+    fiber = ctx._dual_blocks(ctx._roles(alpha._blocks())[0][None])
+    action = _Action(ctx._h_frame, ctx._dual_ambient(*fiber), ctx._fiber_pivots)
     labels = _orbit_labels(action)
     (where,) = action.lookup(alpha._ambient_codes()[None])
     reps = tuple(block[None] for block in alpha._blocks())
@@ -864,13 +864,14 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     which is also its representative.
     """
     _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
-    b1, b3, b2 = ctx._dual_blocks()
-    labels = _orbit_labels(_Action(ctx._h_frame, ctx._dual_ambient(b1, b3, b2), ctx._dual_pivots))
+    action = _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+    labels = _orbit_labels(action)
     roots = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[roots]
     if sizes.sum() != ctx.dual_count():
         raise ValueError("orbits must partition the dual space")
-    reps = b1[roots], b3[roots], b2[roots]
+    matrices = action.frame._matrices(action.coords[roots])  # the representatives, read back from their coordinates
+    reps = tuple(np.array(matrices[slot]) for slot in ctx._dual_slots)
     ctx._validate_dual_blocks(*reps)
     return _records(ctx, reps, sizes.tolist())
 
@@ -951,7 +952,9 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     if len(points) != order:
         raise ValueError("element enumeration must hit the full group order")
     points.reshape(order, -1)[:, :: 2 * ctx.n + 1] = 0  # g - I, which conjugation maps linearly
-    labels = _orbit_labels(_Action(_Frame(ctx.field, ctx._element_mask, _ambient_pairs(ctx.generators())), points, ctx._element_pivots))
+    action = _Action(_Frame(ctx.field, ctx._element_mask, _ambient_pairs(ctx.generators())), points, ctx._element_pivots)
+    del points  # the walk reads the coordinates alone
+    labels = _orbit_labels(action)
     return int(np.count_nonzero(labels == np.arange(order)))
 
 
@@ -985,17 +988,13 @@ def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
     return np.array([ctx.field._sub[ctx._a_ambient(b1, b2), one] for b1, b2 in directions], dtype=np.int16).reshape(-1, one.size)
 
 
-def dual_index(ctx: RadicalContext):
-    """All duals in enumeration order, plus a position lookup over them."""
-    return list(ctx.duals()), _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement) -> np.ndarray:
+    """perm[i] = position of g . alpha_i among the duals, in the order of ctx.duals().
 
-
-def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement, index=None) -> np.ndarray:
-    """The permutation a dual index experiences under one group element.
-
-    index is the lookup dual_index returns, built when not given; ValueError unless g is in ctx's group.
+    ValueError unless g is in ctx's group; the whole dual space is stacked, so
+    the orbit budget and the stack cap refuse it first, as for orbit_partition.
     """
     _same_ctx(ctx, g.ctx)
-    if index is None:
-        index = _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
-    return index.permutation(index.frame.moves_of(*_ambient_pairs([g])[0]))
+    _check_walk(ctx, ctx.dual_count(), DEFAULT_ORBIT_BUDGET, f"{ctx.dual_count()} duals")
+    action = _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+    return action.permutation(action.frame.moves_of(*_ambient_pairs([g])[0]))

@@ -26,7 +26,6 @@ from radchar.orbitmethod import (
     coadjoint_act,
     coadjoint_permutation,
     coefficient_matrix,
-    dual_index,
     group_mul,
     orbit_census,
     orbit_partition,
@@ -214,13 +213,13 @@ def test_criterion_8_action_law_and_orbit_rank_invariants():
     for x, n, d in instances:
         params = RadicalParams(x, n, d)
         ctx = RadicalContext(params, 3)
-        duals, index = dual_index(ctx)
+        duals = list(ctx.duals())
         h_order = 3 ** params.h_exponent
 
         # exhaustive action law over H x H x duals, via permutation tables
         hs = list(ctx.h_elements())
         assert len(hs) == h_order
-        perms = {h.key(): coadjoint_permutation(ctx, h, index) for h in hs}
+        perms = {h.key(): coadjoint_permutation(ctx, h) for h in hs}
         for g in hs:
             pg = perms[g.key()]
             for h in hs:

@@ -26,8 +26,8 @@ from radchar.orbitmethod import (
     _ambient_pairs,
     _conjugates,
     class_count_brute,
+    coadjoint_permutation,
     d_range,
-    dual_index,
     orbit_of,
     orbit_partition,
 )
@@ -47,12 +47,14 @@ def _element_points(ctx):
 
 @functools.cache
 def _action(x, n, d, q, kind):
-    """(ctx, generator pairs, action) of the orbit walk (kind "duals") or the class walk ("elements")."""
+    """(ctx, generator pairs, action, points) of the orbit walk (kind "duals") or the class walk ("elements");
+    the action keeps only the coordinates, so the points are returned beside it."""
     ctx = RadicalContext(RadicalParams(x, n, d), q)
     if kind == "duals":
-        return ctx, ctx._h_pairs, _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
-    gens = _ambient_pairs(ctx.generators())
-    return ctx, gens, _Action(_Frame(ctx.field, ctx._element_mask, gens), _element_points(ctx), ctx._element_pivots)
+        points = ctx._dual_stack()
+        return ctx, ctx._h_pairs, _Action(ctx._h_frame, points, ctx._dual_pivots), points
+    gens, points = _ambient_pairs(ctx.generators()), _element_points(ctx)
+    return ctx, gens, _Action(_Frame(ctx.field, ctx._element_mask, gens), points, ctx._element_pivots), points
 
 
 def _map(frame, g, g_inv):
@@ -76,10 +78,10 @@ def test_linear_images_are_the_ambient_images(x, n, d, q, kind):
     # every point, every generator: the ambient image (projected onto the
     # dual support for duals) has the coordinates coords @ L mod p, the walk
     # computes them, and its permutation is the one the ambient images give
-    ctx, gens, action = _action(x, n, d, q, kind)
+    ctx, gens, action, points = _action(x, n, d, q, kind)
     frame = action.frame
     for (g, g_inv), moves, perm in zip(gens, frame.moves, action.permutations()):
-        ambient = _conjugates(ctx.field, action.points, g, g_inv, frame.support)
+        ambient = _conjugates(ctx.field, points, g, g_inv, frame.support)
         linear = _dense(action.coords, _map(frame, g, g_inv), ctx.field.p)
         np.testing.assert_array_equal(frame.coordinates(ambient, "off the entries"), linear)
         np.testing.assert_array_equal(frame.apply(action.coords, moves), linear)
@@ -103,12 +105,12 @@ def test_the_action_is_linear_in_the_coordinates(case, data):
     # Z = X + c Y for two points X, Y and c in F_p is in general not a
     # point (for elements, not g - I for a group element g); its ambient
     # image still has the coordinates (coords(X) + c coords(Y)) @ L mod p
-    ctx, gens, action = _action(*case)
+    ctx, gens, action, points = _action(*case)
     f, frame = ctx.field, action.frame
-    i, j = (data.draw(st.integers(0, len(action.points) - 1)) for _ in range(2))
+    i, j = (data.draw(st.integers(0, len(points) - 1)) for _ in range(2))
     c = data.draw(st.integers(0, f.p - 1))
     k = data.draw(st.integers(0, len(gens) - 1))
-    Z = f._add[action.points[i], f._mul[c, action.points[j]]]
+    Z = f._add[points[i], f._mul[c, points[j]]]
     image = _conjugates(f, Z[None], *gens[k], frame.support)
     summed = action.coords[i] + c * action.coords[j].astype(np.int64)
     linear = _dense(summed[None], _map(frame, *gens[k]), f.p)
@@ -221,7 +223,7 @@ def test_a_wrong_pivot_set_trips_the_permutation_check(monkeypatch):
 
 
 def test_h_maps_are_read_once_per_context(monkeypatch):
-    # the dual walk, every fiber orbit_of labels and every index share the
+    # the dual walk, every fiber orbit_of labels and coadjoint_permutation share the
     # context's frame: H's maps are read off the ambient action once
     built = []
     real = _Frame.__init__
@@ -235,5 +237,5 @@ def test_h_maps_are_read_once_per_context(monkeypatch):
     orbit_partition(ctx)
     for alpha in ctx.duals():
         orbit_of(alpha)
-    _, index = dual_index(ctx)
-    assert len(built) == 1 and index.frame is built[0]
+    coadjoint_permutation(ctx, ctx.generators()[-1])
+    assert len(built) == 1 and ctx._h_frame is built[0]

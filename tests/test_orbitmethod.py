@@ -7,12 +7,15 @@ small coadjoint orbit structures that can be checked by hand.
 
 import hashlib
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from radchar import falinalg, orbitmethod
 from radchar.falinalg import FfMatrix, rank, ranks
+from radchar.params import BudgetExceeded
 from radchar.qpoly import QPoly
 from radchar.orbitmethod import (
     DualElement,
@@ -22,7 +25,6 @@ from radchar.orbitmethod import (
     coadjoint_act,
     coadjoint_permutation,
     coefficient_matrix,
-    dual_index,
     group_inv,
     group_mul,
     orbit_census,
@@ -306,11 +308,12 @@ def test_orbit_of_agrees_with_orbit_partition(x, n, d, q):
     # orbit_of labels one fiber, orbit_partition the whole dual space; the
     # orbit of each representative is read off the permutations of all of H
     ctx = ctx_for(x, n, d, q)
-    duals, index = dual_index(ctx)
-    perms = [coadjoint_permutation(ctx, h, index) for h in ctx.h_elements()]
+    duals = list(ctx.duals())
+    position = {alpha.key(): i for i, alpha in enumerate(duals)}
+    perms = [coadjoint_permutation(ctx, h) for h in ctx.h_elements()]
     record_at = {}
     for record in orbit_partition(ctx):
-        (pos,) = index.lookup(record.representative._ambient_codes()[None])
+        pos = position[record.representative.key()]
         for perm in perms:
             record_at[int(perm[pos])] = record
     assert len(record_at) == len(duals)
@@ -324,17 +327,64 @@ def test_elements_of_another_group_are_refused():
     # q = 3 context, whose codes would run past the F_3 tables
     ctx = ctx_for("C", 3, 2, 3)
     alpha = next(ctx.duals())
-    _, index = dual_index(ctx)
     for other in (ctx_for("C", 3, 1, 3), ctx_for("C", 3, 2, 5)):
         g = other.generators()[-1]
         with pytest.raises(ValueError, match="elements from different radical groups"):
             coadjoint_permutation(ctx, g)
         with pytest.raises(ValueError, match="elements from different radical groups"):
-            coadjoint_permutation(ctx, g, index)
-        with pytest.raises(ValueError, match="elements from different radical groups"):
             coadjoint_act(g, alpha)
         with pytest.raises(ValueError, match="elements from different radical groups"):
             group_mul(g, ctx.identity())
+
+
+@pytest.mark.parametrize(
+    "x, n, d, message",
+    [
+        # the trivial group U(100000, 0): one dual of 200000x200000 codes
+        ("U", 100000, 0, "1 duals stacks 80000000000 bytes, over the cap 1073741824"),
+        ("C", 6, 3, "14348907 duals exceeds budget 1000000"),
+    ],
+)
+def test_a_whole_dual_space_permutation_is_refused_before_allocating(x, n, d, message):
+    # coadjoint_permutation stacks every dual, so the orbit budget and the
+    # stack cap refuse it as they refuse orbit_partition
+    ctx = ctx_for(x, n, d, 3)
+    g = ctx.identity()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as refused:
+            coadjoint_permutation(ctx, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert str(refused.value) == f"enumeration too large: {message}"
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize(
+    "walk, x, n, d, bound", [("orbits", "C", 4, 3, 1.6), ("orbits", "C", 5, 2, 1.6), ("classes", "D", 4, 2, 1.9)]
+)
+def test_a_walk_holds_no_ambient_stack_while_it_labels(walk, x, n, d, bound):
+    # a walk keeps its points as coordinates alone: its peak is the ambient
+    # stack it builds (points x 2 x (2n)^2 bytes, as _check_walk sizes it)
+    # plus what labelling takes, with no stack held beside them
+    ctx = ctx_for(x, n, d, 3)
+    if walk == "orbits":
+        points = ctx.dual_count()
+        run = lambda: orbit_partition(ctx)
+    else:
+        points = 3 ** ctx.params.order_exponent
+        run = lambda: class_count_brute(ctx.params, ctx, budget=points)
+    run()  # what the context caches (masks, pivots, H's frame) is built here, outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * points * 2 * (2 * n) ** 2
 
 
 def test_orbit_walks_invert_the_h_generators_once_per_context(monkeypatch):
@@ -424,9 +474,8 @@ def test_orbit_partition_consistency():
 
 def test_action_law_permutations():
     ctx = ctx_for("C", 2, 1, 3)
-    _, index = dual_index(ctx)
     els = list(ctx.elements())
-    perms = {g.key(): coadjoint_permutation(ctx, g, index) for g in els}
+    perms = {g.key(): coadjoint_permutation(ctx, g) for g in els}
     for g in els:
         for h in els:
             gh = group_mul(g, h)
@@ -435,13 +484,12 @@ def test_action_law_permutations():
 
 def test_action_law_permutations_u_sampled():
     ctx = ctx_for("U", 2, 1, 3)
-    _, index = dual_index(ctx)
     rng = random.Random(29)
     cache = {}
 
     def perm_of(g):
         if g.key() not in cache:
-            cache[g.key()] = coadjoint_permutation(ctx, g, index)
+            cache[g.key()] = coadjoint_permutation(ctx, g)
         return cache[g.key()]
 
     for _ in range(40):
