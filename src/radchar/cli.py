@@ -277,7 +277,6 @@ def _suite_ranks(args, qs):
     # each field built once per suite (extensions are cached on their base); not process-wide,
     # where it could hold every order up to gf.MAX_FIELD_ORDER
     field = functools.cache(_field_for)
-    checks = []
     for kind, n, q in sorted(set(grid)):
         hist = _brute_histogram(kind, n, field(q), args)
         expected = {r: p.eval_at(q) for r, p in rank_censuses(kind, n).items()}
@@ -287,11 +286,10 @@ def _suite_ranks(args, qs):
             if ok
             else f"expected {expected}, brute gave {hist}"
         )
-        checks.append({"suite": "ranks", "name": f"{kind} n={n} q={q}", "ok": ok, "detail": detail})
-    return checks
+        yield f"{kind} n={n} q={q}", ok, detail
 
 
-def _oracle_suite(suite: str, triples, check, args, qs):
+def _oracle_suite(triples, check, args, qs):
     """One check per radical instance: check(census table, context, args), as census --oracle runs it."""
     from .orbitmethod import RadicalContext
 
@@ -299,20 +297,17 @@ def _oracle_suite(suite: str, triples, check, args, qs):
     if qs is None:
         instances.add(("C", 2, 1, 5))
     field = functools.cache(_field_for)
-    checks = []
     for x, n, d, q in sorted(instances):
         if args.max_n is not None and n > args.max_n:
             continue
         params = RadicalParams(x, n, d)
         _, ok, detail = check(census_table(params), RadicalContext(params, field(q)), args)
-        checks.append({"suite": suite, "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
-    return checks
+        yield f"{x} n={n} d={d} q={q}", ok, detail
 
 
 def _suite_pairings(args, qs):
     from .orbitmethod import pairing_nondegeneracy_check
 
-    checks = []
     grid = []
     for x in ("C", "D", "U"):
         for n in range(1, _capped(4, args.max_n) + 1):
@@ -323,8 +318,7 @@ def _suite_pairings(args, qs):
     for x, n, d, q in sorted(grid):
         ok = pairing_nondegeneracy_check(RadicalParams(x, n, d), field(q))
         detail = "trace pairing Gram matrix invertible" if ok else "degenerate trace pairing"
-        checks.append({"suite": "pairings", "name": f"{x} n={n} d={d} q={q}", "ok": ok, "detail": detail})
-    return checks
+        yield f"{x} n={n} d={d} q={q}", ok, detail
 
 
 def _suite_positivity(args, qs):
@@ -333,7 +327,6 @@ def _suite_positivity(args, qs):
     for x in ("C", "D", "U"):
         for d in d_range(x, max_n):
             check_degree(RadicalParams(x, max_n, d).order_exponent)
-    checks = []
     for x in ("C", "D", "U"):
         for n in range(1, max_n + 1):
             bad = []
@@ -347,13 +340,13 @@ def _suite_positivity(args, qs):
                 if ok
                 else f"negative (q-1) coefficients at (d, e) in {bad}"
             )
-            checks.append({"suite": "positivity", "name": f"{x} n={n}", "ok": ok, "detail": detail})
-    return checks
+            yield f"{x} n={n}", ok, detail
 
 
+# each suite yields (check name, ok, detail) per check; cmd_verify files them under the suite's key
 SUITES = {
-    "classes": functools.partial(_oracle_suite, "classes", CLASS_TRIPLES, _class_check),
-    "orbits": functools.partial(_oracle_suite, "orbits", ORBIT_TRIPLES, _orbit_check),
+    "classes": functools.partial(_oracle_suite, CLASS_TRIPLES, _class_check),
+    "orbits": functools.partial(_oracle_suite, ORBIT_TRIPLES, _orbit_check),
     "pairings": _suite_pairings,
     "positivity": _suite_positivity,
     "ranks": _suite_ranks,
@@ -365,9 +358,11 @@ def cmd_verify(args):
         raise UsageError("--max-n must be at least 1")
     qs = tuple(dict.fromkeys(_checked_q(v) for v in args.q)) if args.q else None
     names = tuple(sorted(SUITES)) if args.suite == "all" else (args.suite,)
-    checks = []
-    for name in names:
-        checks.extend(SUITES[name](args, qs))
+    checks = [
+        {"suite": name, "name": check, "ok": ok, "detail": detail}
+        for name in names
+        for check, ok, detail in SUITES[name](args, qs)
+    ]
     ok = all(c["ok"] for c in checks)
     record = {
         "command": "verify",

@@ -304,10 +304,11 @@ def class_size(n: int, cls: SymmetryClass, field: FieldCtx) -> int:
 def mixed_radix(radices, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Digits of the integers start .. stop-1 in a mixed radix, one row each.
 
-    The first digit is the most significant; stop defaults to the product
-    of the radices.  With no radices every row is empty.
+    The first digit is the most significant; stop defaults to, and is
+    clamped to, the product of the radices.  With no radices every row is empty.
     """
-    index = np.arange(start, math.prod(radices) if stop is None else stop)
+    total = math.prod(radices)
+    index = np.arange(start, total if stop is None else min(stop, total))
     if not radices:
         return np.zeros((len(index), 0), dtype=np.intp)
     return np.stack(np.unravel_index(index, radices), axis=-1)
@@ -330,7 +331,7 @@ def class_blocks(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = DEFA
 
     def generate():
         for s in range(0, total, BLOCK):
-            digits = mixed_radix([len(c) for c in choices], s, min(s + BLOCK, total))
+            digits = mixed_radix([len(c) for c in choices], s, s + BLOCK)
             stack = np.zeros((len(digits), n, n), dtype=np.int16)
             for (i, j), codes, column in zip(positions, choices, digits.T):
                 stack[:, i, j] = codes[column]

@@ -110,10 +110,6 @@ _MAX_STACK_BYTES = 2 ** 30
 # they take a single matrix or a stack of them alike.
 
 
-def _t(X: np.ndarray) -> np.ndarray:
-    return np.swapaxes(X, -1, -2)
-
-
 def _identity_stack(size: int, lead: tuple) -> np.ndarray:
     M = np.zeros(lead + (size, size), dtype=np.int16)
     M.reshape(-1, size * size)[:, :: size + 1] = 1
@@ -126,9 +122,9 @@ def _flat_index(size: int, slot) -> np.ndarray:
     return np.broadcast_to(r[:, None] * size, (size, size))[slot] + np.broadcast_to(r, (size, size))[slot]
 
 
-def _grid(*stacks: np.ndarray) -> tuple:
-    """Every choice of one matrix per stack, the last stack varying fastest."""
-    picks = mixed_radix([len(s) for s in stacks])
+def _grid(*stacks: np.ndarray, start: int = 0, stop: int | None = None) -> tuple:
+    """The choices start .. stop-1 (all by default, stop clamped) of one matrix per stack, the last stack varying fastest."""
+    picks = mixed_radix([len(s) for s in stacks], start, stop)
     return tuple(s[i] for s, i in zip(stacks, picks.T))
 
 
@@ -212,7 +208,7 @@ class RadicalContext:
 
     def _link(self, X: np.ndarray, mirror: np.ndarray) -> np.ndarray:
         """The block a mirror table ties to X: mirror[X^t], J mirror[X^t] J for U."""
-        return mirror[_t(X)][..., self._j, self._j]
+        return mirror[np.swapaxes(X, -1, -2)][..., self._j, self._j]
 
     # -- raw ambient builders (arrays of codes) -------------------------
 
@@ -298,10 +294,10 @@ class RadicalContext:
         """Every constrained block of V, in class_blocks order."""
         return np.concatenate(list(class_blocks(self.d, self._v_class, self.field)))[..., self._j]
 
-    def _element_blocks(self) -> tuple:
-        """Stacked free blocks (b1, b2, a) of all elements, in enumeration order."""
+    def _element_blocks(self, start: int = 0, stop: int | None = None) -> tuple:
+        """Stacked free blocks (b1, b2, a) of the elements start .. stop-1 (all by default), in enumeration order."""
         free = self._free_stack(self.d, self.n - self.d)
-        return _grid(*self._roles((self._v_stack(), free)), free)
+        return _grid(*self._roles((self._v_stack(), free)), free, start=start, stop=stop)
 
     def _element_stack(self) -> np.ndarray:
         """Ambient codes of all elements, in enumeration order."""
@@ -350,9 +346,10 @@ class RadicalContext:
         return self._grid_pivots(None, np.s_[0 : self.d, self.d : self.n]) + self._grid_pivots(*self._roles(self._a_slots[:2]))
 
     def elements(self):
-        """All group elements, in a fixed enumeration order."""
-        for b1, b2, a in zip(*self._element_blocks()):
-            yield RadicalElement(self, b1, b2, a)
+        """All group elements, in a fixed enumeration order, built BLOCK at a time."""
+        for start in range(0, self.q ** self.params.order_exponent, BLOCK):
+            for b1, b2, a in zip(*self._element_blocks(start, start + BLOCK)):
+                yield RadicalElement(self, b1, b2, a)
 
     def h_elements(self):
         for a in self._free_stack(self.d, self.n - self.d):
@@ -422,23 +419,24 @@ class RadicalContext:
         if not np.array_equal(linked, self._link(free, self._v_mirror)):
             raise ValueError(self._link_message)
 
-    def _dual_blocks(self, constrained=None) -> tuple:
-        """Stacked blocks (b1, b3, b2) of the duals, in enumeration order.
+    def _dual_blocks(self, constrained=None, start: int = 0, stop: int | None = None) -> tuple:
+        """Stacked blocks (b1, b3, b2) of the duals start .. stop-1 (all by default), in enumeration order.
 
         Only duals whose constrained block is in the stack constrained are
         listed; all duals when it is None.
         """
         v = self._v_stack() if constrained is None else constrained
-        return self._tie(*_grid(v, self._free_stack(*self._roles(self._dual_shapes)[1])))
+        return self._tie(*_grid(v, self._free_stack(*self._roles(self._dual_shapes)[1]), start=start, stop=stop))
 
     def _dual_stack(self) -> np.ndarray:
         """Ambient codes of all duals, in enumeration order."""
         return self._dual_ambient(*self._dual_blocks())
 
     def duals(self):
-        """All dual elements, in a fixed enumeration order."""
-        for b1, b3, b2 in zip(*self._dual_blocks()):
-            yield DualElement(self, b1, b3, b2)
+        """All dual elements, in a fixed enumeration order, built BLOCK at a time."""
+        for start in range(0, self.dual_count(), BLOCK):
+            for b1, b3, b2 in zip(*self._dual_blocks(None, start, start + BLOCK)):
+                yield DualElement(self, b1, b3, b2)
 
     def dual_count(self) -> int:
         return self.q ** self.params.a_exponent
@@ -840,6 +838,12 @@ def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str) -> Non
         raise BudgetExceeded(f"enumeration too large: {what} stacks {size} bytes, over the cap {_MAX_STACK_BYTES}")
 
 
+def _dual_action(ctx: RadicalContext, budget: int) -> "_Action":
+    """H acting on the whole dual space, refused first by the budget and the stack cap."""
+    _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
+    return _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+
+
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
     """Orbit of a dual element under the H-coadjoint action.
 
@@ -863,8 +867,7 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     One record per orbit, in the order of its first dual in ctx.duals(),
     which is also its representative.
     """
-    _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
-    action = _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+    action = _dual_action(ctx, budget)
     labels = _orbit_labels(action)
     roots = np.flatnonzero(labels == np.arange(len(labels)))
     sizes = np.bincount(labels)[roots]
@@ -995,6 +998,5 @@ def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement) -> np.ndarray:
     the orbit budget and the stack cap refuse it first, as for orbit_partition.
     """
     _same_ctx(ctx, g.ctx)
-    _check_walk(ctx, ctx.dual_count(), DEFAULT_ORBIT_BUDGET, f"{ctx.dual_count()} duals")
-    action = _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+    action = _dual_action(ctx, DEFAULT_ORBIT_BUDGET)
     return action.permutation(action.frame.moves_of(*_ambient_pairs([g])[0]))

@@ -15,6 +15,7 @@ from radchar.charcensus import (
     sum_of_squares_check,
 )
 from radchar.orbitmethod import RadicalParams, d_range, orbit_census, radical_order
+from radchar.params import TYPES, _V_CLASS, class_dimension
 from radchar.qpoly import QPoly
 
 
@@ -255,3 +256,14 @@ def test_radical_order_consistency():
     for x, n, d in [("C", 4, 2), ("D", 5, 3), ("U", 4, 2)]:
         params = P(x, n, d)
         assert census_table(params).order_poly() == radical_order(params)
+
+
+def test_census_kind_and_block_layout_agree_on_each_types_class():
+    # two statements of which symmetry class a type's block lies in: the census name and V's class
+    for x in TYPES:
+        assert census.CLASSES[charcensus._CENSUS_KIND[x]] is _V_CLASS[x][0]
+
+
+def test_class_dimension_refuses_an_unknown_class():
+    with pytest.raises(ValueError, match="unknown symmetry class"):
+        class_dimension(2, "symmetric")

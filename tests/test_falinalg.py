@@ -15,6 +15,7 @@ from radchar.falinalg import (
     enumerate_class,
     in_class,
     matmul,
+    mirror_codes,
     rank,
     ranks,
     trace_pairing,
@@ -339,3 +340,26 @@ def test_non_integer_codes_are_refused():
     assert FfMatrix.from_codes(F3, np.array([[1, 2]], dtype=np.uint64)) == FfMatrix(F3, [[1, 2]])
     with pytest.raises(ValueError, match="out of range"):
         FfMatrix.from_codes(F3, np.array([[2 ** 16 + 1]]))
+
+
+M3 = FfMatrix(F3, [[1, 2], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FfMatrix.from_codes(F3, np.zeros(3, dtype=np.int16)), ValueError, "codes array must be two-dimensional"),
+        (lambda: M3[0], TypeError, r"index with a pair \(i, j\) of ints or slices"),
+        (lambda: M3 + FfMatrix(F3, [[1, 2]]), ValueError, "shape mismatch in matrix sum"),
+        (lambda: M3 + FfMatrix(F9, [[1, 2], [0, 1]]), ValueError, "matrices over different fields"),
+        (lambda: FfMatrix(F3, [[F9.one()]]), ValueError, "entry from a different field"),
+        (lambda: FfMatrix(F3, [[3]]), ValueError, "element code out of range"),
+        (lambda: FfMatrix(F3, [[1, 2], [1]]), ValueError, "ragged rows"),
+        (lambda: mirror_codes(F3, "symmetric"), ValueError, "unknown symmetry class"),
+        (lambda: class_size(2, SymmetryClass.SKEW_HERMITIAN, F3), ValueError, "no conjugation defined"),
+        (lambda: trace_pairing(M3, FfMatrix(F9, [[1, 2], [0, 1]])), ValueError, "matrices over different fields"),
+    ],
+)
+def test_matrix_layer_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

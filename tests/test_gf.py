@@ -9,6 +9,7 @@ from radchar.falinalg import SymmetryClass, mirror_codes
 from radchar.gf import (
     MAX_FIELD_ORDER,
     BudgetExceeded,
+    FieldCtx,
     field_create,
     field_for_order,
     frobenius,
@@ -243,3 +244,21 @@ def test_odd_prime_power_refuses_what_it_cannot_decide():
     # where Miller-Rabin with those bases is proven
     with pytest.raises(BudgetExceeded, match="cannot decide whether"):
         odd_prime_power(10 ** 30 + 3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: FieldCtx(3, None), TypeError, "use field_create or quadratic_extension"),
+        (lambda: field_create(3).elem(3), ValueError, "element code out of range"),
+        (lambda: field_create(3).gen(), ValueError, "prime field has no adjoined generator"),
+        (lambda: field_create(3).one() + field_create(5).one(), ValueError, "elements of different fields"),
+        (lambda: field_create(3).zero() ** -1, ZeroDivisionError, "zero divisor"),
+        (lambda: field_create(3).zero().inverse(), ZeroDivisionError, "zero divisor"),
+        (lambda: field_create(3).one().coords(), ValueError, "prime field element has no base coordinates"),
+        (lambda: norm(field_create(3).one()), ValueError, "no conjugation defined"),
+    ],
+)
+def test_field_layer_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

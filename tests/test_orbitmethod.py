@@ -788,3 +788,32 @@ def test_block_layout_is_pinned():
         put(orbitmethod._lie_a_basis(ctx))
     assert stacked == 49
     assert h.hexdigest() == "1309f90444d4dab8e84afa663bc8680a5ba1b865f4f0d780dda99d94272401da"
+
+
+def test_orbit_census_refuses_a_context_for_other_parameters():
+    with pytest.raises(ValueError, match="context parameters do not match"):
+        orbit_census(RadicalParams("C", 3, 2), ctx_for("C", 3, 1, 3))
+
+
+@pytest.mark.parametrize("x, n, d, walk", [("D", 5, 2, "elements"), ("C", 5, 3, "duals")])
+def test_the_enumerations_build_one_block_before_their_first_item(x, n, d, walk):
+    # 3^13 elements of D(5,2) and 3^12 duals of C(5,3) at q = 3; the first item needs one BLOCK of the grid
+    items = getattr(ctx_for(x, n, d, 3), walk)()
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        next(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.05
+    assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("x, n, d, q, walk, stack", [("U", 2, 1, 5, "elements", "_element_stack"), ("C", 4, 2, 3, "duals", "_dual_stack")])
+def test_the_enumerations_match_the_stacks_row_for_row(x, n, d, q, walk, stack):
+    # 3,125 elements of U(2,1) at q = 5 and 2,187 duals of C(4,2) at q = 3: more than one BLOCK each
+    ctx = ctx_for(x, n, d, q)
+    codes = np.array([item._ambient_codes() for item in getattr(ctx, walk)()])
+    assert len(codes) > falinalg.BLOCK
+    assert np.array_equal(codes, getattr(ctx, stack)())

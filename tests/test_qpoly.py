@@ -242,3 +242,8 @@ def test_shifted_is_the_product_by_a_power_of_q(cs, k):
     assert QPoly(cs).shifted(k) == schoolbook(cs, [0] * k + [1])
     with pytest.raises(ValueError, match="negative power of q"):
         QPoly(cs).shifted(-1 - k)
+
+
+def test_q_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative power of q"):
+        QPoly.q_power(-1)
