@@ -41,7 +41,9 @@ conjugation keeps (RadicalContext._mask, _element_mask).  Codes add
 digit by digit, so these are F_p coordinates, and conjugation by a
 generator, linear in the point, is one F_p-linear map L on them, read
 off the ambient images of unit matrices (row and column updates, one per
-nonzero entry of g - I and of g^-1 - I).  The images of all points are
+nonzero entry of g - I and of g^-1 - I); a frame builds these probes and
+its check sample when it reads its first generator, and reads each generator
+with one conjugation of them.  The images of all points are
 coords @ L mod p, taken through the few nonzeros of L - I; H's maps on
 the dual support are read once per context (RadicalContext._h_frame).  A
 point's position is the Horner sum of its pivot digits, named by the
@@ -231,9 +233,6 @@ class RadicalContext:
         M[..., 0:d, d:n] = A
         M[self._h_copy] = self._link(A, self._h_mirror)
         return M
-
-    def _a_ambient(self, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-        return self._with_v(_identity_stack(2 * self.n, b2.shape[:-2]), b1, b2)
 
     def _with_v(self, M: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
         """M with V's blocks b1, b2 and the linked block written into its upper-right corner."""
@@ -556,7 +555,7 @@ def group_inv(g: RadicalElement) -> RadicalElement:
     ctx = g.ctx
     f = ctx.field
     ha = ctx._h_ambient(f._neg[g._a])
-    aa = ctx._a_ambient(f._neg[g._b1], f._neg[g._b2])
+    aa = ctx._with_v(_identity_stack(2 * ctx.n, ()), f._neg[g._b1], f._neg[g._b2])
     return ctx._decompose(matmul(f, ha, aa))
 
 
@@ -660,16 +659,21 @@ class _Frame:
     the entries, and kept as the nonzeros of L - I, which are few for a
     one-parameter generator: an image column is the column plus a few
     multiples of others.  The ambient images of _SAMPLE fixed pseudo-random
-    points of the span must equal their linear images.
+    points of the span must equal their linear images.  Units and sample are one
+    probe stack, built when the first generator is read and conjugated once per generator.
     """
 
     def __init__(self, field: FieldCtx, entries: np.ndarray, gens, support=None):
         self.field, self.size, self.support = field, len(entries), support
         self.entries = np.flatnonzero(entries)
-        self._units = self._matrices(np.eye(len(self.entries) * field.degree, dtype=np.uint8))
-        digits = random.Random(0).choices(range(field.p), k=_SAMPLE * len(self._units))
-        self._sample = np.array(digits, dtype=np.uint8).reshape(_SAMPLE, len(self._units))
+        digits = random.Random(0).choices(range(field.p), k=_SAMPLE * len(self.entries) * field.degree)
+        self._sample = np.array(digits, dtype=np.uint8).reshape(_SAMPLE, -1)
         self.moves = [self.moves_of(g, g_inv) for g, g_inv in gens]
+
+    @functools.cached_property
+    def _probes(self) -> np.ndarray:
+        """The units of the coordinates, then the sample, as matrices: built when the first generator is read."""
+        return self._matrices(np.concatenate([np.eye(self._sample.shape[1], dtype=np.uint8), self._sample]))
 
     def _matrices(self, coords: np.ndarray) -> np.ndarray:
         """The matrices with these coordinates, one per row of coords."""
@@ -678,10 +682,6 @@ class _Frame:
         flat = np.zeros((len(coords), self.size ** 2), dtype=np.int16)
         flat[:, self.entries] = codes
         return flat.reshape(-1, self.size, self.size)
-
-    def _image(self, stack: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
-        """The ambient images of a stack under one generator."""
-        return _conjugates(self.field, stack, g, g_inv, self.support)
 
     def coordinates(self, stack: np.ndarray, message: str) -> np.ndarray:
         """The digits on the entries, a row per matrix of a stack, in the least unsigned dtype;
@@ -696,23 +696,21 @@ class _Frame:
         """L, row i the coordinates of the ambient image of unit i."""
         return self.coordinates(images, "a generator maps the coordinates off their entries")
 
-    def _checked(self, L: np.ndarray, g: np.ndarray, g_inv: np.ndarray) -> tuple:
-        """The rows and columns where L - I is not zero and L - I on them, once the sample's ambient
-        images are found equal to its linear images."""
+    def moves_of(self, g: np.ndarray, g_inv: np.ndarray) -> tuple:
+        """The rows and columns where a generator's L - I is not zero and L - I on them, once L is found
+        to keep the span of the coordinates and the sample's ambient images to equal its linear images."""
         p = self.field.p
+        images = _conjugates(self.field, self._probes, g, g_inv, self.support)
+        L = self._linear_map(images[:-_SAMPLE])
         moved = (L.astype(np.int64) - np.eye(len(L), dtype=np.int64)) % p
         rows, cols = np.flatnonzero(moved.any(axis=1)), np.flatnonzero(moved.any(axis=0))
         # the least unsigned dtype holding a column plus its moving terms, so apply makes small temporaries
         moves = rows, cols, moved[np.ix_(rows, cols)].astype(np.min_scalar_type((p - 1) * (1 + (p - 1) * len(rows))))
         # the ambient action stays the definition
         differ = "linear images differ from the ambient action"
-        if not np.array_equal(self.coordinates(self._image(self._matrices(self._sample), g, g_inv), differ), self.apply(self._sample, moves)):
+        if not np.array_equal(self.coordinates(images[-_SAMPLE:], differ), self.apply(self._sample, moves)):
             raise ValueError(differ)
         return moves
-
-    def moves_of(self, g: np.ndarray, g_inv: np.ndarray) -> tuple:
-        """The moves of one generator, which must map the span of the coordinates into itself."""
-        return self._checked(self._linear_map(self._image(self._units, g, g_inv)), g, g_inv)
 
     def apply(self, coords: np.ndarray, moves) -> np.ndarray:
         """coords @ L mod p, L = I plus the moves; only the moved columns are computed."""
@@ -980,15 +978,15 @@ def pairing_nondegeneracy_check(params: RadicalParams, q) -> bool:
 
 
 def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
-    """A basis of Lie(A) over F_q (the base field), one flattened ambient matrix per row.
+    """A basis of Lie(A) over F_q (the base field), one flattened a(V) - I (V's blocks alone) per row.
 
     The pairing downstream is F_q-bilinear, so the directions take an
     F_q-basis of k: 1 for types C and D, 1 and t for type U (t alone on
     the constrained diagonal).
     """
-    one = np.eye(2 * ctx.n, dtype=np.int16)
+    size = 2 * ctx.n
     directions = ctx._a_directions([ctx.base_field.q ** i for i in range(ctx.params.k_exponent)])
-    return np.array([ctx.field._sub[ctx._a_ambient(b1, b2), one] for b1, b2 in directions], dtype=np.int16).reshape(-1, one.size)
+    return np.array([ctx._with_v(np.zeros((size, size), dtype=np.int16), b1, b2) for b1, b2 in directions], dtype=np.int16).reshape(-1, size * size)
 
 
 def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement) -> np.ndarray:

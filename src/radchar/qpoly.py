@@ -240,7 +240,7 @@ class QPoly:
 
     @classmethod
     def from_json(cls, data) -> "QPoly":
-        return cls([int(s) for s in data])
+        return _poly(list(map(int, data)))
 
     def __str__(self) -> str:
         return format_terms(reversed(list(enumerate(self.coeffs))), "q")

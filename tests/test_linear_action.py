@@ -23,6 +23,7 @@ from radchar.orbitmethod import (
     RadicalParams,
     _Action,
     _Frame,
+    _SAMPLE,
     _ambient_pairs,
     _conjugates,
     class_count_brute,
@@ -58,8 +59,8 @@ def _action(x, n, d, q, kind):
 
 
 def _map(frame, g, g_inv):
-    """L of one generator, read off the ambient images of the units."""
-    return frame._linear_map(frame._image(frame._units, g, g_inv))
+    """L of one generator, read off the ambient images of the units, which lead the probe stack."""
+    return frame._linear_map(_conjugates(frame.field, frame._probes[:-_SAMPLE], g, g_inv, frame.support))
 
 
 @pytest.mark.parametrize(

@@ -405,6 +405,51 @@ def test_orbit_walks_invert_the_h_generators_once_per_context(monkeypatch):
     assert len(inverted) == len(ctx.h_generators()) == 4
 
 
+def test_the_h_frame_conjugates_one_probe_stack_per_generator(monkeypatch):
+    # the units and the check sample are one stack, so reading a generator
+    # is one conjugation, not one for the units and one for the sample
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    real = orbitmethod._conjugates
+    monkeypatch.setattr(orbitmethod, "_conjugates", counting)
+    ctx = ctx_for("C", 3, 2, 3)
+    frame = ctx._h_frame
+    coordinates = len(frame.entries) * ctx.field.degree
+    assert len(calls) == len(ctx.h_generators()) == 2
+    assert calls == [coordinates + orbitmethod._SAMPLE] * 2
+
+
+@pytest.mark.parametrize("x, n", [("C", 2), ("D", 3)])
+def test_a_frame_builds_its_probes_when_it_reads_its_first_generator(x, n):
+    # d = n: H is trivial, so the orbit walk reads no generator and builds no
+    # probe; A fixes every dual, and reading one of its generators builds them
+    ctx = ctx_for(x, n, n, 3)
+    assert [r.size for r in orbit_partition(ctx)] == [1] * ctx.dual_count()
+    assert "_probes" not in ctx._h_frame.__dict__
+    for g in ctx.generators():
+        np.testing.assert_array_equal(coadjoint_permutation(ctx, g), np.arange(ctx.dual_count()))
+    assert "_probes" in ctx._h_frame.__dict__
+
+
+def test_orbit_of_on_an_abelian_radical_builds_no_probe():
+    # C(60,60): |H| = 1, so the zero dual's orbit is itself; the 3,600
+    # (120 x 120) unit matrices of the dual support are never built
+    ctx = ctx_for("C", 60, 60, 3)
+    zero = ctx.dual(*(np.zeros(shape, dtype=np.int16) for shape in ctx._dual_shapes))
+    tracemalloc.start()
+    try:
+        record = orbit_of(zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (record.size, record.e) == (1, 0)
+    assert peak < 10_000_000
+
+
 def test_orbit_census_frozen_values():
     expected = {
         ("C", 2, 1, 3): {0: (3, 3, 9, 1), 1: (6, 2, 2, 3)},
