@@ -56,6 +56,7 @@ from .qpoly import QPoly
 __all__ = [
     "CLASSES",
     "MAX_DEGREE",
+    "MAX_DIGITS",
     "attainable_ranks",
     "check_degree",
     "check_variant",
@@ -84,6 +85,9 @@ CLASSES = {
 # --basis qminus1, mostly the (q-1) expansion, and 0.35-0.45 s at either
 # degree as md or csv in the q basis, which skips it (best of 3 processes).
 MAX_DEGREE = 2000
+# Most digits of a value at q the command line prints: CPython's default int-to-str limit, fixed so every interpreter refuses
+# alike.  A census count or degree of degree L is at least q^L / 3 at q >= 3 (factors q^m - 1 of distinct odd m, m = 1 twice).
+MAX_DIGITS = 4300
 
 
 def check_degree(degree: int) -> None:

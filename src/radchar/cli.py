@@ -45,7 +45,7 @@ import sys
 import time
 from dataclasses import asdict
 
-from .census import CLASSES, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree, rank_censuses
+from .census import CLASSES, MAX_DIGITS, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree, rank_censuses
 from .charcensus import DegreeCensus, census_table, qminus1_report
 from .params import DEFAULT_ENUM_BUDGET, BudgetExceeded, RadicalParams, class_dimension, d_range, odd_prime_power
 from .qpoly import QPoly, format_terms, qminus1_expansions
@@ -64,11 +64,22 @@ class UsageError(Exception):
     """Parameter or flag problem; maps to exit code 2."""
 
 
-def _checked_q(q: int) -> int:
-    """q itself if it is an odd prime power; no field is built."""
+def _checked_q(q: int, degree: int = 0) -> int:
+    """q itself if it is an odd prime power at which census values of this degree in q can print; no field is built."""
+    # first, as primality takes seconds on a q of thousands of digits: such a value is >= q^degree / 3, log10 q > 0.3 (bits - 1)
+    if 3 * degree * (q.bit_length() - 1) >= 10 * MAX_DIGITS + 5:
+        raise BudgetExceeded(f"a value at q would have more than {MAX_DIGITS} digits, the cap on printed values")
     if odd_prime_power(q) is None:
         raise UsageError("odd prime power required")
     return q
+
+
+def _at_q(poly: QPoly, q: int) -> int:
+    """poly at q; BudgetExceeded if it has more than MAX_DIGITS digits, which no value of at most 3 MAX_DIGITS bits has."""
+    value = poly.eval_at(q)
+    if value.bit_length() > 3 * MAX_DIGITS and abs(value) >= 10 ** MAX_DIGITS:
+        raise BudgetExceeded(f"a value at q would have more than {MAX_DIGITS} digits, the cap on printed values")
+    return value
 
 
 def _field_for(q: int):
@@ -158,10 +169,10 @@ def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
 def cmd_census(args):
     params = _params(args)
     check_degree(params.order_exponent)
-    q = _checked_q(args.q) if args.q is not None else None
+    census = census_table(params, args.variant)
+    q = _checked_q(args.q, max(p.degree for row in census.rows for p in (row.degree, row.count))) if args.q is not None else None
     if args.oracle and q is None:
         raise UsageError("--oracle requires --q")
-    census = census_table(params, args.variant)
     # only json output and the (q-1) basis read the expansion
     expand = args.fmt == "json" or args.basis == "qminus1"
     expansions = qminus1_expansions([row.count for row in census.rows]) if expand else [None] * len(census.rows)
@@ -176,8 +187,8 @@ def cmd_census(args):
         if expand:
             entry["count_qminus1"] = list(map(str, qminus1))
         if q is not None:
-            entry["degree_at_q"] = row.degree_at(q)
-            entry["count_at_q"] = row.count_at(q)
+            entry["degree_at_q"] = _at_q(row.degree, q)
+            entry["count_at_q"] = _at_q(row.count, q)
         rows.append(entry)
     order = census.order_poly()
     sos_ok = census.sum_of_squares() == order
@@ -221,9 +232,6 @@ def cmd_ranks(args):
     if n < 0:
         raise UsageError("--n must be nonnegative")
     check_degree(class_dimension(n, CLASSES[kind]))
-    q = _checked_q(args.q) if args.q is not None else None
-    if args.brute and q is None:
-        raise UsageError("--brute requires --q")
 
     def counts(variant):
         return rank_censuses(kind, n, variant) if args.r is None else {args.r: census_polynomial(kind, n, args.r, variant)}
@@ -232,13 +240,16 @@ def cmd_ranks(args):
         printed = counts("printed") if kind == "herm" else {}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    q = _checked_q(args.q, max(p.degree for p in polys.values())) if args.q is not None else None
+    if args.brute and q is None:
+        raise UsageError("--brute requires --q")
     rows = []
     for r, count in polys.items():
         entry = {"r": r, "count": count.to_json()}
         if kind == "herm":
             entry["count_printed"] = printed[r].to_json()
         if q is not None:
-            entry["count_at_q"] = count.eval_at(q)
+            entry["count_at_q"] = _at_q(count, q)
         rows.append(entry)
     record = {"command": "ranks", "class": kind, "n": n, "q": q, "rows": rows}
     code = 0

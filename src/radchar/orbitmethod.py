@@ -33,40 +33,38 @@ equal to the rank of that system.
 
 Everything in this module is exhaustively verifiable: brute-force orbit
 enumeration, conjugacy class counting and the pairing checks are the
-oracles the symbolic layer is tested against.  Every orbit is found by
-one engine, _Frame, _Action and _orbit_labels, which works in
-coordinates: a point (a dual, or g - I for an element g) is the vector
-of base-p digits of its entries on a support the layout states and
-conjugation keeps (RadicalContext._mask, _element_mask).  Codes add
-digit by digit, so these are F_p coordinates, and conjugation by a
-generator, linear in the point, is one F_p-linear map L on them, read
-off the ambient images of unit matrices (row and column updates, one per
-nonzero entry of g - I and of g^-1 - I); a frame builds these probes and
-its check sample when it reads its first generator, and reads each generator
-with one conjugation of them.  The images of all points are
-coords @ L mod p, taken through the few nonzeros of L - I; H's maps on
-the dual support are read once per context (RadicalContext._h_frame).  A
-point's position is the Horner sum of its pivot digits, named by the
-block roles: for duals the upper triangle of the constrained block, read
-through J, then the free block, which is their enumeration order; for
-elements A's entries and the same digits of V N(A).  An image is read at
-its position and must equal the point there, so no sort and no search is
-needed.  Orbits are labelled by their least point index.
-orbit_partition labels all duals, class_count_brute all group elements,
-and orbit_of the fiber of one dual: H fixes the constrained block of
-every dual, so an orbit lies among the |H| duals that share it.
+oracles the symbolic layer is tested against.  Each kind of point has one
+enumeration, _element_chunks or _dual_chunks, _CHUNK points at a time,
+and one engine (_Frame, _Action, _orbit_labels) finds every orbit.  It
+reads a point (a dual, or g - I for an element g), a chunk at a time, as
+the base-p digits of its entries on a support the layout states and
+conjugation keeps (RadicalContext._mask, _element_mask).  Codes add digit
+by digit, so these are F_p coordinates, and conjugation by a generator,
+linear in the point, is one F_p-linear map L on them, read off the
+ambient images of unit matrices (row and column updates, one per nonzero
+entry of g - I and of g^-1 - I) and checked on a sample, both built when
+a frame reads its first generator.  The images of all points are
+coords @ L mod p, through the few nonzeros of L - I; H's maps are read
+once per context (RadicalContext._h_frame).  A point's position is the
+Horner sum of its pivot digits, named by the block roles: for duals the
+upper triangle of the constrained block, read through J, then the free
+block, their enumeration order; for elements A's entries and the same
+digits of V N(A).  An image is read at its position and must equal the
+point there: no sort and no search.  Orbits are labelled by their least
+point index: orbit_partition labels all duals, class_count_brute all
+elements, orbit_of the duals sharing one's constrained block, which H fixes.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .falinalg import (
-    BLOCK,
     FfMatrix,
     class_blocks,
     in_class,
@@ -103,10 +101,11 @@ __all__ = [
 DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
 
-# bytes a walk's point stack ((2n)^2 int16 codes a point) may take.  A walk keeps only the points'
-# coordinates; fresh-process peaks at q = 3 are 1.4-1.6 times the stack (C(5,4): 1,380 MB for 956 MB, D(5,2): 516 for 319 MB).
-# The largest default-budget walk with d >= 1, the 3^12 duals of D(13,1) at q = 3, takes 718 MB
+# bytes the ambient codes of a walk's points ((2n)^2 int16 codes a point) would stack.  No walk stacks them all: it refuses
+# what it refused when it did, and builds _CHUNK points at a time, keeping their coordinates; fresh-process peaks at q = 3 are
+# 0.7-1.2 times the stack (C(5,4): 650 MB for 956 MB, D(5,2): 382 for 319 MB).  The 3^12 duals of D(13,1) would stack 718 MB
 _MAX_STACK_BYTES = 2 ** 30
+_CHUNK = 2 ** 12  # points the enumerations build at a time, for the streams and the walks alike
 
 # Block builders and the enumerations below act on the last two axes, so
 # they take a single matrix or a stack of them alike.
@@ -124,10 +123,11 @@ def _flat_index(size: int, slot) -> np.ndarray:
     return np.broadcast_to(r[:, None] * size, (size, size))[slot] + np.broadcast_to(r, (size, size))[slot]
 
 
-def _grid(*stacks: np.ndarray, start: int = 0, stop: int | None = None) -> tuple:
-    """The choices start .. stop-1 (all by default, stop clamped) of one matrix per stack, the last stack varying fastest."""
-    picks = mixed_radix([len(s) for s in stacks], start, stop)
-    return tuple(s[i] for s, i in zip(stacks, picks.T))
+def _grid_chunks(*stacks: np.ndarray):
+    """Every choice of one matrix per stack, the last stack varying fastest, as stacked choices _CHUNK at a time."""
+    radices = [len(s) for s in stacks]
+    for start in range(0, math.prod(radices), _CHUNK):
+        yield tuple(s[i] for s, i in zip(stacks, mixed_radix(radices, start, start + _CHUNK).T))
 
 
 def _fp_basis(field: FieldCtx) -> list[int]:
@@ -293,19 +293,10 @@ class RadicalContext:
         """Every constrained block of V, in class_blocks order."""
         return np.concatenate(list(class_blocks(self.d, self._v_class, self.field)))[..., self._j]
 
-    def _element_blocks(self, start: int = 0, stop: int | None = None) -> tuple:
-        """Stacked free blocks (b1, b2, a) of the elements start .. stop-1 (all by default), in enumeration order."""
+    def _element_chunks(self):
+        """Stacked free blocks (b1, b2, a) of the elements, _CHUNK at a time, in enumeration order."""
         free = self._free_stack(self.d, self.n - self.d)
-        return _grid(*self._roles((self._v_stack(), free)), free, start=start, stop=stop)
-
-    def _element_stack(self) -> np.ndarray:
-        """Ambient codes of all elements, in enumeration order."""
-        b1, b2, a = self._element_blocks()
-        out = np.empty((len(a), 2 * self.n, 2 * self.n), dtype=np.int16)
-        for s in range(0, len(a), BLOCK):
-            block = slice(s, s + BLOCK)
-            out[block] = self._element_ambient(b1[block], b2[block], a[block])
-        return out
+        return _grid_chunks(*self._roles((self._v_stack(), free)), free)
 
     def _grid_pivots(self, constrained, free) -> list[tuple[int, int]]:
         """(flat ambient index, digit) of the F_p digits that number a grid of blocks, most significant first.
@@ -345,10 +336,8 @@ class RadicalContext:
         return self._grid_pivots(None, np.s_[0 : self.d, self.d : self.n]) + self._grid_pivots(*self._roles(self._a_slots[:2]))
 
     def elements(self):
-        """All group elements, in a fixed enumeration order, built BLOCK at a time."""
-        for start in range(0, self.q ** self.params.order_exponent, BLOCK):
-            for b1, b2, a in zip(*self._element_blocks(start, start + BLOCK)):
-                yield RadicalElement(self, b1, b2, a)
+        """All group elements, in a fixed enumeration order, built _CHUNK at a time."""
+        yield from (RadicalElement(self, *blocks) for chunk in self._element_chunks() for blocks in zip(*chunk))
 
     def h_elements(self):
         for a in self._free_stack(self.d, self.n - self.d):
@@ -418,24 +407,15 @@ class RadicalContext:
         if not np.array_equal(linked, self._link(free, self._v_mirror)):
             raise ValueError(self._link_message)
 
-    def _dual_blocks(self, constrained=None, start: int = 0, stop: int | None = None) -> tuple:
-        """Stacked blocks (b1, b3, b2) of the duals start .. stop-1 (all by default), in enumeration order.
-
-        Only duals whose constrained block is in the stack constrained are
-        listed; all duals when it is None.
-        """
+    def _dual_chunks(self, constrained=None):
+        """Stacked blocks (b1, b3, b2) of the duals, _CHUNK at a time, in enumeration order: those whose
+        constrained block is in the stack constrained, all when it is None."""
         v = self._v_stack() if constrained is None else constrained
-        return self._tie(*_grid(v, self._free_stack(*self._roles(self._dual_shapes)[1]), start=start, stop=stop))
-
-    def _dual_stack(self) -> np.ndarray:
-        """Ambient codes of all duals, in enumeration order."""
-        return self._dual_ambient(*self._dual_blocks())
+        return (self._tie(*chunk) for chunk in _grid_chunks(v, self._free_stack(*self._roles(self._dual_shapes)[1])))
 
     def duals(self):
-        """All dual elements, in a fixed enumeration order, built BLOCK at a time."""
-        for start in range(0, self.dual_count(), BLOCK):
-            for b1, b3, b2 in zip(*self._dual_blocks(None, start, start + BLOCK)):
-                yield DualElement(self, b1, b3, b2)
+        """All dual elements, in a fixed enumeration order, built _CHUNK at a time."""
+        yield from (DualElement(self, *blocks) for chunk in self._dual_chunks() for blocks in zip(*chunk))
 
     def dual_count(self) -> int:
         return self.q ** self.params.a_exponent
@@ -583,16 +563,6 @@ class OrbitRecord:
         return self.representative.ctx.k_order ** self.e
 
 
-def _exact_log(value: int, base: int) -> int:
-    e, acc = 0, 1
-    while acc < value:
-        acc *= base
-        e += 1
-    if acc != value:
-        raise ValueError(f"{value} is not a power of {base}")
-    return e
-
-
 def _ambient_pairs(elements) -> list[tuple[np.ndarray, np.ndarray]]:
     """(g, g^-1) as code matrices, the form the action engine takes."""
     return [(g._ambient_codes(), group_inv(g)._ambient_codes()) for g in elements]
@@ -666,9 +636,13 @@ class _Frame:
     def __init__(self, field: FieldCtx, entries: np.ndarray, gens, support=None):
         self.field, self.size, self.support = field, len(entries), support
         self.entries = np.flatnonzero(entries)
-        digits = random.Random(0).choices(range(field.p), k=_SAMPLE * len(self.entries) * field.degree)
-        self._sample = np.array(digits, dtype=np.uint8).reshape(_SAMPLE, -1)
         self.moves = [self.moves_of(g, g_inv) for g, g_inv in gens]
+
+    @functools.cached_property
+    def _sample(self) -> np.ndarray:
+        """The coordinates of the _SAMPLE check points, drawn with a fixed seed when the probes are built."""
+        digits = random.Random(0).choices(range(self.field.p), k=_SAMPLE * len(self.entries) * self.field.degree)
+        return np.array(digits, dtype=np.uint8).reshape(_SAMPLE, -1)
 
     @functools.cached_property
     def _probes(self) -> np.ndarray:
@@ -691,6 +665,10 @@ class _Frame:
         if np.count_nonzero(values) != np.count_nonzero(stack):
             raise ValueError(message)
         return _digits(f, values).reshape(len(stack), -1).astype(np.min_scalar_type(f.p - 1), copy=False)
+
+    def read(self, build, chunks) -> np.ndarray:
+        """The coordinates of build(*blocks) for each chunk of blocks, a row per matrix, one chunk built at a time."""
+        return np.concatenate([self.coordinates(build(*blocks), "points must lie on the entries of their coordinates") for blocks in chunks])
 
     def _linear_map(self, images: np.ndarray) -> np.ndarray:
         """L, row i the coordinates of the ambient image of unit i."""
@@ -721,30 +699,29 @@ class _Frame:
 
 
 class _Action:
-    """A frame's generators acting on a stack of distinct points, kept only as their coordinates.
+    """A frame's generators acting on distinct points, given by their coordinates (a row each).
 
     pivots lists (flat ambient index, digit) of the p-digits that number
     the points: a point's position is their Horner sum, most significant
-    first, and the positions of the stack must be 0 .. len(points) - 1.
+    first, and the positions of the rows must be 0 .. len(coords) - 1.
     An image is found at the position of its pivot digits and must equal
     that point in every coordinate.
     """
 
-    def __init__(self, frame: _Frame, points: np.ndarray, pivots):
-        self.frame = frame
-        self.coords = frame.coordinates(points, "points must lie on the entries of their coordinates")
+    def __init__(self, frame: _Frame, coords: np.ndarray, pivots):
+        self.frame, self.coords = frame, coords
         column = {e: i for i, e in enumerate(frame.entries.tolist())}
         degree = frame.field.degree
         unnumbered = "points must be distinct, one at each position of their pivot digits"
-        if frame.field.p ** len(pivots) != len(points) or any(e not in column for e, _ in pivots):
+        if frame.field.p ** len(pivots) != len(coords) or any(e not in column for e, _ in pivots):
             raise ValueError(unnumbered)
         # the coordinate of each pivot digit, most significant first
         self._pivots = [column[e] * degree + degree - 1 - t for e, t in pivots]
-        positions = self._horner(self.coords)
-        if (np.bincount(positions, minlength=len(points)) != 1).any():
+        positions = self._horner(coords)
+        if (np.bincount(positions, minlength=len(coords)) != 1).any():
             raise ValueError(unnumbered)
         self._order = np.empty_like(positions)
-        self._order[positions] = np.arange(len(points))
+        self._order[positions] = np.arange(len(coords))
 
     def _horner(self, coords: np.ndarray) -> np.ndarray:
         """The Horner sum of the pivot digits of each row of coordinates."""
@@ -815,10 +792,12 @@ def _records(ctx: RadicalContext, reps: tuple, sizes) -> list[OrbitRecord]:
     """One checked record per orbit, from the stacked blocks (b1, b3, b2) of the representatives;
     one ranks call covers all the stabilizer systems."""
     h_order = ctx.q ** ctx.params.h_exponent
-    records = []
+    records, exponents = [], {ctx.k_order ** e: e for e in range(max(sizes).bit_length())}
     system_ranks = ranks(ctx.field, _coefficient_codes(ctx, ctx._roles(reps)[0]))
     for blocks, size, system_rank in zip(zip(*reps), sizes, system_ranks):
-        e = _exact_log(size, ctx.k_order)
+        if size not in exponents:
+            raise ValueError(f"{size} is not a power of {ctx.k_order}")
+        e = exponents[size]
         if h_order % size:
             raise ValueError("orbit size must divide the acting group order")
         if e != system_rank:
@@ -828,7 +807,7 @@ def _records(ctx: RadicalContext, reps: tuple, sizes) -> list[OrbitRecord]:
 
 
 def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str) -> None:
-    """Refuse, before anything is allocated, a walk over more points than the budget or over a stack past the cap."""
+    """Refuse, before anything is allocated, a walk over more points than the budget or whose points would stack past the cap."""
     if points > budget:
         raise BudgetExceeded(f"enumeration too large: {what} exceeds budget {budget}")
     size = points * 2 * (2 * ctx.n) ** 2
@@ -839,7 +818,7 @@ def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str) -> Non
 def _dual_action(ctx: RadicalContext, budget: int) -> "_Action":
     """H acting on the whole dual space, refused first by the budget and the stack cap."""
     _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
-    return _Action(ctx._h_frame, ctx._dual_stack(), ctx._dual_pivots)
+    return _Action(ctx._h_frame, ctx._h_frame.read(ctx._dual_ambient, ctx._dual_chunks()), ctx._dual_pivots)
 
 
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
@@ -851,8 +830,8 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     _check_walk(ctx, h_order, budget, f"orbit bound {h_order}")
-    fiber = ctx._dual_blocks(ctx._roles(alpha._blocks())[0][None])
-    action = _Action(ctx._h_frame, ctx._dual_ambient(*fiber), ctx._fiber_pivots)
+    fiber = ctx._dual_chunks(ctx._roles(alpha._blocks())[0][None])
+    action = _Action(ctx._h_frame, ctx._h_frame.read(ctx._dual_ambient, fiber), ctx._fiber_pivots)
     labels = _orbit_labels(action)
     (where,) = action.lookup(alpha._ambient_codes()[None])
     reps = tuple(block[None] for block in alpha._blocks())
@@ -941,21 +920,25 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     """Number of conjugacy classes of R_u by exhaustive enumeration.
 
     Independent of the coadjoint orbit machinery (duals, stabilizer
-    ranks): stacks g - I for all group elements g, conjugates the stack
-    by every one-parameter generator of R_u on the support the layout
-    states for it (_element_mask), and counts the orbits with the engine
-    orbit_partition uses.  The orbits of conjugation are the conjugacy classes.
+    ranks): reads g - I for all group elements g, a chunk at a time, on
+    the support the layout states for it (_element_mask), and counts the
+    orbits of every one-parameter generator of R_u with the engine
+    orbit_partition uses: the orbits of conjugation are the classes.
     """
     ctx = _context(params, q)
     order = ctx.q ** params.order_exponent
     _check_walk(ctx, order, budget, f"group order {order}")
-    points = ctx._element_stack()
-    if len(points) != order:
+
+    def minus_identity(*blocks) -> np.ndarray:
+        points = ctx._element_ambient(*blocks)
+        points.reshape(len(points), -1)[:, :: 2 * ctx.n + 1] = 0  # g - I, which conjugation maps linearly
+        return points
+
+    frame = _Frame(ctx.field, ctx._element_mask, _ambient_pairs(ctx.generators()))
+    coords = frame.read(minus_identity, ctx._element_chunks())
+    if len(coords) != order:
         raise ValueError("element enumeration must hit the full group order")
-    points.reshape(order, -1)[:, :: 2 * ctx.n + 1] = 0  # g - I, which conjugation maps linearly
-    action = _Action(_Frame(ctx.field, ctx._element_mask, _ambient_pairs(ctx.generators())), points, ctx._element_pivots)
-    del points  # the walk reads the coordinates alone
-    labels = _orbit_labels(action)
+    labels = _orbit_labels(_Action(frame, coords, ctx._element_pivots))
     return int(np.count_nonzero(labels == np.arange(order)))
 
 
@@ -992,7 +975,7 @@ def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
 def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement) -> np.ndarray:
     """perm[i] = position of g . alpha_i among the duals, in the order of ctx.duals().
 
-    ValueError unless g is in ctx's group; the whole dual space is stacked, so
+    ValueError unless g is in ctx's group; the whole dual space is read, so
     the orbit budget and the stack cap refuse it first, as for orbit_partition.
     """
     _same_ctx(ctx, g.ctx)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from radchar.census import MAX_DEGREE, check_degree
+from radchar.census import MAX_DEGREE, MAX_DIGITS, check_degree
 from radchar import cli
 from radchar.cli import main
 from radchar.falinalg import DEFAULT_ENUM_BUDGET
@@ -414,6 +414,34 @@ def test_huge_prime_q_is_checked_quickly(capsys):
     assert code == 0 and record["params"]["q"] == 10 ** 18 + 3
     code, out, err = run_cli(capsys, "census", "--type", "C", "--n", "2", "--d", "1", "--q", str(10 ** 30 + 3))
     assert (code, out) == (2, "") and err.startswith("error: cannot decide whether")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "--class", "sym", "--n", "40", "--q", "1000003"),
+        ("census", "--type", "U", "--n", "40", "--d", "20", "--q", "146063"),
+        ("census", "--type", "C", "--n", "2", "--d", "1", "--q", str(3 ** 9000)),
+        ("census", "--type", "U", "--n", "40", "--d", "20", "--q", str(3 ** 9000)),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_a_value_at_q_too_long_to_print_is_refused(capsys, argv, fmt):
+    # values of 4,921 digits (sym n = 40 at q = 1000003) and more: refused
+    # with exit 2 before they are evaluated, not a traceback or minutes of arithmetic
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: a value at q would have more than {MAX_DIGITS} digits, the cap on printed values\n")
+
+
+def test_the_longest_printable_values_at_q_are_printed(capsys):
+    # sym n = 40 at q = 100003 has counts of 4,101 digits: below the cap, printed as before it
+    code, out, _ = run_cli(capsys, "ranks", "--class", "sym", "--n", "40", "--q", "100003", "--format", "json", "--no-timing")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "b4ee64f0e7d2f7bc269fee2b3cb4fda0cd9eacfea11185ca60c84ac4fdafdea4"
+    assert max(len(str(row["count_at_q"])) for row in json.loads(out)["rows"]) == 4101
 
 
 def _golden_commands():

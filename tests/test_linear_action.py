@@ -41,9 +41,19 @@ def _dense(coords, L, p):
 
 def _element_points(ctx):
     """g - I for every group element g, in enumeration order: the points of the class walk."""
-    points = ctx._element_stack()
+    points = np.concatenate([ctx._element_ambient(*blocks) for blocks in ctx._element_chunks()])
     points.reshape(len(points), -1)[:, :: 2 * ctx.n + 1] = 0
     return points
+
+
+def _dual_points(ctx):
+    """Every dual, in enumeration order: the points of the orbit walk."""
+    return np.concatenate([ctx._dual_ambient(*blocks) for blocks in ctx._dual_chunks()])
+
+
+def _coordinates(frame, points):
+    """The coordinates of a stack of points, a row each, as a walk reads a chunk."""
+    return frame.coordinates(points, "points must lie on the entries of their coordinates")
 
 
 @functools.cache
@@ -52,10 +62,11 @@ def _action(x, n, d, q, kind):
     the action keeps only the coordinates, so the points are returned beside it."""
     ctx = RadicalContext(RadicalParams(x, n, d), q)
     if kind == "duals":
-        points = ctx._dual_stack()
-        return ctx, ctx._h_pairs, _Action(ctx._h_frame, points, ctx._dual_pivots), points
+        points = _dual_points(ctx)
+        return ctx, ctx._h_pairs, _Action(ctx._h_frame, _coordinates(ctx._h_frame, points), ctx._dual_pivots), points
     gens, points = _ambient_pairs(ctx.generators()), _element_points(ctx)
-    return ctx, gens, _Action(_Frame(ctx.field, ctx._element_mask, gens), points, ctx._element_pivots), points
+    frame = _Frame(ctx.field, ctx._element_mask, gens)
+    return ctx, gens, _Action(frame, _coordinates(frame, points), ctx._element_pivots), points
 
 
 def _map(frame, g, g_inv):
@@ -136,7 +147,7 @@ def test_pivots_number_the_duals_in_enumeration_order():
     for x, n, d, q in _instances("duals", 3 ** 9):
         ctx = RadicalContext(RadicalParams(x, n, d), q)
         frame = _Frame(ctx.field, ctx._mask, [], ctx._mask)
-        action = _Action(frame, ctx._dual_stack(), ctx._dual_pivots)
+        action = _Action(frame, _coordinates(frame, _dual_points(ctx)), ctx._dual_pivots)
         np.testing.assert_array_equal(action._order, np.arange(ctx.dual_count()))
         count += 1
     assert count == 59
@@ -151,7 +162,8 @@ def test_pivots_number_the_elements():
         ctx = RadicalContext(RadicalParams(x, n, d), q)
         stack = _element_points(ctx)
         assert ctx.field.p ** len(ctx._element_pivots) == len(stack)
-        _Action(_Frame(ctx.field, ctx._element_mask, []), stack, ctx._element_pivots)
+        frame = _Frame(ctx.field, ctx._element_mask, [])
+        _Action(frame, _coordinates(frame, stack), ctx._element_pivots)
         count += 1
     assert count == 51
 

@@ -6,6 +6,7 @@ small coadjoint orbit structures that can be checked by hand.
 """
 
 import hashlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -40,6 +41,21 @@ from radchar.orbitmethod import (
 
 def ctx_for(x, n, d, q):
     return RadicalContext(RadicalParams(x, n, d), q)
+
+
+def _element_stack(ctx):
+    """Ambient codes of all elements, in enumeration order, built from the chunks the walks read."""
+    return np.concatenate([ctx._element_ambient(*blocks) for blocks in ctx._element_chunks()])
+
+
+def _dual_stack(ctx):
+    """Ambient codes of all duals, in enumeration order, built from the chunks the walks read."""
+    return np.concatenate([ctx._dual_ambient(*blocks) for blocks in ctx._dual_chunks()])
+
+
+def _dual_blocks(ctx):
+    """Stacked blocks (b1, b3, b2) of all duals, in enumeration order."""
+    return tuple(np.concatenate(blocks) for blocks in zip(*ctx._dual_chunks()))
 
 
 def rand_element(ctx, rng):
@@ -205,7 +221,7 @@ def test_dual_validation_checks_every_matrix_of_a_stack():
     # one bad dual among valid ones fails the whole stack, with the
     # message a single bad dual gets
     for ctx, message in ((ctx_for("C", 3, 2, 3), "b1 must be symmetric"), (ctx_for("U", 2, 1, 3), "twisted transpose")):
-        b1, b3, b2 = (block.copy() for block in ctx._dual_blocks())
+        b1, b3, b2 = (block.copy() for block in _dual_blocks(ctx))
         ctx._validate_dual_blocks(b1, b3, b2)
         b1[len(b1) // 2, 0, -1] = ctx.field._add[b1[len(b1) // 2, 0, -1], 1]
         with pytest.raises(ValueError, match=message):
@@ -364,12 +380,21 @@ def test_a_whole_dual_space_permutation_is_refused_before_allocating(x, n, d, me
 
 
 @pytest.mark.parametrize(
-    "walk, x, n, d, bound", [("orbits", "C", 4, 3, 1.6), ("orbits", "C", 5, 2, 1.6), ("classes", "D", 4, 2, 1.9)]
+    "walk, x, n, d, bound",
+    [
+        ("orbits", "C", 4, 3, 1.6),
+        ("orbits", "C", 5, 2, 1.6),
+        ("classes", "D", 4, 2, 1.9),
+        ("orbits", "C", 4, 3, 1.0),
+        ("orbits", "C", 5, 2, 1.0),
+        ("classes", "D", 4, 2, 1.5),
+    ],
 )
 def test_a_walk_holds_no_ambient_stack_while_it_labels(walk, x, n, d, bound):
-    # a walk keeps its points as coordinates alone: its peak is the ambient
-    # stack it builds (points x 2 x (2n)^2 bytes, as _check_walk sizes it)
-    # plus what labelling takes, with no stack held beside them
+    # a walk builds its points a chunk at a time and keeps their coordinates
+    # alone, so its peak, set against the ambient stack of its points
+    # (points x 2 x (2n)^2 bytes, as _check_walk sizes it), is what labelling
+    # takes: below one such stack for the orbit walks
     ctx = ctx_for(x, n, d, 3)
     if walk == "orbits":
         points = ctx.dual_count()
@@ -385,6 +410,66 @@ def test_a_walk_holds_no_ambient_stack_while_it_labels(walk, x, n, d, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * points * 2 * (2 * n) ** 2
+
+
+def test_no_walk_builds_the_ambient_codes_of_more_than_one_chunk(monkeypatch):
+    # 3^9 elements of D(4,2) and 3^9 duals of C(4,3) at q = 3, five chunks
+    # each: every ambient stack a walk builds holds at most one chunk (the
+    # generators are built one matrix at a time)
+    sizes = []
+
+    def recording(name):
+        real = getattr(RadicalContext, name)
+
+        def build(self, *blocks):
+            if blocks[-1].ndim == 3:
+                sizes.append(len(blocks[-1]))
+            return real(self, *blocks)
+
+        monkeypatch.setattr(RadicalContext, name, build)
+
+    recording("_element_ambient")
+    recording("_dual_ambient")
+    assert class_count_brute(RadicalParams("D", 4, 2), 3, budget=3 ** 9) > 0
+    assert len(sizes) == 5 and max(sizes) == orbitmethod._CHUNK
+    sizes.clear()
+    ctx = ctx_for("C", 4, 3, 3)
+    orbit_partition(ctx)
+    coadjoint_permutation(ctx, ctx.generators()[-1])
+    assert len(sizes) == 10 and max(sizes) == orbitmethod._CHUNK
+
+
+def test_a_dual_stream_builds_the_class_grid_once(monkeypatch):
+    # three chunks of the 3^12 duals of C(5,3) at q = 3 enumerate V's class once
+    calls = []
+    real = orbitmethod.class_blocks
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(orbitmethod, "class_blocks", counting)
+    duals = ctx_for("C", 5, 3, 3).duals()
+    assert sum(1 for _ in itertools.islice(duals, 3 * orbitmethod._CHUNK)) == 3 * orbitmethod._CHUNK
+    assert len(calls) == 1
+
+
+def test_a_frame_draws_its_sample_when_it_builds_its_probes():
+    # d = n: H is trivial, so the orbit walk reads no generator and draws no
+    # sample; on C(300,300) the 90,000 coordinates' sample is never drawn
+    ctx = ctx_for("C", 2, 2, 3)
+    orbit_partition(ctx)
+    assert "_sample" not in ctx._h_frame.__dict__
+    ctx = ctx_for("C", 300, 300, 3)
+    zero = ctx.dual(*(np.zeros(shape, dtype=np.int16) for shape in ctx._dual_shapes))
+    tracemalloc.start()
+    try:
+        record = orbit_of(zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (record.size, record.e) == (1, 0)
+    assert peak < 20_000_000
 
 
 def test_orbit_walks_invert_the_h_generators_once_per_context(monkeypatch):
@@ -652,13 +737,18 @@ def _minus_identity(stack):
     return stack - np.eye(stack.shape[-1], dtype=np.int16)
 
 
+def _coordinates(frame, points):
+    """The coordinates of a stack of points, a row each, as a walk reads a chunk."""
+    return frame.coordinates(points, "points must lie on the entries of their coordinates")
+
+
 def test_orbit_engine_labels_least_index():
     # classes of the extraspecial group of order 27: 3 central singletons
     # and 8 classes of size 3, each labelled by its first element
     ctx = ctx_for("C", 2, 1, 3)
-    points = _minus_identity(ctx._element_stack())
+    points = _minus_identity(_element_stack(ctx))
     frame = _Frame(ctx.field, ctx._element_mask, [_pair(g) for g in ctx.generators()])
-    labels = _orbit_labels(_Action(frame, points, ctx._element_pivots))
+    labels = _orbit_labels(_Action(frame, _coordinates(frame, points), ctx._element_pivots))
     roots = np.flatnonzero(labels == np.arange(len(points)))
     assert len(roots) == 11
     assert sorted(np.bincount(labels)[roots]) == [1] * 3 + [3] * 8
@@ -670,20 +760,22 @@ def test_orbit_engine_rejects_escaping_images():
     ctx = ctx_for("C", 2, 1, 3)
     points = _minus_identity(np.stack([h._ambient_codes() for h in ctx.h_elements()]))
     g = ctx.a_element([[0]], [[1]])
+    frame = _Frame(ctx.field, ctx._element_mask, [_pair(g)])
     with pytest.raises(ValueError, match="escapes the point set"):
-        _orbit_labels(_Action(_Frame(ctx.field, ctx._element_mask, [_pair(g)]), points, ctx._grid_pivots(None, np.s_[0:1, 1:2])))
+        _orbit_labels(_Action(frame, _coordinates(frame, points), ctx._grid_pivots(None, np.s_[0:1, 1:2])))
 
 
 def test_orbit_engine_rejects_non_permutations():
     ctx = ctx_for("C", 2, 1, 3)
-    duals = ctx._dual_stack()
+    duals = _dual_stack(ctx)
     one = np.eye(4, dtype=np.int16)
     # projecting onto an empty support sends every dual to zero
     frame = _Frame(ctx.field, ctx._mask, [(one, one)], np.zeros((4, 4), dtype=bool))
     with pytest.raises(ValueError, match="does not permute"):
-        _orbit_labels(_Action(frame, duals, ctx._dual_pivots))
+        _orbit_labels(_Action(frame, _coordinates(frame, duals), ctx._dual_pivots))
+    frame = _Frame(ctx.field, ctx._mask, [])
     with pytest.raises(ValueError, match="distinct"):
-        _orbit_labels(_Action(_Frame(ctx.field, ctx._mask, []), np.stack([duals[0], duals[0]]), ctx._dual_pivots))
+        _orbit_labels(_Action(frame, _coordinates(frame, np.stack([duals[0], duals[0]])), ctx._dual_pivots))
 
 
 @pytest.mark.parametrize("x, n, d", [("C", 3, 2), ("D", 4, 2), ("U", 2, 1)])
@@ -717,7 +809,9 @@ def test_oracle_checks_raise_value_error(monkeypatch):
         with pytest.raises(ValueError, match="partition the dual space"):
             orbit_partition(ctx, budget=10 ** 3)
     with monkeypatch.context() as m:
-        m.setattr(ctx, "_element_stack", lambda: ctx_for("C", 3, 2, 3)._element_stack()[1:])
+        # every element but the first, in one chunk
+        (chunk,) = ctx_for("C", 3, 2, 3)._element_chunks()
+        m.setattr(ctx, "_element_chunks", lambda: iter([tuple(block[1:] for block in chunk)]))
         with pytest.raises(ValueError, match="full group order"):
             class_count_brute(ctx.params, ctx)
 
@@ -726,10 +820,10 @@ def test_orbit_partition_validates_its_representatives(monkeypatch):
     # with no generators every dual is a representative; the zero dual
     # with a corrupted b3 passes the record checks but not validation
     ctx = ctx_for("C", 3, 2, 3)
-    b1, b3, b2 = ctx._dual_blocks()
+    b1, b3, b2 = _dual_blocks(ctx)
     b3 = b3.copy()
     b3[0, 0, 0] = 1
-    monkeypatch.setattr(ctx, "_dual_blocks", lambda: (b1, b3, b2))
+    monkeypatch.setattr(ctx, "_dual_chunks", lambda constrained=None: iter([(b1, b3, b2)]))
     monkeypatch.setattr(ctx, "h_generators", lambda: [])
     with pytest.raises(ValueError, match="b3 must equal b2 transposed"):
         orbit_partition(ctx)
@@ -750,7 +844,7 @@ def test_decompose_rejects_every_matrix_outside_the_group():
     for x, n, d, q in [("C", 3, 2, 3), ("D", 4, 2, 3), ("U", 2, 1, 3), ("U", 2, 1, 5)]:
         ctx = ctx_for(x, n, d, q)
         f = ctx.field
-        for stack, decompose in ((ctx._element_stack(), ctx._decompose), (ctx._dual_stack(), ctx._decompose_dual)):
+        for stack, decompose in ((_element_stack(ctx), ctx._decompose), (_dual_stack(ctx), ctx._decompose_dual)):
             members = {M.tobytes() for M in stack}
             for M in (stack[rng.randrange(len(stack))] for _ in range(3)):
                 for X in _single_entry_changes(M, f.q):
@@ -827,8 +921,8 @@ def test_block_layout_is_pinned():
             h.update(g.key())
             put(g._ambient_codes())
         if q ** params.order_exponent <= 3 ** 9:
-            put(ctx._element_stack())
-            put(ctx._dual_stack())
+            put(_element_stack(ctx))
+            put(_dual_stack(ctx))
             stacked += 1
         put(orbitmethod._lie_a_basis(ctx))
     assert stacked == 49
@@ -842,7 +936,7 @@ def test_orbit_census_refuses_a_context_for_other_parameters():
 
 @pytest.mark.parametrize("x, n, d, walk", [("D", 5, 2, "elements"), ("C", 5, 3, "duals")])
 def test_the_enumerations_build_one_block_before_their_first_item(x, n, d, walk):
-    # 3^13 elements of D(5,2) and 3^12 duals of C(5,3) at q = 3; the first item needs one BLOCK of the grid
+    # 3^13 elements of D(5,2) and 3^12 duals of C(5,3) at q = 3; the first item needs one chunk of the grid
     items = getattr(ctx_for(x, n, d, 3), walk)()
     start = time.perf_counter()
     tracemalloc.start()
@@ -856,9 +950,12 @@ def test_the_enumerations_build_one_block_before_their_first_item(x, n, d, walk)
 
 
 @pytest.mark.parametrize("x, n, d, q, walk, stack", [("U", 2, 1, 5, "elements", "_element_stack"), ("C", 4, 2, 3, "duals", "_dual_stack")])
-def test_the_enumerations_match_the_stacks_row_for_row(x, n, d, q, walk, stack):
-    # 3,125 elements of U(2,1) at q = 5 and 2,187 duals of C(4,2) at q = 3: more than one BLOCK each
+def test_the_enumerations_match_the_stacks_row_for_row(monkeypatch, x, n, d, q, walk, stack):
+    # 3,125 elements of U(2,1) at q = 5 and 2,187 duals of C(4,2) at q = 3, streamed in chunks of one BLOCK:
+    # more than one chunk each, equal row for row to the stack built from one whole chunk
     ctx = ctx_for(x, n, d, q)
+    whole = globals()[stack](ctx)
+    monkeypatch.setattr(orbitmethod, "_CHUNK", falinalg.BLOCK)
     codes = np.array([item._ambient_codes() for item in getattr(ctx, walk)()])
     assert len(codes) > falinalg.BLOCK
-    assert np.array_equal(codes, getattr(ctx, stack)())
+    assert np.array_equal(codes, whole)
