@@ -45,14 +45,16 @@ ambient images of unit matrices (row and column updates, one per nonzero
 entry of g - I and of g^-1 - I) and checked on a sample, both built when
 a frame reads its first generator.  The images of all points are
 coords @ L mod p, through the few nonzeros of L - I; H's maps are read
-once per context (RadicalContext._h_frame).  A point's position is the
-Horner sum of its pivot digits, named by the block roles: for duals the
-upper triangle of the constrained block, read through J, then the free
-block, their enumeration order; for elements A's entries and the same
-digits of V N(A).  An image is read at its position and must equal the
-point there: no sort and no search.  Orbits are labelled by their least
-point index: orbit_partition labels all duals, class_count_brute all
-elements, orbit_of the duals sharing one's constrained block, which H fixes.
+once per context (RadicalContext._h_frame).  H fixes a dual's
+constrained block, so the duals are a run of fibers of |H| each; the
+elements are one fiber.  A point's position is the Horner sum of its
+fiber's index, then of its pivot digits: for duals the free block's,
+for elements A's entries and then, on V N(A), the constrained block's
+upper triangle read through J and the free block.  An image is read at
+its position in its point's fiber and must equal the point there: no
+sort and no search.  Orbits are labelled by their least point index:
+class_count_brute labels all elements, orbit_partition a batch of whole
+fibers at a time, orbit_of one dual's fiber.
 """
 
 from __future__ import annotations
@@ -102,8 +104,9 @@ DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
 
 # bytes the ambient codes of a walk's points ((2n)^2 int16 codes a point) would stack.  No walk stacks them all: it refuses
-# what it refused when it did, and builds _CHUNK points at a time, keeping their coordinates; fresh-process peaks at q = 3 are
-# 0.7-1.2 times the stack (C(5,4): 650 MB for 956 MB, D(5,2): 382 for 319 MB).  The 3^12 duals of D(13,1) would stack 718 MB
+# what it refused when it did, builds _CHUNK points at a time, keeping their coordinates, and the orbit partition labels a
+# batch of whole fibers at a time.  Fresh-process peaks at q = 3: orbit walks C(5,4) 107 MB for a 956 MB stack, D(6,3) 80 for
+# 153 MB; the class walk, labelled whole, D(5,2) 382 for 319 MB.  The 3^12 duals of D(13,1) would stack 718 MB
 _MAX_STACK_BYTES = 2 ** 30
 _CHUNK = 2 ** 12  # points the enumerations build at a time, for the streams and the walks alike
 
@@ -319,13 +322,8 @@ class RadicalContext:
         return pivots + [(e, t) for e in _flat_index(2 * self.n, free).ravel().tolist() for t in digits]
 
     @functools.cached_property
-    def _dual_pivots(self) -> list[tuple[int, int]]:
-        """The digits numbering the duals: the position of a dual in enumeration order is their Horner sum."""
-        return self._grid_pivots(*self._roles(self._dual_slots)[:2])
-
-    @functools.cached_property
     def _fiber_pivots(self) -> list[tuple[int, int]]:
-        """The digits numbering the duals that share one constrained block: the free block's."""
+        """The digits numbering the duals within their fiber, the duals sharing one constrained block: the free block's."""
         return self._grid_pivots(None, self._roles(self._dual_slots)[1])
 
     @functools.cached_property
@@ -701,31 +699,34 @@ class _Frame:
 class _Action:
     """A frame's generators acting on distinct points, given by their coordinates (a row each).
 
+    The points are a run of fibers of p^len(pivots) consecutive rows each.
     pivots lists (flat ambient index, digit) of the p-digits that number
-    the points: a point's position is their Horner sum, most significant
-    first, and the positions of the rows must be 0 .. len(coords) - 1.
-    An image is found at the position of its pivot digits and must equal
-    that point in every coordinate.
+    the points of a fiber: a point's position is the Horner sum of its
+    fiber's index, then of its pivot digits, most significant first, and
+    the positions of the rows must be 0 .. len(coords) - 1.  Row i of an
+    image stack is sought in the fiber of point i, at the position of its
+    pivot digits, and must equal that point in every coordinate.
     """
 
     def __init__(self, frame: _Frame, coords: np.ndarray, pivots):
         self.frame, self.coords = frame, coords
         column = {e: i for i, e in enumerate(frame.entries.tolist())}
         degree = frame.field.degree
+        self._fiber = frame.field.p ** len(pivots)
         unnumbered = "points must be distinct, one at each position of their pivot digits"
-        if frame.field.p ** len(pivots) != len(coords) or any(e not in column for e, _ in pivots):
+        if len(coords) % self._fiber or any(e not in column for e, _ in pivots):
             raise ValueError(unnumbered)
         # the coordinate of each pivot digit, most significant first
         self._pivots = [column[e] * degree + degree - 1 - t for e, t in pivots]
-        positions = self._horner(coords)
+        positions = self._positions(coords)
         if (np.bincount(positions, minlength=len(coords)) != 1).any():
             raise ValueError(unnumbered)
         self._order = np.empty_like(positions)
         self._order[positions] = np.arange(len(coords))
 
-    def _horner(self, coords: np.ndarray) -> np.ndarray:
-        """The Horner sum of the pivot digits of each row of coordinates."""
-        positions = np.zeros(len(coords), dtype=np.intp)
+    def _positions(self, coords: np.ndarray) -> np.ndarray:
+        """The Horner sum of each row's fiber index, row i in point i's fiber, and then of its pivot digits."""
+        positions = np.arange(len(coords)) // self._fiber
         for column in self._pivots:
             positions *= self.frame.field.p
             positions += coords[:, column]
@@ -733,13 +734,13 @@ class _Action:
 
     def _find(self, images: np.ndarray) -> np.ndarray:
         """The index of the point equal to each image, read at the position of its pivot digits."""
-        at = self._order[self._horner(images)]
+        at = self._order[self._positions(images)]
         if not np.array_equal(np.take(self.coords, at, axis=0), images):
             raise ValueError("an image escapes the point set")
         return at
 
     def lookup(self, stack: np.ndarray) -> np.ndarray:
-        """The index of each matrix of a stack among the points; raises if one is not a point."""
+        """The index of each matrix of a stack among the points, row i sought in point i's fiber; raises if one is not a point."""
         return self._find(self.frame.coordinates(stack, "an image escapes the point set"))
 
     def permutation(self, moves) -> np.ndarray:
@@ -815,10 +816,9 @@ def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str) -> Non
         raise BudgetExceeded(f"enumeration too large: {what} stacks {size} bytes, over the cap {_MAX_STACK_BYTES}")
 
 
-def _dual_action(ctx: RadicalContext, budget: int) -> "_Action":
-    """H acting on the whole dual space, refused first by the budget and the stack cap."""
-    _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
-    return _Action(ctx._h_frame, ctx._h_frame.read(ctx._dual_ambient, ctx._dual_chunks()), ctx._dual_pivots)
+def _dual_action(ctx: RadicalContext, constrained: np.ndarray) -> "_Action":
+    """H acting on the fibers of a stack of constrained blocks, numbered with _fiber_pivots; callers run _check_walk first."""
+    return _Action(ctx._h_frame, ctx._h_frame.read(ctx._dual_ambient, ctx._dual_chunks(constrained)), ctx._fiber_pivots)
 
 
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
@@ -830,8 +830,7 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     _check_walk(ctx, h_order, budget, f"orbit bound {h_order}")
-    fiber = ctx._dual_chunks(ctx._roles(alpha._blocks())[0][None])
-    action = _Action(ctx._h_frame, ctx._h_frame.read(ctx._dual_ambient, fiber), ctx._fiber_pivots)
+    action = _dual_action(ctx, ctx._roles(alpha._blocks())[0][None])
     labels = _orbit_labels(action)
     (where,) = action.lookup(alpha._ambient_codes()[None])
     reps = tuple(block[None] for block in alpha._blocks())
@@ -842,18 +841,23 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     """Partition of the whole dual space into coadjoint orbits.
 
     One record per orbit, in the order of its first dual in ctx.duals(),
-    which is also its representative.
+    which is also its representative.  H fixes each fiber, so the walk
+    labels as many whole fibers at a time as _CHUNK duals hold, at least one.
     """
-    action = _dual_action(ctx, budget)
-    labels = _orbit_labels(action)
-    roots = np.flatnonzero(labels == np.arange(len(labels)))
-    sizes = np.bincount(labels)[roots]
-    if sizes.sum() != ctx.dual_count():
+    _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
+    blocks, records = ctx._v_stack(), []
+    batch = max(1, _CHUNK // ctx.q ** ctx.params.h_exponent)
+    for start in range(0, len(blocks), batch):
+        action = _dual_action(ctx, blocks[start : start + batch])
+        labels = _orbit_labels(action)
+        roots = np.flatnonzero(labels == np.arange(len(labels)))
+        matrices = action.frame._matrices(action.coords[roots])  # the representatives, read back from their coordinates
+        reps = tuple(np.array(matrices[slot]) for slot in ctx._dual_slots)
+        ctx._validate_dual_blocks(*reps)
+        records += _records(ctx, reps, np.bincount(labels)[roots].tolist())
+    if sum(r.size for r in records) != ctx.dual_count():
         raise ValueError("orbits must partition the dual space")
-    matrices = action.frame._matrices(action.coords[roots])  # the representatives, read back from their coordinates
-    reps = tuple(np.array(matrices[slot]) for slot in ctx._dual_slots)
-    ctx._validate_dual_blocks(*reps)
-    return _records(ctx, reps, sizes.tolist())
+    return records
 
 
 def _context(params: RadicalParams, q) -> RadicalContext:
@@ -979,5 +983,6 @@ def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement) -> np.ndarray:
     the orbit budget and the stack cap refuse it first, as for orbit_partition.
     """
     _same_ctx(ctx, g.ctx)
-    action = _dual_action(ctx, DEFAULT_ORBIT_BUDGET)
+    _check_walk(ctx, ctx.dual_count(), DEFAULT_ORBIT_BUDGET, f"{ctx.dual_count()} duals")
+    action = _dual_action(ctx, ctx._v_stack())
     return action.permutation(action.frame.moves_of(*_ambient_pairs([g])[0]))

@@ -9,6 +9,7 @@ import path gives the same object.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,8 +48,10 @@ def _is_prime(n: int) -> bool:
 
 
 def _iroot(n: int, m: int) -> int:
-    """The integer part of the m-th root of n >= 1, by Newton's method from above."""
-    r = 1 << -(-n.bit_length() // m)
+    """The integer part of the m-th root of n >= 1, by Newton's method from above: from the float
+    estimate, raised past its rounding, when the root is below 2^900, else from a power of 2."""
+    bits = -(-n.bit_length() // m)
+    r = int(2 ** (math.log2(n) / m) * (1 + 2 ** -30)) + 2 if bits <= 900 else 1 << bits
     while True:
         s = ((m - 1) * r + n // r ** (m - 1)) // m
         if s >= r:
@@ -56,20 +59,32 @@ def _iroot(n: int, m: int) -> int:
         r = s
 
 
+def _base_root(q: int) -> tuple[int, int]:
+    """(r, m) with q = r^m and r no perfect power, for odd q >= 3: prime exponents alone, sieved as
+    the loop reaches them, smallest first while the root is at least 3, each root taken apart in turn."""
+    prime = bytearray(b"\0\0" + b"\1" * q.bit_length())
+    for ell in range(2, q.bit_length()):
+        if prime[ell]:
+            prime[ell * ell :: ell] = bytes(len(range(ell * ell, len(prime), ell)))
+            r = _iroot(q, ell)
+            if r < 3:
+                break
+            if r ** ell == q:
+                r, m = _base_root(r)
+                return r, m * ell
+    return q, 1
+
+
 def odd_prime_power(q) -> tuple[int, int] | None:
     """(p, m) with q = p^m for an odd prime p, or None if q is no such power.
 
-    Tests the exact m-th roots of q, largest m first, so the prime root
-    comes before any composite one.  BudgetExceeded if primality of a
-    root cannot be decided.
+    q = r^m with r no perfect power is a prime power exactly when r is
+    prime.  BudgetExceeded if primality of r cannot be decided.
     """
     if not isinstance(q, int) or q < 3 or q % 2 == 0:
         return None
-    for m in range(q.bit_length() - 1, 0, -1):
-        p = _iroot(q, m)
-        if p ** m == q and _is_prime(p):
-            return p, m
-    return None
+    p, m = _base_root(q)
+    return (p, m) if _is_prime(p) else None
 
 
 # class matrices one default enumeration may visit: about 3 s at the slowest

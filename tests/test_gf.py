@@ -1,5 +1,6 @@
 """Exhaustive checks of the finite field layer on the fields used downstream."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from radchar.gf import (
     quadratic_extension,
     relative_trace,
 )
+from radchar.params import _iroot, _is_prime
 
 
 def small_fields():
@@ -244,6 +246,55 @@ def test_odd_prime_power_refuses_what_it_cannot_decide():
     # where Miller-Rabin with those bases is proven
     with pytest.raises(BudgetExceeded, match="cannot decide whether"):
         odd_prime_power(10 ** 30 + 3)
+
+
+def test_odd_prime_power_is_quick_on_huge_q():
+    # prime exponents alone, each root from its float estimate; trying every
+    # exponent from the top took 34 s (2 Xeon vCPUs) on 3^9000 + 2, which is
+    # no perfect power and too large for Miller-Rabin to decide
+    start = time.perf_counter()
+    assert odd_prime_power(3 ** 9000) == (3, 9000)
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"cannot decide whether {3 ** 9000 + 2} is prime"):
+        odd_prime_power(3 ** 9000 + 2)
+    assert time.perf_counter() - start < 2.0
+
+
+def _decided(q):
+    """odd_prime_power's answer on a q that is no perfect power: q itself if prime; its refusal if undecided."""
+    try:
+        return (q, 1) if _is_prime(q) else None
+    except BudgetExceeded as refused:
+        return str(refused)
+
+
+def test_odd_prime_power_on_powers_of_small_primes_and_their_neighbours():
+    # the answers of the scan over every exponent, largest first, which
+    # odd_prime_power made before it tried prime exponents alone
+    primes = [p for p in range(3, 200) if all(p % k for k in range(2, p))]
+    perfect = {(5, 2): (3, 3), (7, 1): (3, 2), (23, 1): (5, 2), (47, 1): (7, 2), (79, 1): (3, 4), (167, 1): (13, 2)}
+    for p in primes:
+        for m in range(1, 60):
+            assert odd_prime_power(p ** m) == (p, m)
+            try:
+                got = odd_prime_power(p ** m + 2)
+            except BudgetExceeded as refused:
+                got = str(refused)
+            # p^m + 2 is a perfect power at these (p, m) alone
+            assert got == perfect.get((p, m), _decided(p ** m + 2))
+            for r in (p ** m + 2, p ** m - 2):
+                for ell in range(1, r.bit_length() + 1, 7):
+                    root = _iroot(r, ell)
+                    assert root ** ell <= r < (root + 1) ** ell
+
+
+def test_a_power_of_a_composite_is_no_prime_power():
+    # 2021 = 43 * 47 has no factor that Miller-Rabin's bases divide; the scan
+    # refused 2021^8, testing 2021^8 itself once 2021 had failed
+    assert odd_prime_power(2021 ** 8) is None
+    assert odd_prime_power(9073 ** 14) is None
+    assert all(odd_prime_power((3 * p) ** m) is None for p in (5, 7, 197) for m in range(1, 30))
 
 
 @pytest.mark.parametrize(

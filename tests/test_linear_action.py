@@ -63,7 +63,7 @@ def _action(x, n, d, q, kind):
     ctx = RadicalContext(RadicalParams(x, n, d), q)
     if kind == "duals":
         points = _dual_points(ctx)
-        return ctx, ctx._h_pairs, _Action(ctx._h_frame, _coordinates(ctx._h_frame, points), ctx._dual_pivots), points
+        return ctx, ctx._h_pairs, _Action(ctx._h_frame, _coordinates(ctx._h_frame, points), ctx._fiber_pivots), points
     gens, points = _ambient_pairs(ctx.generators()), _element_points(ctx)
     frame = _Frame(ctx.field, ctx._element_mask, gens)
     return ctx, gens, _Action(frame, _coordinates(frame, points), ctx._element_pivots), points
@@ -147,7 +147,7 @@ def test_pivots_number_the_duals_in_enumeration_order():
     for x, n, d, q in _instances("duals", 3 ** 9):
         ctx = RadicalContext(RadicalParams(x, n, d), q)
         frame = _Frame(ctx.field, ctx._mask, [], ctx._mask)
-        action = _Action(frame, _coordinates(frame, _dual_points(ctx)), ctx._dual_pivots)
+        action = _Action(frame, _coordinates(frame, _dual_points(ctx)), ctx._fiber_pivots)
         np.testing.assert_array_equal(action._order, np.arange(ctx.dual_count()))
         count += 1
     assert count == 59
@@ -211,22 +211,23 @@ def test_a_corrupted_linear_map_trips_the_ambient_cross_check(monkeypatch):
 def test_a_wrong_pivot_set_trips_the_permutation_check(monkeypatch):
     message = "points must be distinct, one at each position of their pivot digits"
     ctx = RadicalContext(RadicalParams("C", 3, 2), 3)
-    pivots = ctx._dual_pivots
+    pivots = ctx._fiber_pivots
     # the first digit twice and the last not at all
-    monkeypatch.setattr(ctx, "_dual_pivots", pivots[:-1] + pivots[:1])
+    monkeypatch.setattr(ctx, "_fiber_pivots", pivots[:-1] + pivots[:1])
     with pytest.raises(ValueError, match=message):
         orbit_partition(ctx)
     # one digit too few
-    monkeypatch.setattr(ctx, "_dual_pivots", pivots[:-1])
+    monkeypatch.setattr(ctx, "_fiber_pivots", pivots[:-1])
     with pytest.raises(ValueError, match=message):
         orbit_partition(ctx)
-    # U's constrained diagonal read on its lower digit, which is 0 on every dual
+    # U's constrained diagonal, the first pivot of V N(A), read on its lower digit, which is 0 on every element
     ctx = RadicalContext(RadicalParams("U", 2, 1), 3)
-    (entry, digit), *rest = ctx._dual_pivots
-    assert digit == 1
-    monkeypatch.setattr(ctx, "_dual_pivots", [(entry, 0), *rest])
+    pivots = ctx._element_pivots
+    (entry, digit) = pivots[2]
+    assert (entry, digit) == (3, 1)
+    monkeypatch.setattr(ctx, "_element_pivots", [*pivots[:2], (entry, 0), *pivots[3:]])
     with pytest.raises(ValueError, match=message):
-        orbit_partition(ctx)
+        class_count_brute(ctx.params, ctx)
     # an element pivot of A replaced by one of V's
     ctx = RadicalContext(RadicalParams("C", 3, 2), 3)
     pivots = ctx._element_pivots

@@ -388,6 +388,8 @@ def test_a_whole_dual_space_permutation_is_refused_before_allocating(x, n, d, me
         ("orbits", "C", 4, 3, 1.0),
         ("orbits", "C", 5, 2, 1.0),
         ("classes", "D", 4, 2, 1.5),
+        # 3^12 duals in batches of whole fibers: the walk holds one batch at a time
+        ("orbits", "C", 5, 3, 0.1),
     ],
 )
 def test_a_walk_holds_no_ambient_stack_while_it_labels(walk, x, n, d, bound):
@@ -688,6 +690,9 @@ def _records_digest(records) -> str:
         ("C", 4, 2, 171, "01f5e86561f6a325112941251a5df50f26f3e44e78bb6c73de4b554d5c2c6add"),
         ("D", 5, 2, 731, "9dff45c1c8357e5976b0551cad355622114719d39060234cb563c83e8c7ff647"),
         ("U", 3, 2, 321, "e8996f619e4d13c6e0983fec80c54966be83c69cf3c9e36e6e47c32a7f90adb3"),
+        # 3^9 duals each, labelled in several batches of whole fibers
+        ("C", 4, 3, 1431, "42fc3c963c97a6efe1a3e1a35c52e9fc8ad86bd9b1ac3d9e081ebaed29d593f5"),
+        ("C", 5, 2, 963, "6322c3ddf318fac419851858af7d45ccc50650c2bd1b601279b0afa98db68d73"),
     ],
 )
 def test_orbit_partition_records_are_pinned(x, n, d, count, digest):
@@ -767,15 +772,15 @@ def test_orbit_engine_rejects_escaping_images():
 
 def test_orbit_engine_rejects_non_permutations():
     ctx = ctx_for("C", 2, 1, 3)
-    duals = _dual_stack(ctx)
+    duals = _dual_stack(ctx)[:3]  # one fiber: on several, the zero images would escape their fibers first
     one = np.eye(4, dtype=np.int16)
     # projecting onto an empty support sends every dual to zero
     frame = _Frame(ctx.field, ctx._mask, [(one, one)], np.zeros((4, 4), dtype=bool))
     with pytest.raises(ValueError, match="does not permute"):
-        _orbit_labels(_Action(frame, _coordinates(frame, duals), ctx._dual_pivots))
+        _orbit_labels(_Action(frame, _coordinates(frame, duals), ctx._fiber_pivots))
     frame = _Frame(ctx.field, ctx._mask, [])
     with pytest.raises(ValueError, match="distinct"):
-        _orbit_labels(_Action(frame, _coordinates(frame, np.stack([duals[0], duals[0]])), ctx._dual_pivots))
+        _orbit_labels(_Action(frame, _coordinates(frame, np.stack([duals[0], duals[0]])), ctx._fiber_pivots))
 
 
 @pytest.mark.parametrize("x, n, d", [("C", 3, 2), ("D", 4, 2), ("U", 2, 1)])
