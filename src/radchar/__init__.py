@@ -37,9 +37,8 @@ __version__ = "0.1.0"
 
 # each oracle module and the names it exports here
 _ORACLES = {
-    "falinalg": ("FfMatrix", "rank", "trace_pairing", "twisted_trace_pairing"),
-    "gf": ("FieldCtx", "FieldElement", "field_create", "field_for_order", "frobenius", "norm",
-           "quadratic_extension", "relative_trace"),
+    "falinalg": ("FfMatrix", "rank"),
+    "gf": ("FieldCtx", "field_create", "field_for_order", "quadratic_extension"),
     "orbitmethod": ("OrbitCensus", "OrbitRecord", "RadicalContext", "class_count_brute", "coadjoint_act",
                     "coefficient_matrix", "group_inv", "group_mul", "orbit_census", "orbit_of", "orbit_partition",
                     "pairing_nondegeneracy_check"),

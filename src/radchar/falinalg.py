@@ -5,13 +5,13 @@ its FieldCtx.  The one matrix product, matmul, and the one Gaussian
 elimination, ranks, work on code arrays and broadcast over leading
 stack axes.  Over a prime field the product is an int64 integer product
 reduced mod p, over an extension field a loop of add/mul table lookups;
-ranks and the entrywise operations are table lookups, and rank is ranks
-on one FfMatrix.  No step ever leaves exact field arithmetic.  matmul
-serves FfMatrix @, the trace pairings, and in orbitmethod the group law
-(products, inverses, decomposition), the one block product of the
-element enumeration and the pairing Gram matrix; conjugation there (of
-unit matrices and sample points by the walks, of one dual by
-coadjoint_act) is sparse row and column updates instead.
+ranks is table lookups, and rank is ranks on one FfMatrix.  No step
+ever leaves exact field arithmetic.  matmul serves orbitmethod: the
+group law (products, inverses, decomposition), the one block product of
+the element enumeration and the pairing Gram matrix; conjugation there
+(of unit matrices and sample points by the walks, of one dual by
+coadjoint_act) is sparse row and column updates instead.  FfMatrix has
+no arithmetic operators: a caller computes on its codes.
 
 The three symmetry classes used downstream are plain symmetric
 (M^t = M), skew-symmetric (M^t = -M, zero diagonal since the
@@ -32,7 +32,7 @@ import operator
 
 import numpy as np
 
-from .gf import BudgetExceeded, FieldCtx, FieldElement, relative_trace
+from .gf import BudgetExceeded, FieldCtx
 from .params import DEFAULT_ENUM_BUDGET, SymmetryClass, class_dimension
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "class_size",
     "class_blocks",
     "enumerate_class",
-    "trace_pairing",
-    "twisted_trace_pairing",
 ]
 
 # matrices per stacked step of an enumeration, rank or product: bounds the
@@ -71,7 +69,7 @@ class FfMatrix:
         raise AttributeError("matrices are immutable")
 
     @classmethod
-    def from_codes(cls, field: FieldCtx, array: np.ndarray, copy: bool = True) -> "FfMatrix":
+    def from_codes(cls, field: FieldCtx, array: np.ndarray) -> "FfMatrix":
         # checked before the int16 cast, which would wrap a wide code into range
         array = np.asarray(array)
         if array.dtype.kind not in "iu":
@@ -80,7 +78,7 @@ class FfMatrix:
             raise ValueError("codes array must be two-dimensional")
         if array.size and (array.min() < 0 or array.max() >= field.q):
             raise ValueError("element code out of range")
-        a = np.array(array, dtype=np.int16, copy=copy)
+        a = array.astype(np.int16)
         a.setflags(write=False)
         return cls.__new__(cls)._init_raw(field, a)
 
@@ -91,11 +89,11 @@ class FfMatrix:
 
     @classmethod
     def zeros(cls, field: FieldCtx, rows: int, cols: int) -> "FfMatrix":
-        return cls.from_codes(field, np.zeros((rows, cols), dtype=np.int16), copy=False)
+        return cls.from_codes(field, np.zeros((rows, cols), dtype=np.int16))
 
     @classmethod
     def identity(cls, field: FieldCtx, n: int) -> "FfMatrix":
-        return cls.from_codes(field, np.eye(n, dtype=np.int16), copy=False)
+        return cls.from_codes(field, np.eye(n, dtype=np.int16))
 
     @property
     def rows(self) -> int:
@@ -108,59 +106,6 @@ class FfMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.codes.shape
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.field.elem(int(self.codes[i, j]))
-
-    def __getitem__(self, key):
-        if isinstance(key, tuple) and len(key) == 2:
-            i, j = key
-            if isinstance(i, slice) or isinstance(j, slice):
-                sub = self.codes[i, j]
-                if sub.ndim == 1:
-                    sub = sub.reshape(-1, 1) if isinstance(i, slice) else sub.reshape(1, -1)
-                return FfMatrix.from_codes(self.field, sub)
-            return self.entry(i, j)
-        raise TypeError("index with a pair (i, j) of ints or slices")
-
-    def __matmul__(self, other: "FfMatrix") -> "FfMatrix":
-        self._check_field(other)
-        return FfMatrix.from_codes(self.field, matmul(self.field, self.codes, other.codes), copy=False)
-
-    def __add__(self, other: "FfMatrix") -> "FfMatrix":
-        return self._entrywise(other, self.field._add)
-
-    def __sub__(self, other: "FfMatrix") -> "FfMatrix":
-        return self._entrywise(other, self.field._sub)
-
-    def _entrywise(self, other: "FfMatrix", table: np.ndarray) -> "FfMatrix":
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix sum")
-        return FfMatrix.from_codes(self.field, table[self.codes, other.codes], copy=False)
-
-    def __neg__(self) -> "FfMatrix":
-        return FfMatrix.from_codes(self.field, self.field._neg[self.codes], copy=False)
-
-    def __rmul__(self, scalar) -> "FfMatrix":
-        if isinstance(scalar, int):
-            scalar = self.field.elem(scalar % self.field.p)
-        if not isinstance(scalar, FieldElement) or scalar.field != self.field:
-            return NotImplemented
-        return FfMatrix.from_codes(self.field, self.field._mul[scalar.code, self.codes], copy=False)
-
-    __mul__ = __rmul__
-
-    def transpose(self) -> "FfMatrix":
-        return FfMatrix.from_codes(self.field, self.codes.T)
-
-    @property
-    def T(self) -> "FfMatrix":
-        return self.transpose()
-
-    def _check_field(self, other):
-        if not isinstance(other, FfMatrix) or other.field != self.field:
-            raise ValueError("matrices over different fields")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FfMatrix):
@@ -186,18 +131,13 @@ def _codes_from(field: FieldCtx, data) -> np.ndarray:
     for row in data:
         r = []
         for x in row:
-            if isinstance(x, FieldElement):
-                if x.field != field:
-                    raise ValueError("entry from a different field")
-                r.append(x.code)
-            else:
-                try:
-                    c = operator.index(x)
-                except TypeError:
-                    raise TypeError("element codes must be integers") from None
-                if not 0 <= c < field.q:
-                    raise ValueError("element code out of range")
-                r.append(c)
+            try:
+                c = operator.index(x)
+            except TypeError:
+                raise TypeError("element codes must be integers") from None
+            if not 0 <= c < field.q:
+                raise ValueError("element code out of range")
+            r.append(c)
         rows.append(r)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
@@ -348,19 +288,5 @@ def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = D
     No route runs it: it stays only because the perfbench tracer wraps it
     by name, and goes when the tracer reads the library's own stages.
     """
-    return (FfMatrix.from_codes(field, M, copy=False) for stack in class_blocks(n, cls, field, budget) for M in stack)
+    return (FfMatrix.from_codes(field, M) for stack in class_blocks(n, cls, field, budget) for M in stack)
 
-
-def trace_pairing(X: FfMatrix, Y: FfMatrix) -> FieldElement:
-    """tr(X Y) for matrices whose product is square."""
-    if X.field != Y.field:
-        raise ValueError("matrices over different fields")
-    if X.cols != Y.rows or X.rows != Y.cols:
-        raise ValueError("shapes do not compose to a square product")
-    # tr(X Y) sums the entrywise products of X and Y^t: one row times one column
-    return X.field.elem(int(matmul(X.field, X.codes.reshape(1, -1), Y.codes.T.reshape(-1, 1))[0, 0]))
-
-
-def twisted_trace_pairing(X: FfMatrix, Y: FfMatrix) -> FieldElement:
-    """tr(X Y) + tr(X Y)^Q, an element of the base field."""
-    return relative_trace(trace_pairing(X, Y))

@@ -18,8 +18,10 @@ Entrywise arithmetic is a table lookup; matrix products
 integer product reduced mod p over a prime field.
 
 There is no global field registry: contexts are plain immutable
-objects, and two contexts built the same way compare equal, so
-elements are value objects.
+objects, and two contexts built the same way compare equal.  There is
+no element object either: arithmetic is done on codes, by indexing the
+tables _add, _sub, _mul, _neg, _inv and, on an extension, _frob (the
+conjugation x -> x^Q over the base).
 """
 
 from __future__ import annotations
@@ -30,24 +32,16 @@ from .params import BudgetExceeded, odd_prime_power
 
 __all__ = [
     "FieldCtx",
-    "FieldElement",
     "BudgetExceeded",
     "MAX_FIELD_ORDER",
     "odd_prime_power",
     "field_create",
     "quadratic_extension",
     "field_for_order",
-    "frobenius",
-    "relative_trace",
-    "norm",
 ]
 
 
 MAX_FIELD_ORDER = 1024
-
-
-# generator symbols for successive quadratic extensions, used only in repr
-_GEN_SYMBOLS = "tuvw"
 
 
 class FieldCtx:
@@ -138,41 +132,6 @@ class FieldCtx:
         inv[rows] = cols
         return inv
 
-    # -- element constructors ------------------------------------------
-
-    def elem(self, code: int) -> "FieldElement":
-        code = int(code)
-        if not 0 <= code < self.q:
-            raise ValueError("element code out of range")
-        return FieldElement(self, code)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def gen(self) -> "FieldElement":
-        """The adjoined square root t of the nonresidue (extensions only)."""
-        if self.base is None:
-            raise ValueError("prime field has no adjoined generator")
-        return FieldElement(self, self.base.q)
-
-    def elements(self):
-        """All field elements in canonical code order."""
-        for c in range(self.q):
-            yield FieldElement(self, c)
-
-    # -- misc ----------------------------------------------------------
-
-    def _gen_symbol(self) -> str:
-        level = 0
-        f = self
-        while f.base is not None:
-            level += 1
-            f = f.base
-        return _GEN_SYMBOLS[min(level, len(_GEN_SYMBOLS)) - 1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldCtx) and self._key == other._key
 
@@ -184,128 +143,6 @@ class FieldCtx:
 
 
 _CTX_TOKEN = object()
-
-
-class FieldElement:
-    """An element of a FieldCtx; immutable, compared by field and code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FieldCtx, code: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("field elements are immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            return self.field.elem(other % self.field.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, int(self.field._add[self.code, o.code]))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, int(self.field._sub[self.code, o.code]))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, int(self.field._mul[self.code, o.code]))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o.code == 0:
-            raise ZeroDivisionError("zero divisor")
-        return FieldElement(self.field, int(self.field._mul[self.code, self.field._inv[o.code]]))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
-    def __neg__(self):
-        return FieldElement(self.field, int(self.field._neg[self.code]))
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            if self.code == 0:
-                raise ZeroDivisionError("zero divisor")
-            return (self.field.one() / self) ** (-k)
-        result = self.field.one()
-        square = self
-        while k:
-            if k & 1:
-                result = result * square
-            square = square * square
-            k >>= 1
-        return result
-
-    def inverse(self) -> "FieldElement":
-        if self.code == 0:
-            raise ZeroDivisionError("zero divisor")
-        return FieldElement(self.field, int(self.field._inv[self.code]))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.p and self.code < self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field._key, self.code))
-
-    def coords(self) -> tuple:
-        """Coordinates over the base field (extensions only)."""
-        if self.field.base is None:
-            raise ValueError("prime field element has no base coordinates")
-        Q = self.field.base.q
-        return (self.field.base.elem(self.code % Q), self.field.base.elem(self.code // Q))
-
-    def __repr__(self) -> str:
-        f = self.field
-        if f.base is None:
-            return str(self.code)
-        a0, a1 = self.coords()
-        sym = f._gen_symbol()
-        if a1.code == 0:
-            return repr(a0)
-        s0, s1 = repr(a0), repr(a1)
-        if any(ch in s1 for ch in "+*"):
-            s1 = f"({s1})"
-        head = "" if s1 == "1" else f"{s1}*"
-        return f"{head}{sym}" if a0.code == 0 else f"{s0}+{head}{sym}"
 
 
 def field_create(p: int, m: int = 1) -> FieldCtx:
@@ -333,31 +170,3 @@ def field_for_order(q: int) -> FieldCtx:
         raise ValueError("odd prime power required")
     return field_create(*power)
 
-
-def frobenius(a: FieldElement) -> FieldElement:
-    """The conjugation x -> x^Q of a quadratic extension over its base."""
-    if a.field.base is None:
-        raise ValueError("no conjugation defined")
-    return FieldElement(a.field, int(a.field._frob[a.code]))
-
-
-def relative_trace(a: FieldElement) -> FieldElement:
-    """a + a^Q, as an element of the base field."""
-    f = a.field
-    if f.base is None:
-        raise ValueError("no conjugation defined")
-    t = int(f._add[a.code, f._frob[a.code]])
-    if t >= f.base.q:
-        raise ValueError("trace landed outside the base field")
-    return f.base.elem(t)
-
-
-def norm(a: FieldElement) -> FieldElement:
-    """a * a^Q, as an element of the base field."""
-    f = a.field
-    if f.base is None:
-        raise ValueError("no conjugation defined")
-    n = int(f._mul[a.code, f._frob[a.code]])
-    if n >= f.base.q:
-        raise ValueError("norm landed outside the base field")
-    return f.base.elem(n)

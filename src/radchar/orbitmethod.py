@@ -546,7 +546,7 @@ def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
 def coefficient_matrix(alpha: DualElement) -> FfMatrix:
     """Block diagonal stabilizer system: n-d copies of the constrained block."""
     ctx = alpha.ctx
-    return FfMatrix.from_codes(ctx.field, _coefficient_codes(ctx, ctx._roles(alpha._blocks())[0][None])[0], copy=False)
+    return FfMatrix.from_codes(ctx.field, _coefficient_codes(ctx, ctx._roles(alpha._blocks())[0][None])[0])
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ from radchar.falinalg import (
     class_size,
     enumerate_class,
     in_class,
+    matmul,
     mirror_codes,
     rank,
 )
-from radchar.gf import FieldCtx, FieldElement, field_create, field_for_order, norm, quadratic_extension
+from radchar.gf import FieldCtx, field_create, field_for_order, quadratic_extension
 from radchar.qpoly import QPoly
 
 q = QPoly.q()
@@ -199,67 +200,57 @@ def conj_transpose(M: FfMatrix) -> "FfMatrix":
     return FfMatrix.from_codes(M.field, M.field._frob[M.codes.T])
 
 
-def _norm_preimage(field: FieldCtx, target: FieldElement) -> FieldElement:
-    # smallest-code c with c * c^Q = target; exists since the norm is onto
-    for c in field.elements():
-        if c.code and norm(c) == target:
-            return c
-    raise ValueError("norm equation has no solution")
+def _norm_preimage(field: FieldCtx, target: int) -> int:
+    # smallest nonzero code c with c * c^Q = target; exists since the norm is onto
+    hits = np.flatnonzero(field._mul[np.arange(1, field.q), field._frob[1:]] == target)
+    if not hits.size:
+        raise ValueError("norm equation has no solution")
+    return int(hits[0]) + 1
 
 
 def skew_hermitian_normal_form(C: FfMatrix):
     """Congruence transform of a skew-Hermitian matrix to alpha * diag(I_r, 0).
 
-    Returns (A, r, alpha) with A invertible, r = rank(C), alpha the
-    adjoined generator t, and A C conj(A)^t = alpha * diag(I_r, 0).
+    Returns (A, r, alpha) with A invertible, r = rank(C), alpha the code
+    of the adjoined generator t, and A C conj(A)^t = alpha * diag(I_r, 0).
+    Row vectors are code arrays, combined with the field's tables.
     """
     field = C.field
     if field.base is None:
         raise ValueError("no conjugation defined")
     if not in_class(field, C.codes, SymmetryClass.SKEW_HERMITIAN):
         raise ValueError("matrix is not skew-hermitian")
+    ADD, SUB, MUL, INV = field._add, field._sub, field._mul, field._inv
     n = C.rows
-    alpha = field.gen()
-    one = field.one()
+    alpha = field.base.q
 
-    def form(x: FfMatrix, y: FfMatrix) -> FieldElement:
-        return (x @ C @ conj_transpose(y)).entry(0, 0)
+    def form(x: np.ndarray, y: np.ndarray) -> int:
+        return int(matmul(field, matmul(field, x[None], C.codes), field._frob[y][:, None])[0, 0])
 
-    rows = [FfMatrix.identity(field, n)[i : i + 1, :] for i in range(n)]
-    pivots: list[FfMatrix] = []
+    rows = list(np.eye(n, dtype=np.int16))
+    pivots: list[np.ndarray] = []
     while rows:
         # the first row the form does not vanish on; failing that, the
         # first v_i + c v_j it does not vanish on, which exists whenever
         # some off-diagonal value form(v_i, v_j) is nonzero
-        sums = ((i, rows[i] + c * rows[j]) for i, j in combinations(range(len(rows)), 2) for c in (one, alpha))
+        sums = ((i, ADD[rows[i], MUL[c, rows[j]]]) for i, j in combinations(range(len(rows)), 2) for c in (1, alpha))
         drop, pick = next(((i, v) for i, v in chain(enumerate(rows), sums) if form(v, v)), (-1, None))
         if pick is None:
             break
-        beta = form(pick, pick)
-        target = alpha / beta
-        if target.code >= field.base.q:
+        target = MUL[alpha, INV[form(pick, pick)]]
+        if target >= field.base.q:
             raise ValueError("diagonal ratio must lie in the base field")
-        c = _norm_preimage(field, field.base.elem(target.code))
-        x = c * pick
+        x = MUL[_norm_preimage(field, target), pick]
         if form(x, x) != alpha:
             raise ValueError("scaled pivot must have form value alpha")
         pivots.append(x)
-        rest = []
-        for idx, y in enumerate(rows):
-            if idx == drop:
-                continue
-            gamma = form(y, x) / alpha
-            rest.append(y - gamma * x)
-        rows = rest
+        rows = [SUB[y, MUL[MUL[form(y, x), INV[alpha]], x]] for idx, y in enumerate(rows) if idx != drop]
     r = len(pivots)
-    stacked = np.vstack([v.codes for v in pivots + rows]) if pivots + rows else np.zeros((0, 0), dtype=np.int16)
-    A = FfMatrix.from_codes(field, stacked)
+    A = FfMatrix.from_codes(field, np.array(pivots + rows, dtype=np.int16).reshape(n, n))
     if rank(A) != n:
         raise ValueError("transform must be invertible")
-    target = np.zeros((n, n), dtype=np.int16)
-    for i in range(r):
-        target[i, i] = alpha.code
-    if A @ C @ conj_transpose(A) != FfMatrix.from_codes(field, target):
+    product = matmul(field, matmul(field, A.codes, C.codes), conj_transpose(A).codes)
+    if not np.array_equal(product, np.diag([alpha] * r + [0] * (n - r))):
         raise ValueError("normal form identity failed")
     if r != rank(C):
         raise ValueError("pivot count must equal the rank")
@@ -267,10 +258,10 @@ def skew_hermitian_normal_form(C: FfMatrix):
 
 
 def test_conj_transpose():
-    t = F9.gen()
+    t = F9.base.q  # the code of the adjoined generator t; -t has code 2t = 6
     M = FfMatrix(F9, [[t, 1], [0, t]])
     Mh = conj_transpose(M)
-    assert Mh == FfMatrix(F9, [[-t, F9.zero()], [F9.one(), -t]])
+    assert Mh == FfMatrix(F9, [[6, 0], [1, 6]])
     assert conj_transpose(Mh) == M
     with pytest.raises(ValueError, match="no conjugation defined"):
         conj_transpose(FfMatrix.identity(F3, 2))
@@ -280,17 +271,17 @@ def test_normal_form_exhaustive_small():
     for n in (1, 2):
         for C in enumerate_class(n, SymmetryClass.SKEW_HERMITIAN, F9):
             A, r, alpha = skew_hermitian_normal_form(C)
-            assert alpha == F9.gen()
+            assert alpha == F9.base.q
             assert r == rank(C)
             # the defining identity is asserted inside; spot-check shape
             assert A.shape == (n, n)
 
 
 def test_normal_form_zero_and_scalar():
+    t = F9.base.q
     A, r, alpha = skew_hermitian_normal_form(FfMatrix.zeros(F9, 2, 2))
-    assert (r, alpha) == (0, F9.gen())
+    assert (r, alpha) == (0, t)
     assert A == FfMatrix.identity(F9, 2)
-    t = F9.gen()
     A, r, alpha = skew_hermitian_normal_form(FfMatrix(F9, [[t]]))
     assert (r, alpha) == (1, t)
     assert A == FfMatrix.identity(F9, 1)
@@ -314,38 +305,33 @@ def test_normal_form_random_larger():
             C = FfMatrix.from_codes(field, M)
             A, r, alpha = skew_hermitian_normal_form(C)
             assert r == rank(C)
-            assert alpha == field.gen()
+            assert alpha == field.base.q
 
 
 def test_normal_form_checks_raise(monkeypatch):
-    C = FfMatrix(F9, [[F9.gen(), 0], [0, 0]])
+    C = FfMatrix(F9, [[F9.base.q, 0], [0, 0]])
     with monkeypatch.context() as m:
         m.setattr(sys.modules[__name__], "rank", lambda M: -1)
         with pytest.raises(ValueError, match="transform must be invertible"):
             skew_hermitian_normal_form(C)
     with monkeypatch.context() as m:
-        m.setattr(sys.modules[__name__], "_norm_preimage", lambda field, target: field.one())
+        m.setattr(sys.modules[__name__], "_norm_preimage", lambda field, target: 1)
         with pytest.raises(ValueError, match="form value alpha"):
-            skew_hermitian_normal_form(2 * C)
+            skew_hermitian_normal_form(FfMatrix.from_codes(F9, F9._mul[2, C.codes]))
 
 
 def test_scaled_identity_classes_coincide():
     # every rank-r skew-Hermitian matrix is congruent to a*diag(I_r, 0)
     # for every nonzero trace-zero a, so the per-scalar classes are all
     # the same set; this is the experiment behind the corrected variant
-    t = F9.gen()
+    t = F9.base.q
     for C in enumerate_class(2, SymmetryClass.SKEW_HERMITIAN, F9):
         A, r, alpha = skew_hermitian_normal_form(C)
-        for lam_code in range(1, 3):
-            lam = F3.elem(lam_code)
-            # find c with norm(c) = lam and rescale the transform
-            c = next(x for x in F9.elements() if x.code and norm(x) == lam)
-            B = c * A
-            scaled = F9.elem(lam.code) * t
-            target = FfMatrix(
-                F9, [[(scaled if i == j and i < r else F9.zero()) for j in range(2)] for i in range(2)]
-            )
-            assert B @ C @ conj_transpose(B) == target
+        for lam in range(1, 3):
+            # rescale the transform by a c with norm(c) = lam
+            B = F9._mul[_norm_preimage(F9, lam), A.codes]
+            target = np.diag([F9._mul[lam, t]] * r + [0] * (2 - r))
+            assert np.array_equal(matmul(F9, matmul(F9, B, C.codes), F9._frob[B.T]), target)
 
 
 def test_census_errors():

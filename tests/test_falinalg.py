@@ -1,4 +1,4 @@
-"""Matrix layer: ranks, symmetry classes, pairings."""
+"""Matrix layer: products, ranks, symmetry classes."""
 
 import math
 import random
@@ -18,23 +18,21 @@ from radchar.falinalg import (
     mirror_codes,
     rank,
     ranks,
-    trace_pairing,
-    twisted_trace_pairing,
 )
-from radchar.gf import field_create, frobenius, quadratic_extension
+from radchar.gf import field_create
 
 F3 = field_create(3)
 F9 = field_create(3, 2)
 
 
 def random_matrix(field, rows, cols, rng):
-    return FfMatrix(field, [[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)])
+    return np.array([[rng.randrange(field.q) for _ in range(cols)] for _ in range(rows)], dtype=np.int16)
 
 
 def random_invertible(field, n, rng):
     while True:
         M = random_matrix(field, n, n, rng)
-        if rank(M) == n:
+        if ranks(field, M) == n:
             return M
 
 
@@ -54,18 +52,16 @@ def test_rank_invariant_under_invertible_factors():
             M = random_matrix(field, 3, 4, rng)
             P = random_invertible(field, 3, rng)
             Q = random_invertible(field, 4, rng)
-            assert rank(P @ M @ Q) == rank(M)
+            assert ranks(field, matmul(field, matmul(field, P, M), Q)) == ranks(field, M)
 
 
 def test_matmul_and_add():
-    X = FfMatrix(F3, [[1, 2], [0, 1]])
-    Y = FfMatrix(F3, [[1, 0], [1, 1]])
-    assert X @ Y == FfMatrix(F3, [[0, 2], [1, 1]])
-    assert X + Y == FfMatrix(F3, [[2, 2], [1, 2]])
-    assert X - X == FfMatrix.zeros(F3, 2, 2)
-    assert 2 * X == FfMatrix(F3, [[2, 1], [0, 2]])
+    X = np.array([[1, 2], [0, 1]], dtype=np.int16)
+    Y = np.array([[1, 0], [1, 1]], dtype=np.int16)
+    assert matmul(F3, X, Y).tolist() == [[0, 2], [1, 1]]
+    assert F3._add[X, Y].tolist() == [[2, 2], [1, 2]]
     with pytest.raises(ValueError, match="shape mismatch"):
-        X @ FfMatrix.zeros(F3, 3, 3)
+        matmul(F3, X, np.zeros((3, 3), dtype=np.int16))
 
 
 def _mm_reference(field, A, B):
@@ -110,9 +106,6 @@ def test_matmul_matches_table_lookup_reference(operands):
     got = matmul(field, A, B)
     assert got.dtype == np.int16
     assert np.array_equal(got, _stacked_reference(field, A, B))
-    if A.ndim == 2 and B.ndim == 2:
-        product = FfMatrix.from_codes(field, A) @ FfMatrix.from_codes(field, B)
-        assert np.array_equal(product.codes, got)
 
 
 def _rank_reference(field, A):
@@ -212,25 +205,18 @@ def test_is_in_class():
     assert not in_class(F3, FfMatrix(F3, [[1, 2], [1, 0]]).codes, SymmetryClass.SYMMETRIC)
     assert in_class(F3, FfMatrix(F3, [[0, 1], [2, 0]]).codes, SymmetryClass.SKEW_SYMMETRIC)
     assert not in_class(F3, FfMatrix(F3, [[1, 1], [2, 0]]).codes, SymmetryClass.SKEW_SYMMETRIC)
-    t = F9.gen()
+    t = F9.base.q  # the code of the adjoined generator t
     assert in_class(F9, FfMatrix(F9, [[t]]).codes, SymmetryClass.SKEW_HERMITIAN)
     assert not in_class(F9, FfMatrix(F9, [[1]]).codes, SymmetryClass.SKEW_HERMITIAN)
     with pytest.raises(ValueError, match="must be square"):
         in_class(F3, FfMatrix.zeros(F3, 2, 3).codes, SymmetryClass.SYMMETRIC)
 
 
-# entry (j, i) of a class member, from entry (i, j)
-MIRRORS = {
-    SymmetryClass.SYMMETRIC: lambda x: x,
-    SymmetryClass.SKEW_SYMMETRIC: lambda x: -x,
-    SymmetryClass.SKEW_HERMITIAN: lambda x: -frobenius(x),
-}
-
-
 def _in_class_reference(field, M, cls):
-    """Class membership by its definition, in FieldElement arithmetic."""
-    E = [[field.elem(int(c)) for c in row] for row in M]
-    return all(E[j][i] == MIRRORS[cls](E[i][j]) for i in range(len(E)) for j in range(len(E)))
+    """Class membership by its definition: M^t = M, M + M^t = 0 or M + conj(M)^t = 0."""
+    if cls is SymmetryClass.SYMMETRIC:
+        return bool((M.T == M).all())
+    return bool((field._add[M, M.T if cls is SymmetryClass.SKEW_SYMMETRIC else field._frob[M.T]] == 0).all())
 
 
 def test_in_class_tests_a_stack_like_is_in_class():
@@ -284,47 +270,18 @@ def test_skew_ranks_are_even():
         assert rank(M) % 2 == 0
 
 
-def test_trace_pairing():
-    X = FfMatrix(F3, [[1, 2], [0, 1]])
-    Y = FfMatrix(F3, [[1, 0], [1, 1]])
-    assert trace_pairing(X, Y) == F3.one()
-    t = F9.gen()
-    assert trace_pairing(FfMatrix(F9, [[t]]), FfMatrix.identity(F9, 1)) == t
-    assert twisted_trace_pairing(FfMatrix(F9, [[t]]), FfMatrix.identity(F9, 1)) == F3.zero()
-    assert twisted_trace_pairing(FfMatrix(F9, [[1]]), FfMatrix.identity(F9, 1)) == F3.elem(2)
-    with pytest.raises(ValueError, match="square product"):
-        trace_pairing(FfMatrix.zeros(F3, 2, 3), FfMatrix.zeros(F3, 3, 3))
-
-
 def test_gram_matrix_symmetric_pairing_perfect():
     # tr(XY) on 2x2 symmetric matrices over F_3 is a perfect pairing
-    basis = [
-        FfMatrix(F3, [[1, 0], [0, 0]]),
-        FfMatrix(F3, [[0, 0], [0, 1]]),
-        FfMatrix(F3, [[0, 1], [1, 0]]),
-    ]
-    G = FfMatrix(F3, [[trace_pairing(x, y) for y in basis] for x in basis])
-    assert rank(G) == 3
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=np.int16)
+    products = matmul(F3, basis[:, None], basis[None, :])
+    assert ranks(F3, F3._add[products[..., 0, 0], products[..., 1, 1]]) == 3
 
 
 def test_reversal_matrix():
     # the antidiagonal permutation, read from a reversed view of the identity
     J = FfMatrix.from_codes(F3, np.eye(3, dtype=np.int16)[::-1])
-    assert J @ J == FfMatrix.identity(F3, 3)
+    assert np.array_equal(matmul(F3, J.codes, J.codes), np.eye(3))
     assert J == FfMatrix(F3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-
-
-def test_getitem_blocks():
-    M = FfMatrix(F3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    assert M[0, 2] == F3.elem(2)
-    assert M[0:2, 1:3] == FfMatrix(F3, [[1, 2], [2, 0]])
-    assert M[1, :] == FfMatrix(F3, [[1, 2, 0]])
-    assert M[:, 0].shape == (3, 1)
-    # numpy integer indices orient the block like int ones: by which index is a slice
-    assert M[np.int64(1), :] == FfMatrix(F3, [[1, 2, 0]])
-    assert M[np.int16(1), 0:2] == FfMatrix(F3, [[1, 2]])
-    assert M[:, np.int64(0)] == FfMatrix(F3, [[0], [1], [2]])
-    assert M[np.int64(0), np.int64(2)] == F3.elem(2)
 
 
 def test_non_integer_codes_are_refused():
@@ -342,22 +299,23 @@ def test_non_integer_codes_are_refused():
         FfMatrix.from_codes(F3, np.array([[2 ** 16 + 1]]))
 
 
-M3 = FfMatrix(F3, [[1, 2], [0, 1]])
+def test_from_codes_copies_the_callers_array():
+    # the matrix holds a read-only copy: the caller's array stays writable and apart
+    for dtype in (np.int16, np.int64):
+        A = np.ones((2, 2), dtype=dtype)
+        M = FfMatrix.from_codes(F3, A)
+        A[0, 0] = 2
+        assert M.codes[0, 0] == 1 and not M.codes.flags.writeable
 
 
 @pytest.mark.parametrize(
     "call, error, message",
     [
         (lambda: FfMatrix.from_codes(F3, np.zeros(3, dtype=np.int16)), ValueError, "codes array must be two-dimensional"),
-        (lambda: M3[0], TypeError, r"index with a pair \(i, j\) of ints or slices"),
-        (lambda: M3 + FfMatrix(F3, [[1, 2]]), ValueError, "shape mismatch in matrix sum"),
-        (lambda: M3 + FfMatrix(F9, [[1, 2], [0, 1]]), ValueError, "matrices over different fields"),
-        (lambda: FfMatrix(F3, [[F9.one()]]), ValueError, "entry from a different field"),
         (lambda: FfMatrix(F3, [[3]]), ValueError, "element code out of range"),
         (lambda: FfMatrix(F3, [[1, 2], [1]]), ValueError, "ragged rows"),
         (lambda: mirror_codes(F3, "symmetric"), ValueError, "unknown symmetry class"),
         (lambda: class_size(2, SymmetryClass.SKEW_HERMITIAN, F3), ValueError, "no conjugation defined"),
-        (lambda: trace_pairing(M3, FfMatrix(F9, [[1, 2], [0, 1]])), ValueError, "matrices over different fields"),
     ],
 )
 def test_matrix_layer_refusals(call, error, message):
