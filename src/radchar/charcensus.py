@@ -27,7 +27,7 @@ factor), which is exactly what sum_of_squares_check is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from .census import attainable_ranks, census_polynomial, check_variant, rank_censuses
@@ -87,14 +87,10 @@ def char_count_poly(params: RadicalParams, e: int, variant: str = "corrected") -
     return census_polynomial(kind, d, r, variant).shifted(2 * params.k_exponent * (d * (n - d) - e))
 
 
-@dataclass(frozen=True)
-class DegreeCensusRow:
-    """One degree layer: block rank r, exponent e, degree and count in q."""
+class DegreeCensusRow(namedtuple("DegreeCensusRow", "r e degree count")):
+    """One degree layer, an immutable named tuple: block rank r, exponent e, degree and count in q."""
 
-    r: int
-    e: int
-    degree: QPoly
-    count: QPoly
+    __slots__ = ()
 
     def count_at(self, q: int) -> int:
         return self.count.eval_at(q)
@@ -103,13 +99,10 @@ class DegreeCensusRow:
         return self.degree.eval_at(q)
 
 
-@dataclass(frozen=True)
-class DegreeCensus:
-    """The full character degree census of one radical, rows by rank."""
+class DegreeCensus(namedtuple("DegreeCensus", "params variant rows")):
+    """The full character degree census of one radical, an immutable named tuple: params, variant, rows by rank."""
 
-    params: RadicalParams
-    variant: str
-    rows: tuple[DegreeCensusRow, ...]
+    __slots__ = ()
 
     def by_e(self) -> dict[int, DegreeCensusRow]:
         return {row.e: row for row in self.rows}

@@ -43,7 +43,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict
 
 from .census import CLASSES, MAX_DIGITS, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree, rank_censuses
 from .charcensus import DegreeCensus, census_table, qminus1_report
@@ -148,6 +147,8 @@ def _class_check(table: DegreeCensus, ctx, args):
 
 
 def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
+    from dataclasses import asdict
+
     from .orbitmethod import RadicalContext
 
     ctx = RadicalContext(table.params, _field_for(q))

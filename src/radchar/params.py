@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .qpoly import QPoly
 
@@ -128,25 +128,26 @@ def d_range(x: str, n: int) -> range:
     return range(0, n) if x == "U" else range(1, n + 1)
 
 
-@dataclass(frozen=True)
-class RadicalParams:
-    """Combinatorial data (type, n, d) of one radical group."""
+class RadicalParams(namedtuple("RadicalParams", "x n d")):
+    """Combinatorial data (type, n, d) of one radical group, an immutable named tuple."""
 
-    x: str
-    n: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x not in TYPES:
+    def __new__(cls, x: str, n: int, d: int):
+        if x not in TYPES:
             raise ValueError("type must be one of C, D, U")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("n out of range")
-        if self.d not in d_range(self.x, self.n):
+        if d not in d_range(x, n):
             raise ValueError("d out of range")
-        if self.x == "C" and self.n < 3:
+        if x == "C" and n < 3:
             warnings.warn("type C with n < 3 is outside the standard Dynkin range; the matrix model is still well defined")
-        if self.x == "D" and self.n < 4:
+        if x == "D" and n < 4:
             warnings.warn("type D with n < 4 is outside the standard Dynkin range; the matrix model is still well defined")
+        return super().__new__(cls, x, n, d)
+
+    # through __new__, so that _replace checks its fields as construction does
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def k_exponent(self) -> int:

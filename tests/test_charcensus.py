@@ -1,6 +1,6 @@
 """Tests for the symbolic character degree censuses."""
 
-import dataclasses
+import pickle
 
 import pytest
 
@@ -90,6 +90,48 @@ def test_census_table_structure():
     assert census.order_poly() == QPoly.q_power(7)
 
 
+@pytest.mark.parametrize(
+    "build, names, text",
+    [
+        (lambda: P("C", 4, 2), "x n d", "RadicalParams(x='C', n=4, d=2)"),
+        (
+            lambda: census_table(P("C", 4, 2)).rows[0],
+            "r e degree count",
+            "DegreeCensusRow(r=0, e=0, degree=QPoly([1]), count=QPoly([0, 0, 0, 0, 0, 0, 0, 0, 1]))",
+        ),
+        (
+            lambda: census_table(P("C", 4, 2)),
+            "params variant rows",
+            "DegreeCensus(params=RadicalParams(x='C', n=4, d=2), variant='corrected', rows={rows!r})",
+        ),
+    ],
+    ids=["RadicalParams", "DegreeCensusRow", "DegreeCensus"],
+)
+def test_records_are_immutable_values(build, names, text):
+    # the repr, hash and immutability of the frozen dataclasses they replaced
+    record = build()
+    assert record._fields == tuple(names.split())
+    assert repr(record) == text.format(**record._asdict())
+    assert record == build() == tuple(record)
+    assert hash(record) == hash(build()) == hash(tuple(record))
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+
+
+def test_radical_params_are_checked_however_built():
+    assert hash(P("C", 4, 2)) == hash(("C", 4, 2))
+    with pytest.raises(ValueError, match="d out of range"):
+        P("C", 4, 7)
+    with pytest.raises(ValueError, match="d out of range"):
+        P("C", 4, 2)._replace(d=7)
+    with pytest.warns(UserWarning, match="type C with n < 3"):
+        P("C", 2, 1)
+    with pytest.warns(UserWarning, match="type D with n < 4"):
+        P("D", 3, 2)
+    copy = pickle.loads(pickle.dumps(P("C", 4, 2)))
+    assert copy == P("C", 4, 2) and type(copy) is RadicalParams
+
+
 def test_census_table_matches_orbit_oracle():
     cases = [
         ("C", 2, 1, 3),
@@ -150,8 +192,8 @@ def test_sum_of_squares_reads_every_rows_degree(monkeypatch):
     table = census_table(params)
     for i, row in enumerate(table.rows):
         for degree, raises in ((row.degree * 2, True), (row.degree + 1, True), (row.degree.shifted(1), False)):
-            rows = table.rows[:i] + (dataclasses.replace(row, degree=degree),) + table.rows[i + 1 :]
-            corrupted = dataclasses.replace(table, rows=rows)
+            rows = table.rows[:i] + (row._replace(degree=degree),) + table.rows[i + 1 :]
+            corrupted = table._replace(rows=rows)
             if raises:
                 with pytest.raises(ValueError, match="not a power of q"):
                     corrupted.sum_of_squares()

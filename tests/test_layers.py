@@ -1,7 +1,8 @@
 """The symbolic layer stands apart from the oracle layer.
 
 qpoly, params, census and charcensus compute the closed forms without
-numpy, and the symbolic commands run with numpy unimportable.  The
+numpy, and the symbolic commands run with numpy unimportable; importing
+the package and its CLI loads no dataclasses either.  The
 oracle modules (gf, falinalg, orbitmethod) never import the closed
 forms, so the routes stay independent.  The package still exports every
 name it always did: the symbolic ones directly, the oracle ones on
@@ -111,6 +112,32 @@ def test_symbolic_layer_loads_oracles_only_in_the_brute_histogram(module):
         if name.split(".")[0] in ORACLE_MODULES | {"numpy"} and scope != "brute_rank_census"
     ]
     assert found == []
+
+
+# prints the modules that importing the package and its CLI adds
+IMPORT_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import radchar, radchar.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses brings inspect, ast, dis and tokenize: about a third of the CLI's start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = set(json.loads(done.stdout))
+    assert "radchar.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
+
+
+@pytest.mark.parametrize("module", ["qpoly", "params", "census", "charcensus", "cli"])
+def test_dataclasses_is_imported_only_to_render_the_orbit_rows(module):
+    found = [(scope, name) for scope, name in _imports_of(module) if name == "dataclasses"]
+    assert found == ([("_census_oracle", "dataclasses")] if module == "cli" else [])
 
 
 def test_import_finder_sees_every_form():

@@ -16,7 +16,7 @@ MODULES = (SRC / "orbitmethod.py", SRC / "params.py")
 # the constructor (entry field and layout) and the pairing's twisted trace
 ALLOWED = {
     "d_range",
-    "RadicalParams.__post_init__",
+    "RadicalParams.__new__",
     "RadicalParams.k_exponent",
     "RadicalContext.__init__",
     "pairing_nondegeneracy_check",
