@@ -147,8 +147,6 @@ def _class_check(table: DegreeCensus, ctx, args):
 
 
 def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
-    from dataclasses import asdict
-
     from .orbitmethod import RadicalContext
 
     ctx = RadicalContext(table.params, _field_for(q))
@@ -159,7 +157,7 @@ def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
     rows, rows_match, _ = _orbit_check(table, ctx, args)
     return {
         "q": q,
-        "orbit_rows": [asdict(r) for r in rows],
+        "orbit_rows": [r._asdict() for r in rows],
         "class_count": classes,
         "rows_match": rows_match,
         "class_count_match": class_match,

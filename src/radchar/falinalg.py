@@ -1,7 +1,9 @@
 """Matrices over the small finite fields, as arrays of element codes.
 
 An FfMatrix wraps a read-only numpy int16 array of codes together with
-its FieldCtx.  The one matrix product, matmul, and the one Gaussian
+its FieldCtx.  Its one constructor, FfMatrix(field, data), takes a code
+array or nested lists of codes, is the one place codes are checked, and
+keeps a copy.  The one matrix product, matmul, and the one Gaussian
 elimination, ranks, work on code arrays and broadcast over leading
 stack axes.  Over a prime field the product is an int64 integer product
 reduced mod p, over an extension field a loop of add/mul table lookups;
@@ -28,7 +30,6 @@ from entry (i, j) of a member to entry (j, i).
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -63,45 +64,30 @@ class FfMatrix:
     __slots__ = ("field", "codes")
 
     def __init__(self, field: FieldCtx, data):
-        self._init_raw(field, _codes_from(field, data))
+        try:
+            array = np.asarray(data)
+        except ValueError:
+            raise ValueError("ragged rows") from None
+        if array.dtype.kind not in "iu":
+            if array.size:
+                raise TypeError("element codes must be integers")
+            # empty lists read as float, and [] as one axis: the 0-by-0 matrix
+            array = np.zeros(array.shape if array.ndim != 1 else (0, 0), dtype=np.int16)
+        if array.ndim != 2:
+            raise ValueError("codes array must be two-dimensional")
+        # checked before the int16 cast, which would wrap a wide code into range
+        if array.size and (array.min() < 0 or array.max() >= field.q):
+            raise ValueError("element code out of range")
+        codes = array.astype(np.int16)
+        codes.setflags(write=False)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "codes", codes)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
 
-    @classmethod
-    def from_codes(cls, field: FieldCtx, array: np.ndarray) -> "FfMatrix":
-        # checked before the int16 cast, which would wrap a wide code into range
-        array = np.asarray(array)
-        if array.dtype.kind not in "iu":
-            raise TypeError("element codes must be integers")
-        if array.ndim != 2:
-            raise ValueError("codes array must be two-dimensional")
-        if array.size and (array.min() < 0 or array.max() >= field.q):
-            raise ValueError("element code out of range")
-        a = array.astype(np.int16)
-        a.setflags(write=False)
-        return cls.__new__(cls)._init_raw(field, a)
-
-    def _init_raw(self, field, a):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "codes", a)
-        return self
-
-    @classmethod
-    def zeros(cls, field: FieldCtx, rows: int, cols: int) -> "FfMatrix":
-        return cls.from_codes(field, np.zeros((rows, cols), dtype=np.int16))
-
-    @classmethod
-    def identity(cls, field: FieldCtx, n: int) -> "FfMatrix":
-        return cls.from_codes(field, np.eye(n, dtype=np.int16))
-
-    @property
-    def rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.codes.shape[1]
+    def __reduce__(self):
+        return FfMatrix, (self.field, self.codes)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -124,28 +110,6 @@ class FfMatrix:
 
     def __repr__(self) -> str:
         return f"FfMatrix(GF({self.field.q}), {self.codes.tolist()!r})"
-
-
-def _codes_from(field: FieldCtx, data) -> np.ndarray:
-    rows = []
-    for row in data:
-        r = []
-        for x in row:
-            try:
-                c = operator.index(x)
-            except TypeError:
-                raise TypeError("element codes must be integers") from None
-            if not 0 <= c < field.q:
-                raise ValueError("element code out of range")
-            r.append(c)
-        rows.append(r)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged rows")
-    a = np.array(rows, dtype=np.int16) if rows else np.zeros((0, 0), dtype=np.int16)
-    if a.ndim == 1:
-        a = a.reshape(len(rows), 0)
-    a.setflags(write=False)
-    return a
 
 
 def matmul(field: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -288,5 +252,5 @@ def enumerate_class(n: int, cls: SymmetryClass, field: FieldCtx, budget: int = D
     No route runs it: it stays only because the perfbench tracer wraps it
     by name, and goes when the tracer reads the library's own stages.
     """
-    return (FfMatrix.from_codes(field, M) for stack in class_blocks(n, cls, field, budget) for M in stack)
+    return (FfMatrix(field, M) for stack in class_blocks(n, cls, field, budget) for M in stack)
 

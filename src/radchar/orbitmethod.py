@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -222,8 +222,6 @@ class RadicalContext:
             if data.field != self.field:
                 raise ValueError("block over the wrong field")
             codes = data.codes
-        elif isinstance(data, np.ndarray):
-            codes = FfMatrix.from_codes(self.field, data).codes
         else:
             codes = FfMatrix(self.field, data).codes
         if codes.shape != shape:
@@ -453,7 +451,7 @@ class RadicalContext:
 
 
 def _block_view(name: str) -> property:
-    return property(lambda self: FfMatrix.from_codes(self.ctx.field, getattr(self, name)))
+    return property(lambda self: FfMatrix(self.ctx.field, getattr(self, name)))
 
 
 class _BlockValue:
@@ -474,7 +472,7 @@ class _BlockValue:
         return [getattr(self, name) for name in self.__slots__]
 
     def ambient(self) -> FfMatrix:
-        return FfMatrix.from_codes(self.ctx.field, self._ambient_codes())
+        return FfMatrix(self.ctx.field, self._ambient_codes())
 
     def key(self) -> bytes:
         return b"".join(block.tobytes() for block in self._blocks())
@@ -500,7 +498,6 @@ class RadicalElement(_BlockValue):
     """A group element a(V) h(A), stored by its free parameter blocks."""
 
     __slots__ = ("_b1", "_b2", "_a")
-    h_a = _block_view("_a")
 
     def _ambient_codes(self) -> np.ndarray:
         return self.ctx._element_ambient(self._b1, self._b2, self._a)
@@ -546,15 +543,13 @@ def coadjoint_act(g: RadicalElement, alpha: DualElement) -> DualElement:
 def coefficient_matrix(alpha: DualElement) -> FfMatrix:
     """Block diagonal stabilizer system: n-d copies of the constrained block."""
     ctx = alpha.ctx
-    return FfMatrix.from_codes(ctx.field, _coefficient_codes(ctx, ctx._roles(alpha._blocks())[0][None])[0])
+    return FfMatrix(ctx.field, _coefficient_codes(ctx, ctx._roles(alpha._blocks())[0][None])[0])
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    representative: DualElement
-    size: int
-    stabilizer_order: int
-    e: int
+class OrbitRecord(namedtuple("OrbitRecord", "representative size stabilizer_order e")):
+    """One coadjoint orbit, an immutable named tuple: a representative, its size, stabilizer order and e."""
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -868,21 +863,13 @@ def _context(params: RadicalParams, q) -> RadicalContext:
     return ctx
 
 
-@dataclass(frozen=True)
-class OrbitCensusRow:
-    e: int
-    degree: int
-    dual_count: int
-    orbit_count: int
-    char_count: int
+OrbitCensusRow = namedtuple("OrbitCensusRow", "e degree dual_count orbit_count char_count")
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
-    params: RadicalParams
-    q: int
-    k_order: int
-    rows: tuple[OrbitCensusRow, ...]
+class OrbitCensus(namedtuple("OrbitCensus", "params q k_order rows")):
+    """The numeric census of one radical over F_q, an immutable named tuple: rows by e."""
+
+    __slots__ = ()
 
     @property
     def by_e(self) -> dict[int, OrbitCensusRow]:

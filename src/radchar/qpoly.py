@@ -72,6 +72,9 @@ class QPoly:
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
 
+    def __reduce__(self):
+        return QPoly, (self.coeffs,)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod

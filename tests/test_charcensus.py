@@ -1,5 +1,6 @@
 """Tests for the symbolic character degree censuses."""
 
+import copy
 import pickle
 
 import pytest
@@ -14,7 +15,9 @@ from radchar.charcensus import (
     qminus1_report,
     sum_of_squares_check,
 )
-from radchar.orbitmethod import RadicalParams, d_range, orbit_census, radical_order
+from radchar.falinalg import FfMatrix
+from radchar.gf import field_for_order
+from radchar.orbitmethod import RadicalContext, RadicalParams, d_range, orbit_census, orbit_partition, radical_order
 from radchar.params import TYPES, _V_CLASS, class_dimension
 from radchar.qpoly import QPoly
 
@@ -104,8 +107,23 @@ def test_census_table_structure():
             "params variant rows",
             "DegreeCensus(params=RadicalParams(x='C', n=4, d=2), variant='corrected', rows={rows!r})",
         ),
+        (
+            lambda: orbit_partition(RadicalContext(P("C", 3, 1), 3))[-1],
+            "representative size stabilizer_order e",
+            "OrbitRecord(representative=DualElement(b1=[[2]], b3=[[0, 0]], b2=[[0], [0]]), size=9, stabilizer_order=1, e=2)",
+        ),
+        (
+            lambda: orbit_census(P("C", 3, 1), 3).rows[1],
+            "e degree dual_count orbit_count char_count",
+            "OrbitCensusRow(e=2, degree=9, dual_count=18, orbit_count=2, char_count=2)",
+        ),
+        (
+            lambda: orbit_census(P("C", 3, 1), 3),
+            "params q k_order rows",
+            "OrbitCensus(params=RadicalParams(x='C', n=3, d=1), q=3, k_order=3, rows={rows!r})",
+        ),
     ],
-    ids=["RadicalParams", "DegreeCensusRow", "DegreeCensus"],
+    ids=["RadicalParams", "DegreeCensusRow", "DegreeCensus", "OrbitRecord", "OrbitCensusRow", "OrbitCensus"],
 )
 def test_records_are_immutable_values(build, names, text):
     # the repr, hash and immutability of the frozen dataclasses they replaced
@@ -130,6 +148,30 @@ def test_radical_params_are_checked_however_built():
         P("D", 3, 2)
     copy = pickle.loads(pickle.dumps(P("C", 4, 2)))
     assert copy == P("C", 4, 2) and type(copy) is RadicalParams
+
+
+@pytest.mark.parametrize("restore", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QPoly([1, 0, -2]),
+        lambda: FfMatrix(field_for_order(9), [[1, 8], [0, 3]]),
+        lambda: census_table(P("U", 3, 1)),
+        lambda: orbit_census(P("C", 3, 1), 3),
+        lambda: orbit_partition(RadicalContext(P("C", 3, 1), 3)),
+    ],
+    ids=["QPoly", "FfMatrix", "census_table", "orbit_census", "orbit_partition"],
+)
+def test_values_survive_pickle_and_copy(build, restore):
+    # an immutable value is rebuilt through its constructor, not by setting its slots
+    value = build()
+    restored = restore(value)
+    assert restored == value and type(restored) is type(value)
+    if isinstance(value, FfMatrix):
+        assert not restored.codes.flags.writeable
+    if isinstance(value, list):
+        value, restored = tuple(value), tuple(restored)
+    assert hash(restored) == hash(value)
 
 
 def test_census_table_matches_orbit_oracle():

@@ -39,10 +39,10 @@ def random_invertible(field, n, rng):
 def test_rank_basics():
     assert rank(FfMatrix(F3, [[1, 2], [2, 1]])) == 1
     assert rank(FfMatrix(F3, [[1, 2], [2, 2]])) == 2
-    assert rank(FfMatrix.identity(F3, 4)) == 4
-    assert rank(FfMatrix.zeros(F3, 3, 5)) == 0
-    assert rank(FfMatrix.zeros(F3, 0, 3)) == 0
-    assert rank(FfMatrix.zeros(F3, 0, 0)) == 0
+    assert rank(FfMatrix(F3, np.eye(4, dtype=np.int16))) == 4
+    assert rank(FfMatrix(F3, np.zeros((3, 5), dtype=np.int16))) == 0
+    assert rank(FfMatrix(F3, np.zeros((0, 3), dtype=np.int16))) == 0
+    assert rank(FfMatrix(F3, np.zeros((0, 0), dtype=np.int16))) == 0
 
 
 def test_rank_invariant_under_invertible_factors():
@@ -175,7 +175,7 @@ def test_ranks_match_scalar_elimination(stack):
     expected = [_rank_reference(field, M) for M in A.reshape((math.prod(A.shape[:-2]),) + A.shape[-2:])]
     assert got.ravel().tolist() == expected
     if A.ndim == 2:
-        assert rank(FfMatrix.from_codes(field, A)) == expected[0]
+        assert rank(FfMatrix(field, A)) == expected[0]
 
 
 def test_ranks_scale_by_every_inverse_in_large_fields():
@@ -209,7 +209,7 @@ def test_is_in_class():
     assert in_class(F9, FfMatrix(F9, [[t]]).codes, SymmetryClass.SKEW_HERMITIAN)
     assert not in_class(F9, FfMatrix(F9, [[1]]).codes, SymmetryClass.SKEW_HERMITIAN)
     with pytest.raises(ValueError, match="must be square"):
-        in_class(F3, FfMatrix.zeros(F3, 2, 3).codes, SymmetryClass.SYMMETRIC)
+        in_class(F3, FfMatrix(F3, np.zeros((2, 3), dtype=np.int16)).codes, SymmetryClass.SYMMETRIC)
 
 
 def _in_class_reference(field, M, cls):
@@ -279,31 +279,34 @@ def test_gram_matrix_symmetric_pairing_perfect():
 
 def test_reversal_matrix():
     # the antidiagonal permutation, read from a reversed view of the identity
-    J = FfMatrix.from_codes(F3, np.eye(3, dtype=np.int16)[::-1])
+    J = FfMatrix(F3, np.eye(3, dtype=np.int16)[::-1])
     assert np.array_equal(matmul(F3, J.codes, J.codes), np.eye(3))
     assert J == FfMatrix(F3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 def test_non_integer_codes_are_refused():
     # a float or string code is refused, not truncated
-    for data in ([[1.7, 2.2]], [["2"]], [[1.0]]):
+    for data in ([[1.7, 2.2]], [["2"]], [[1.0]], [[True]]):
         with pytest.raises(TypeError, match="must be integers"):
             FfMatrix(F3, data)
     for array in (np.array([[1.7, 2.2]]), np.array([[1.0]]), np.array([[True]])):
         with pytest.raises(TypeError, match="must be integers"):
-            FfMatrix.from_codes(F3, array)
+            FfMatrix(F3, array)
     # integer codes of any width are taken, and range-checked before the int16 cast
     assert FfMatrix(F3, [[np.int64(1), np.uint8(2)]]) == FfMatrix(F3, [[1, 2]])
-    assert FfMatrix.from_codes(F3, np.array([[1, 2]], dtype=np.uint64)) == FfMatrix(F3, [[1, 2]])
+    assert FfMatrix(F3, np.array([[1, 2]], dtype=np.uint64)) == FfMatrix(F3, [[1, 2]])
     with pytest.raises(ValueError, match="out of range"):
-        FfMatrix.from_codes(F3, np.array([[2 ** 16 + 1]]))
+        FfMatrix(F3, np.array([[2 ** 16 + 1]]))
+    # an empty list is the 0-by-0 matrix; an empty array keeps its shape
+    assert FfMatrix(F3, []).shape == (0, 0)
+    assert FfMatrix(F3, np.zeros((0, 3), dtype=np.int16)).shape == (0, 3)
 
 
-def test_from_codes_copies_the_callers_array():
+def test_constructor_copies_the_callers_array():
     # the matrix holds a read-only copy: the caller's array stays writable and apart
     for dtype in (np.int16, np.int64):
         A = np.ones((2, 2), dtype=dtype)
-        M = FfMatrix.from_codes(F3, A)
+        M = FfMatrix(F3, A)
         A[0, 0] = 2
         assert M.codes[0, 0] == 1 and not M.codes.flags.writeable
 
@@ -311,9 +314,10 @@ def test_from_codes_copies_the_callers_array():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: FfMatrix.from_codes(F3, np.zeros(3, dtype=np.int16)), ValueError, "codes array must be two-dimensional"),
+        (lambda: FfMatrix(F3, np.zeros(3, dtype=np.int16)), ValueError, "codes array must be two-dimensional"),
         (lambda: FfMatrix(F3, [[3]]), ValueError, "element code out of range"),
         (lambda: FfMatrix(F3, [[1, 2], [1]]), ValueError, "ragged rows"),
+        (lambda: FfMatrix(F3, [[2 ** 70]]), TypeError, "element codes must be integers"),
         (lambda: mirror_codes(F3, "symmetric"), ValueError, "unknown symmetry class"),
         (lambda: class_size(2, SymmetryClass.SKEW_HERMITIAN, F3), ValueError, "no conjugation defined"),
     ],

@@ -2,7 +2,7 @@
 
 qpoly, params, census and charcensus compute the closed forms without
 numpy, and the symbolic commands run with numpy unimportable; importing
-the package and its CLI loads no dataclasses either.  The
+the package, its CLI or the orbit layer loads no dataclasses either.  The
 oracle modules (gf, falinalg, orbitmethod) never import the closed
 forms, so the routes stay independent.  The package still exports every
 name it always did: the symbolic ones directly, the oracle ones on
@@ -114,12 +114,14 @@ def test_symbolic_layer_loads_oracles_only_in_the_brute_histogram(module):
     assert found == []
 
 
-# prints the modules that importing the package and its CLI adds
+# prints the modules that importing the package and its CLI adds, then those the orbit layer adds
 IMPORT_SCRIPT = """
 import json, sys
 before = set(sys.modules)
 import radchar, radchar.cli
-print(json.dumps(sorted(set(sys.modules) - before)))
+cli = set(sys.modules) - before
+import radchar.orbitmethod
+print(json.dumps([sorted(cli), sorted(set(sys.modules) - before - cli)]))
 """
 
 
@@ -129,15 +131,16 @@ def test_import_loads_no_dataclasses():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    added = set(json.loads(done.stdout))
-    assert "radchar.cli" in added
-    assert added & {"dataclasses", "inspect"} == set()
+    cli, oracle = map(set, json.loads(done.stdout))
+    assert "radchar.cli" in cli and "radchar.orbitmethod" in oracle
+    assert cli & {"dataclasses", "inspect"} == set()
+    # numpy itself imports inspect, so the orbit layer is held to dataclasses alone
+    assert "dataclasses" not in oracle
 
 
-@pytest.mark.parametrize("module", ["qpoly", "params", "census", "charcensus", "cli"])
-def test_dataclasses_is_imported_only_to_render_the_orbit_rows(module):
-    found = [(scope, name) for scope, name in _imports_of(module) if name == "dataclasses"]
-    assert found == ([("_census_oracle", "dataclasses")] if module == "cli" else [])
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    assert [(scope, name) for scope, name in _imports_of(module) if name == "dataclasses"] == []
 
 
 def test_import_finder_sees_every_form():
