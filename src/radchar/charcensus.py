@@ -104,9 +104,6 @@ class DegreeCensus(namedtuple("DegreeCensus", "params variant rows")):
 
     __slots__ = ()
 
-    def by_e(self) -> dict[int, DegreeCensusRow]:
-        return {row.e: row for row in self.rows}
-
     def total_poly(self) -> QPoly:
         """Number of irreducible characters, hence of conjugacy classes."""
         return sum((row.count for row in self.rows), QPoly.zero())

@@ -150,9 +150,9 @@ def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
     from .orbitmethod import RadicalContext
 
     ctx = RadicalContext(table.params, _field_for(q))
-    # classes first: there are never more duals than group elements and the
-    # orbit budget is never below the class budget, so an oversized request
-    # fails here, before anything is enumerated
+    # classes first: there are never more duals than group elements and the orbit budget is never below the
+    # class budget, so a budget refusal comes here, before anything is enumerated; the orbit walk's records can
+    # still pass the walk cap after the class walk has run: at once when H is trivial (a record per dual)
     classes, class_match, _ = _class_check(table, ctx, args)
     rows, rows_match, _ = _orbit_check(table, ctx, args)
     return {

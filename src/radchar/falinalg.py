@@ -139,7 +139,7 @@ def matmul(field: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def ranks(field: FieldCtx, A: np.ndarray) -> np.ndarray:
     """Rank of every matrix of a code stack A[..., m, n], as an array of shape A.shape[:-2].
 
-    Row-echelon elimination of the whole stack at once, row by row, on an
+    Row-echelon elimination of BLOCK matrices at a time, row by row, on an
     intp copy (A is never written): the pivot of row i is its first
     nonzero entry; that row, scaled to a leading 1, clears its pivot column
     from the rows below it only.  Every nonzero row met is then the only
@@ -151,23 +151,25 @@ def ranks(field: FieldCtx, A: np.ndarray) -> np.ndarray:
     if A.ndim < 2:
         raise ValueError("ranks takes a matrix or a stack of matrices")
     m, n = A.shape[-2:]
-    W = A.reshape((math.prod(A.shape[:-2]), m, n)).astype(np.intp)
+    stacked = A.reshape((math.prod(A.shape[:-2]), m, n))
     # the inverse codes are widened before they meet q: int16 code * q wraps past q = 181
     q, MUL, SUB, INV = field.q, field._mul.ravel(), field._sub.ravel(), field._inv.astype(np.intp)
-    stack = np.arange(len(W))
-    nonzero_rows = np.zeros(len(W), dtype=np.intp)
-    # with no columns every row is zero (and argmax has nothing to search)
-    for i in range(m if n else 0):
-        row = W[:, i]
-        nonzero = row != 0
-        nonzero_rows += nonzero.any(axis=-1)
-        if i + 1 == m:
-            break
-        # a zero row has pivot column 0, leading entry 0 and clears nothing
-        c = nonzero.argmax(axis=-1)
-        row = MUL[INV[row[stack, c]][:, None] * q + row]
-        below = W[:, i + 1 :]
-        W[:, i + 1 :] = SUB[below * q + MUL[below[stack, :, c][..., None] * q + row[:, None, :]]]
+    nonzero_rows = np.zeros(len(stacked), dtype=np.intp)
+    for start in range(0, len(stacked), BLOCK):
+        W = stacked[start : start + BLOCK].astype(np.intp)
+        stack, counts = np.arange(len(W)), nonzero_rows[start : start + BLOCK]  # a view: += counts into nonzero_rows
+        # with no columns every row is zero (and argmax has nothing to search)
+        for i in range(m if n else 0):
+            row = W[:, i]
+            nonzero = row != 0
+            counts += nonzero.any(axis=-1)
+            if i + 1 == m:
+                break
+            # a zero row has pivot column 0, leading entry 0 and clears nothing
+            c = nonzero.argmax(axis=-1)
+            row = MUL[INV[row[stack, c]][:, None] * q + row]
+            below = W[:, i + 1 :]
+            W[:, i + 1 :] = SUB[below * q + MUL[below[stack, :, c][..., None] * q + row[:, None, :]]]
     return nonzero_rows.reshape(A.shape[:-2])
 
 

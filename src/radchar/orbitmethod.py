@@ -67,6 +67,7 @@ from collections import namedtuple
 import numpy as np
 
 from .falinalg import (
+    BLOCK,
     FfMatrix,
     class_blocks,
     in_class,
@@ -103,11 +104,10 @@ __all__ = [
 DEFAULT_ORBIT_BUDGET = 10 ** 6
 DEFAULT_CLASS_BUDGET = 10 ** 4
 
-# bytes the ambient codes of a walk's points ((2n)^2 int16 codes a point) would stack.  No walk stacks them all: it refuses
-# what it refused when it did, builds _CHUNK points at a time, keeping their coordinates, and the orbit partition labels a
-# batch of whole fibers at a time.  Fresh-process peaks at q = 3: orbit walks C(5,4) 107 MB for a 956 MB stack, D(6,3) 80 for
-# 153 MB; the class walk, labelled whole, D(5,2) 382 for 319 MB.  The 3^12 duals of D(13,1) would stack 718 MB
-_MAX_STACK_BYTES = 2 ** 30
+# bytes a walk may hold, whatever its budget, by the rule _check_walk states.  The rule's bytes against fresh-process peak
+# RSS (28 MB of it the interpreter) at q = 3: orbit walks C(6,3) 50/66 MB, C(5,4) 84/104, D(4,4) over F_9 359/359; the class walk D(5,2) 435/382
+_MAX_WALK_BYTES = 2 ** 30
+_FIXED_BYTES, _RECORD_BYTES, _WORK_ARRAYS = 2 ** 17, 640, 7  # see _check_walk
 _CHUNK = 2 ** 12  # points the enumerations build at a time, for the streams and the walks alike
 
 # Block builders and the enumerations below act on the last two axes, so
@@ -178,10 +178,12 @@ class RadicalContext:
         self._a_slots = (s[..., 0:d, b1], s[..., 0:d, b2], s[..., d:n, constrained])
         self._dual_slots = (s[..., b1, 0:d], s[..., constrained, d:n], s[..., b2, 0:d])
         self._h_copy = s[..., free, constrained]
-        # a zero-stride view gives the slot shapes without allocating (2n)^2 entries
+        self._element_slots = (s[..., 0:d, d:n], self._h_copy, *self._a_slots)
+        # a zero-stride view gives the slot shapes, and the (disjoint) slots' entry counts, without allocating (2n)^2 entries
         ambient = np.broadcast_to(np.int16(0), (2 * n, 2 * n))
         self._v_shapes = [ambient[slot].shape for slot in self._a_slots[:2]]
         self._dual_shapes = [ambient[slot].shape for slot in self._dual_slots]
+        self._dual_entries, self._element_entries = (sum(ambient[slot].size for slot in slots) for slots in (self._dual_slots, self._element_slots))
 
     def _slot_mask(self, slots) -> np.ndarray:
         """The ambient entries of some slots, as a read-only bool mask."""
@@ -204,7 +206,7 @@ class RadicalContext:
         upper-right block of X = g - I, and both terms land in V's first d rows: X22 is A's copy, met
         only by V's free columns, which lie in those rows, and X11 is A's block, in those rows too.
         """
-        return self._slot_mask((np.s_[..., 0 : self.d, self.d : self.n], self._h_copy, *self._a_slots))
+        return self._slot_mask(self._element_slots)
 
     def _roles(self, blocks) -> tuple:
         """V's (b1, b2) as (constrained, free), a dual's (b1, b3, b2) as
@@ -635,7 +637,7 @@ class _Frame:
     def _sample(self) -> np.ndarray:
         """The coordinates of the _SAMPLE check points, drawn with a fixed seed when the probes are built."""
         digits = random.Random(0).choices(range(self.field.p), k=_SAMPLE * len(self.entries) * self.field.degree)
-        return np.array(digits, dtype=np.uint8).reshape(_SAMPLE, -1)
+        return np.array(digits, dtype=np.min_scalar_type(self.field.p - 1)).reshape(_SAMPLE, -1)
 
     @functools.cached_property
     def _probes(self) -> np.ndarray:
@@ -802,13 +804,25 @@ def _records(ctx: RadicalContext, reps: tuple, sizes) -> list[OrbitRecord]:
     return records
 
 
-def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str) -> None:
-    """Refuse, before anything is allocated, a walk over more points than the budget or whose points would stack past the cap."""
+def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str, labelled: int, generators: int, entries: int, records: int = 0) -> int:
+    """Refuse a walk over more points than the budget, or one that holds more bytes than the cap; return the bytes.
+
+    The one rule for what a walk holds: _FIXED_BYTES; for each of the `labelled` points it labels at once, its digits
+    (one per F_p-dimension of `entries` ambient entries) four times, kept, imaged, read at the images' positions and
+    compared, an intp permutation per generator and _WORK_ARRAYS intp arrays; the ambient codes of a chunk of points;
+    if it reads a generator, its frame's probes (a matrix per digit and per sample point) and their images; and for
+    `records` orbit records (orbit_of's one is among the fixed bytes), _RECORD_BYTES and the representative's codes
+    each, a batch's representatives as ambient codes, and their stabilizer systems, BLOCK of them under elimination.
+    """
     if points > budget:
         raise BudgetExceeded(f"enumeration too large: {what} exceeds budget {budget}")
-    size = points * 2 * (2 * ctx.n) ** 2
-    if size > _MAX_STACK_BYTES:
-        raise BudgetExceeded(f"enumeration too large: {what} stacks {size} bytes, over the cap {_MAX_STACK_BYTES}")
+    point = 4 * entries * ctx.field.degree * np.min_scalar_type(ctx.field.p - 1).itemsize + 8 * (generators + _WORK_ARRAYS)
+    matrices = min(points, _CHUNK) + (labelled if records else 0) + (4 * (entries * ctx.field.degree + _SAMPLE) if generators else 0)
+    systems = (2 * labelled + 40 * min(labelled, BLOCK)) * (ctx.d * (ctx.n - ctx.d)) ** 2 if records else 0
+    size = _FIXED_BYTES + labelled * point + matrices * 2 * (2 * ctx.n) ** 2 + systems + records * (_RECORD_BYTES + 2 * ctx._dual_entries)
+    if size > _MAX_WALK_BYTES:
+        raise BudgetExceeded(f"enumeration too large: the walk over {what} holds {size} bytes, over the cap {_MAX_WALK_BYTES}")
+    return size
 
 
 def _dual_action(ctx: RadicalContext, constrained: np.ndarray) -> "_Action":
@@ -824,7 +838,7 @@ def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRec
     """
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
-    _check_walk(ctx, h_order, budget, f"orbit bound {h_order}")
+    _check_walk(ctx, h_order, budget, f"orbit bound {h_order}", h_order, ctx.params.h_exponent * ctx.base_field.degree, ctx._dual_entries)
     action = _dual_action(ctx, ctx._roles(alpha._blocks())[0][None])
     labels = _orbit_labels(action)
     (where,) = action.lookup(alpha._ambient_codes()[None])
@@ -839,17 +853,20 @@ def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> 
     which is also its representative.  H fixes each fiber, so the walk
     labels as many whole fibers at a time as _CHUNK duals hold, at least one.
     """
-    _check_walk(ctx, ctx.dual_count(), budget, f"{ctx.dual_count()} duals")
+    h_order, duals = ctx.q ** ctx.params.h_exponent, ctx.dual_count()
+    labelled = min(duals, max(1, _CHUNK // h_order) * h_order)
+    check = functools.partial(_check_walk, ctx, duals, budget, f"{duals} duals", labelled, ctx.params.h_exponent * ctx.base_field.degree, ctx._dual_entries)
+    check(duals // h_order)  # an orbit has at most |H| duals; the records made are charged after each batch
     blocks, records = ctx._v_stack(), []
-    batch = max(1, _CHUNK // ctx.q ** ctx.params.h_exponent)
-    for start in range(0, len(blocks), batch):
-        action = _dual_action(ctx, blocks[start : start + batch])
+    for start in range(0, len(blocks), labelled // h_order):
+        action = _dual_action(ctx, blocks[start : start + labelled // h_order])
         labels = _orbit_labels(action)
         roots = np.flatnonzero(labels == np.arange(len(labels)))
         matrices = action.frame._matrices(action.coords[roots])  # the representatives, read back from their coordinates
         reps = tuple(np.array(matrices[slot]) for slot in ctx._dual_slots)
         ctx._validate_dual_blocks(*reps)
         records += _records(ctx, reps, np.bincount(labels)[roots].tolist())
+        check(len(records))
     if sum(r.size for r in records) != ctx.dual_count():
         raise ValueError("orbits must partition the dual space")
     return records
@@ -871,10 +888,6 @@ class OrbitCensus(namedtuple("OrbitCensus", "params q k_order rows")):
 
     __slots__ = ()
 
-    @property
-    def by_e(self) -> dict[int, OrbitCensusRow]:
-        return {r.e: r for r in self.rows}
-
     def total_chars(self) -> int:
         return sum(r.char_count for r in self.rows)
 
@@ -885,13 +898,11 @@ class OrbitCensus(namedtuple("OrbitCensus", "params q k_order rows")):
 def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitCensus:
     """Numeric census of coadjoint orbits and character degrees over F_q.
 
-    A fold over orbit_partition.  By Clifford theory for A x| H with A
-    abelian, an orbit of size |k|^e carries |Stab_H(alpha)| characters of
-    degree |k|^e, so the row for e sums the orbit sizes and the
-    stabilizer orders of its orbits and counts them.  The per-orbit
-    checks (size a power of |k| dividing |H|, e equal to the stabilizer
-    system rank) and the dual total are orbit_partition's; the census
-    adds the sum-of-squares verdict.
+    A fold over orbit_partition.  By Clifford theory for A x| H with A abelian, an orbit of size |k|^e
+    carries |Stab_H(alpha)| characters of degree |k|^e, so the row for e sums the orbit sizes and the
+    stabilizer orders of its orbits and counts them.  The checks are orbit_partition's: each orbit's size is a
+    power of |k| dividing |H|, its e the stabilizer system rank, and the sizes sum to the dual count.  They imply
+    the sum-of-squares verdict (|H| / size * size^2 summed is |H| |A| = |G|), which stays as a check of the fold.
     """
     ctx = _context(params, q)
     by_e: dict[int, list[OrbitRecord]] = {}
@@ -918,7 +929,7 @@ def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDG
     """
     ctx = _context(params, q)
     order = ctx.q ** params.order_exponent
-    _check_walk(ctx, order, budget, f"group order {order}")
+    _check_walk(ctx, order, budget, f"group order {order}", order, params.order_exponent * ctx.base_field.degree, ctx._element_entries)
 
     def minus_identity(*blocks) -> np.ndarray:
         points = ctx._element_ambient(*blocks)
@@ -967,9 +978,9 @@ def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement) -> np.ndarray:
     """perm[i] = position of g . alpha_i among the duals, in the order of ctx.duals().
 
     ValueError unless g is in ctx's group; the whole dual space is read, so
-    the orbit budget and the stack cap refuse it first, as for orbit_partition.
+    the orbit budget and the walk cap refuse it first, as for orbit_partition.
     """
     _same_ctx(ctx, g.ctx)
-    _check_walk(ctx, ctx.dual_count(), DEFAULT_ORBIT_BUDGET, f"{ctx.dual_count()} duals")
+    _check_walk(ctx, ctx.dual_count(), DEFAULT_ORBIT_BUDGET, f"{ctx.dual_count()} duals", ctx.dual_count(), 1, ctx._dual_entries)
     action = _dual_action(ctx, ctx._v_stack())
     return action.permutation(action.frame.moves_of(*_ambient_pairs([g])[0]))

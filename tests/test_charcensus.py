@@ -89,7 +89,7 @@ def test_census_table_structure():
     assert census.params == P("C", 3, 2)
     assert census.variant == "corrected"
     assert [(row.r, row.e) for row in census.rows] == [(0, 0), (1, 1), (2, 2)]
-    assert set(census.by_e()) == {0, 1, 2}
+    assert {row.e for row in census.rows} == {0, 1, 2}
     assert census.order_poly() == QPoly.q_power(7)
 
 
@@ -189,6 +189,14 @@ def test_census_table_matches_orbit_oracle():
         oracle = orbit_census(params, q)
         got = {row.e: (row.degree, row.char_count) for row in oracle.rows}
         assert numeric == got, (x, n, d, q)
+
+
+def test_the_orbit_oracle_reads_two_byte_digits_past_255():
+    # over F_257 a digit no longer fits a byte: the frames' sample points and
+    # the walk's coordinates take the least dtype that holds p - 1
+    params = P("C", 2, 1)
+    oracle = orbit_census(params, 257)
+    assert {row.e: (row.degree, row.char_count) for row in oracle.rows} == census_table(params).counts_at(257)
 
 
 def test_total_poly_counts_conjugacy_classes():

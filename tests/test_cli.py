@@ -376,8 +376,12 @@ def test_walks_past_the_stack_cap_exit_two_before_allocating(capsys, argv, point
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    size = points * side * side * 2
-    assert err == f"error: enumeration too large: group order {points} stacks {size} bytes, over the cap {2 ** 30}\n"
+    # the class walk's bytes (orbitmethod._check_walk): 2^17 fixed, one chunk's ambient codes
+    # and, per element, its digits four times and 8 bytes per generator and work array (7);
+    # C(3,2) reads generators, so its frame's probes (12 digits, 32 sample points) count too
+    chunk = min(points, 4096) * side * side * 2
+    size = {1: 2 ** 17 + chunk + 8 * 7, 13 ** 7: 2 ** 17 + chunk + 4 * (12 + 32) * side * side * 2 + points * (4 * 12 + 8 * (7 + 7))}[points]
+    assert err == f"error: enumeration too large: the walk over group order {points} holds {size} bytes, over the cap {2 ** 30}\n"
     assert peak < 5_000_000
 
 

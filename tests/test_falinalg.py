@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radchar.falinalg import (
+    BLOCK,
     FfMatrix,
     SymmetryClass,
     class_size,
@@ -183,6 +185,27 @@ def test_ranks_scale_by_every_inverse_in_large_fields():
     for field in (RANK_FIELDS[289], RANK_FIELDS[1021]):
         x = np.arange(1, field.q, dtype=np.int16)
         assert ranks(field, np.broadcast_to(x[:, None, None], (field.q - 1, 2, 2))).tolist() == [1] * (field.q - 1)
+
+
+def test_ranks_eliminate_a_block_of_matrices_at_a_time():
+    # a stack of more than BLOCK matrices is ranked BLOCK at a time: every rank
+    # is the rank of its matrix alone, and the elimination temporaries of four
+    # BLOCKs peak no higher than those of one
+    rng = np.random.default_rng(3)
+    for field in (F3, F9):
+        A = rng.integers(0, field.q, (4 * BLOCK + 3, 6, 6)).astype(np.int16)
+        A[::2] = matmul(field, A[::2, :, :3], A[::2, :3, :])  # rank at most 3
+        assert ranks(field, A).tolist() == [int(ranks(field, M)) for M in A]
+    A = rng.integers(0, 3, (4 * BLOCK, 12, 12)).astype(np.int16)
+    peaks = []
+    for stack in (A[:BLOCK], A):
+        tracemalloc.start()
+        try:
+            ranks(F3, stack)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_ranks_of_empty_shapes():

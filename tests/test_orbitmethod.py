@@ -356,13 +356,13 @@ def test_elements_of_another_group_are_refused():
     "x, n, d, message",
     [
         # the trivial group U(100000, 0): one dual of 200000x200000 codes
-        ("U", 100000, 0, "1 duals stacks 80000000000 bytes, over the cap 1073741824"),
+        ("U", 100000, 0, "the walk over 1 duals holds 10320000131136 bytes, over the cap 1073741824"),
         ("C", 6, 3, "14348907 duals exceeds budget 1000000"),
     ],
 )
 def test_a_whole_dual_space_permutation_is_refused_before_allocating(x, n, d, message):
-    # coadjoint_permutation stacks every dual, so the orbit budget and the
-    # stack cap refuse it as they refuse orbit_partition
+    # coadjoint_permutation reads every dual, so the orbit budget and the
+    # walk cap refuse it as they refuse orbit_partition
     ctx = ctx_for(x, n, d, 3)
     g = ctx.identity()
     start = time.perf_counter()
@@ -393,8 +393,8 @@ def test_a_whole_dual_space_permutation_is_refused_before_allocating(x, n, d, me
 )
 def test_a_walk_holds_no_ambient_stack_while_it_labels(walk, x, n, d, bound):
     # a walk builds its points a chunk at a time and keeps their coordinates
-    # alone, so its peak, set against the ambient stack of its points
-    # (points x 2 x (2n)^2 bytes, as _check_walk sizes it), is what labelling
+    # alone, so its peak, set against the ambient codes of all its points
+    # (points x 2 x (2n)^2 bytes, a stack no walk builds), is what labelling
     # takes: below one such stack for the orbit walks
     ctx = ctx_for(x, n, d, 3)
     if walk == "orbits":
@@ -411,6 +411,103 @@ def test_a_walk_holds_no_ambient_stack_while_it_labels(walk, x, n, d, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound * points * 2 * (2 * n) ** 2
+
+
+@pytest.mark.parametrize(
+    "walk, x, n, d",
+    [
+        ("classes", "D", 4, 2),
+        ("classes", "U", 3, 1),
+        ("orbits", "C", 4, 3),
+        ("orbits", "C", 5, 3),
+        # the zero fiber of D(6,3) is 19,683 singleton orbits in one batch
+        ("orbits", "D", 6, 3),
+        # H is trivial: 59,049 singleton orbits, a record each
+        ("orbits", "C", 4, 4),
+        ("orbit_of", "C", 5, 3),
+        ("permutation", "C", 4, 3),
+    ],
+)
+def test_a_walk_holds_at_most_what_its_check_charges(monkeypatch, walk, x, n, d):
+    # _check_walk states what a walk holds; a walk on a new context, caches
+    # and all, peaks under tracemalloc at no more than the bytes it charged
+    charged = []
+    real = orbitmethod._check_walk
+    monkeypatch.setattr(orbitmethod, "_check_walk", lambda *args: charged.append(real(*args)) or charged[-1])
+    ctx = ctx_for(x, n, d, 3)
+    alpha, g = next(ctx.duals()), ctx.generators()[-1]
+    run = {
+        "classes": lambda: class_count_brute(ctx.params, ctx, budget=3 ** ctx.params.order_exponent),
+        "orbits": lambda: orbit_partition(ctx),
+        "orbit_of": lambda: orbit_of(alpha),
+        "permutation": lambda: coadjoint_permutation(ctx, g),
+    }[walk]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= max(charged)
+
+
+@pytest.mark.parametrize("x, n, d, q", [("C", 4, 2, 3), ("D", 5, 2, 3), ("U", 3, 2, 3), ("U", 2, 1, 5), ("C", 3, 1, 9), ("D", 4, 4, 3), ("C", 6, 3, 3)])
+def test_the_walk_rule_reads_generators_and_entries_off_the_layout(x, n, d, q):
+    # _check_walk counts log_p of the group order as generators, and the
+    # entries of the supports as the context counts them off their slots
+    ctx = ctx_for(x, n, d, q)
+    degree = ctx.base_field.degree
+    assert len(ctx.generators()) == ctx.params.order_exponent * degree
+    assert len(ctx.h_generators()) == ctx.params.h_exponent * degree
+    assert (ctx._mask.sum(), ctx._element_mask.sum()) == (ctx._dual_entries, ctx._element_entries)
+
+
+@pytest.mark.parametrize(
+    "x, n, d, q, cap, up_front",
+    [
+        # H is trivial, so the #duals / |H| records charged before the walk
+        # are exact: 59,049, 117,649 and 1,771,561 records refuse it at once
+        ("C", 4, 4, 3, 2 ** 25, True),
+        ("D", 4, 4, 7, 2 ** 25, True),
+        ("C", 3, 3, 11, 2 ** 30, True),
+        # 2,737 orbits, 343 charged up front: the records made refuse the
+        # walk between two batches
+        ("D", 4, 3, 7, 3 * 2 ** 20, False),
+    ],
+)
+def test_orbit_records_past_the_cap_are_refused(monkeypatch, x, n, d, q, cap, up_front):
+    monkeypatch.setattr(orbitmethod, "_MAX_WALK_BYTES", cap)
+    batches = []
+    real = orbitmethod._orbit_labels
+    monkeypatch.setattr(orbitmethod, "_orbit_labels", lambda action: batches.append(len(action.coords)) or real(action))
+    ctx = ctx_for(x, n, d, q)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"^enumeration too large: the walk over {ctx.dual_count()} duals holds [0-9]+ bytes, over the cap {cap}$"):
+            orbit_partition(ctx, budget=10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if up_front:
+        assert batches == [] and peak < 5_000_000 and time.perf_counter() - start < 1.0
+    else:
+        assert 0 < sum(batches) < ctx.dual_count() and peak < 2 * cap
+
+
+def test_the_walk_rule_admits_the_orbit_walk_of_c63(monkeypatch):
+    # C(6,3) at q = 3: 3^15 duals in batches of one fiber of 3^9, and 3^6
+    # records charged up front; the walk itself (45,423 orbits, 80 MB in a
+    # fresh process) is not run here
+    class Admitted(Exception):
+        pass
+
+    def admitted(self):
+        raise Admitted
+
+    monkeypatch.setattr(RadicalContext, "_v_stack", admitted)
+    with pytest.raises(Admitted):
+        orbit_partition(ctx_for("C", 6, 3, 3), budget=3 ** 15)
 
 
 def test_no_walk_builds_the_ambient_codes_of_more_than_one_chunk(monkeypatch):
@@ -565,9 +662,10 @@ def test_extraspecial_class_count():
     params = RadicalParams("C", 2, 1)
     assert class_count_brute(params, 3) == 11
     census = orbit_census(params, 3)
-    assert census.by_e[0].char_count == 9
-    assert census.by_e[1].char_count == 2
-    assert census.by_e[1].degree == 3
+    by_e = {r.e: r for r in census.rows}
+    assert by_e[0].char_count == 9
+    assert by_e[1].char_count == 2
+    assert by_e[1].degree == 3
 
 
 def test_abelian_full_flag_case():
@@ -575,8 +673,9 @@ def test_abelian_full_flag_case():
     params = RadicalParams("C", 3, 3)
     assert class_count_brute(params, 3) == 3 ** params.order_exponent == 729
     census = orbit_census(params, 3)
-    assert census.rows == (census.by_e[0],)
-    assert census.by_e[0].char_count == 729
+    by_e = {r.e: r for r in census.rows}
+    assert census.rows == (by_e[0],)
+    assert by_e[0].char_count == 729
 
 
 def test_nonabelian_type_d_edge():
