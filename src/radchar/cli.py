@@ -147,12 +147,14 @@ def _class_check(table: DegreeCensus, ctx, args):
 
 
 def _census_oracle(table: DegreeCensus, q: int, args) -> dict:
-    from .orbitmethod import RadicalContext
+    from .orbitmethod import DEFAULT_CLASS_BUDGET, DEFAULT_ORBIT_BUDGET, RadicalContext, _class_count_check, _orbit_partition_check
 
     ctx = RadicalContext(table.params, _field_for(q))
-    # classes first: there are never more duals than group elements and the orbit budget is never below the
-    # class budget, so a budget refusal comes here, before anything is enumerated; the orbit walk's records can
-    # still pass the walk cap after the class walk has run: at once when H is trivial (a record per dual)
+    # both routes refuse before either walks, the class route first: there are never more duals than group
+    # elements and the orbit budget is never below the class budget, so a budget refusal is the class route's;
+    # the orbit partition's records can still pass the walk cap, at once when H is trivial (a record per dual)
+    _class_count_check(ctx, resolve_budget(args, DEFAULT_CLASS_BUDGET))
+    _orbit_partition_check(ctx, resolve_budget(args, DEFAULT_ORBIT_BUDGET))
     classes, class_match, _ = _class_check(table, ctx, args)
     rows, rows_match, _ = _orbit_check(table, ctx, args)
     return {

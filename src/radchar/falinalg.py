@@ -4,10 +4,11 @@ An FfMatrix wraps a read-only numpy int16 array of codes together with
 its FieldCtx.  Its one constructor, FfMatrix(field, data), takes a code
 array or nested lists of codes, is the one place codes are checked, and
 keeps a copy.  The one matrix product, matmul, and the one Gaussian
-elimination, ranks, work on code arrays and broadcast over leading
-stack axes.  Over a prime field the product is an int64 integer product
-reduced mod p, over an extension field a loop of add/mul table lookups;
-ranks is table lookups, and rank is ranks on one FfMatrix.  No step
+elimination, leading_columns, work on code arrays and broadcast over
+leading stack axes.  Over a prime field the product is an int64 integer
+product reduced mod p, over an extension field a loop of add/mul table
+lookups; the elimination is table lookups, ranks counts its leading
+columns, and rank is ranks on one FfMatrix.  No step
 ever leaves exact field arithmetic.  matmul serves orbitmethod: the
 group law (products, inverses, decomposition), the one block product of
 the element enumeration and the pairing Gram matrix; conjugation there
@@ -40,6 +41,7 @@ __all__ = [
     "FfMatrix",
     "matmul",
     "SymmetryClass",
+    "leading_columns",
     "ranks",
     "rank",
     "mirror_codes",
@@ -136,41 +138,49 @@ def matmul(field: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def ranks(field: FieldCtx, A: np.ndarray) -> np.ndarray:
-    """Rank of every matrix of a code stack A[..., m, n], as an array of shape A.shape[:-2].
+def leading_columns(field: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """The leading columns of each matrix's echelon form, as a bool mask of shape A.shape[:-2] + (n,).
 
     Row-echelon elimination of BLOCK matrices at a time, row by row, on an
     intp copy (A is never written): the pivot of row i is its first
     nonzero entry; that row, scaled to a leading 1, clears its pivot column
-    from the rows below it only.  Every nonzero row met is then the only
-    one at or below it with an entry in its pivot column, so the rank is
-    the number of nonzero rows.  Table reads are flat, at a * q + b.  A
-    matrix with no rows or columns has rank 0.
+    from the rows below it only.  The nonzero rows met then lead in distinct
+    columns, so they are a basis of the row space whose leading columns are
+    those of every echelon form, the reduced one included.  Table reads are
+    flat, at a * q + b.  A matrix with no rows or columns has none.
     """
     A = np.asarray(A)
     if A.ndim < 2:
-        raise ValueError("ranks takes a matrix or a stack of matrices")
+        raise ValueError("leading_columns and ranks take a matrix or a stack of matrices")
     m, n = A.shape[-2:]
     stacked = A.reshape((math.prod(A.shape[:-2]), m, n))
     # the inverse codes are widened before they meet q: int16 code * q wraps past q = 181
     q, MUL, SUB, INV = field.q, field._mul.ravel(), field._sub.ravel(), field._inv.astype(np.intp)
-    nonzero_rows = np.zeros(len(stacked), dtype=np.intp)
+    leading = np.zeros((len(stacked), n), dtype=bool)
     for start in range(0, len(stacked), BLOCK):
         W = stacked[start : start + BLOCK].astype(np.intp)
-        stack, counts = np.arange(len(W)), nonzero_rows[start : start + BLOCK]  # a view: += counts into nonzero_rows
+        stack = np.arange(len(W))
+        marks, first = leading[start : start + BLOCK].ravel(), stack * n  # a view: marks go into leading
         # with no columns every row is zero (and argmax has nothing to search)
         for i in range(m if n else 0):
             row = W[:, i]
-            nonzero = row != 0
-            counts += nonzero.any(axis=-1)
+            # a zero row has pivot column 0 and leading entry 0: it clears nothing, and its mark on
+            # column 0 is overwritten after the loop, column 0 leading exactly when A's first column is nonzero
+            c = (row != 0).argmax(axis=-1)
+            marks[first + c] = True
             if i + 1 == m:
                 break
-            # a zero row has pivot column 0, leading entry 0 and clears nothing
-            c = nonzero.argmax(axis=-1)
             row = MUL[INV[row[stack, c]][:, None] * q + row]
             below = W[:, i + 1 :]
             W[:, i + 1 :] = SUB[below * q + MUL[below[stack, :, c][..., None] * q + row[:, None, :]]]
-    return nonzero_rows.reshape(A.shape[:-2])
+    if n:
+        leading[:, 0] = stacked[:, :, 0].any(axis=-1)
+    return leading.reshape(A.shape[:-2] + (n,))
+
+
+def ranks(field: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """Rank of every matrix of a code stack A[..., m, n], as an array of shape A.shape[:-2]: its leading columns counted."""
+    return leading_columns(field, A).sum(axis=-1, dtype=np.intp)
 
 
 def rank(M: FfMatrix) -> int:

@@ -31,30 +31,39 @@ by linear equations whose coefficient matrix is block diagonal (n-d
 copies of the constrained block); every orbit is checked to have e
 equal to the rank of that system.
 
-Everything in this module is exhaustively verifiable: brute-force orbit
-enumeration, conjugacy class counting and the pairing checks are the
-oracles the symbolic layer is tested against.  Each kind of point has one
-enumeration, _element_chunks or _dual_chunks, _CHUNK points at a time,
-and one engine (_Frame, _Action, _orbit_labels) finds every orbit.  It
-reads a point (a dual, or g - I for an element g), a chunk at a time, as
-the base-p digits of its entries on a support the layout states and
-conjugation keeps (RadicalContext._mask, _element_mask).  Codes add digit
-by digit, so these are F_p coordinates, and conjugation by a generator,
+Everything in this module is exhaustively verifiable: orbit partitions,
+conjugacy class counting and the pairing checks are the oracles the
+symbolic layer is tested against.  Each kind of point has one
+enumeration, _element_chunks or _dual_chunks, _CHUNK points at a time.
+A point (a dual, or g - I for an element g) is read as the base-p digits
+of its entries on a support the layout states and conjugation keeps
+(RadicalContext._mask, _element_mask).  Codes add digit by digit, so
+these are F_p coordinates (_Frame), and conjugation by a generator,
 linear in the point, is one F_p-linear map L on them, read off the
 ambient images of unit matrices (row and column updates, one per nonzero
 entry of g - I and of g^-1 - I) and checked on a sample, both built when
-a frame reads its first generator.  The images of all points are
+a frame reads its first generator.  The images of points are
 coords @ L mod p, through the few nonzeros of L - I; H's maps are read
-once per context (RadicalContext._h_frame).  H fixes a dual's
-constrained block, so the duals are a run of fibers of |H| each; the
-elements are one fiber.  A point's position is the Horner sum of its
-fiber's index, then of its pivot digits: for duals the free block's,
-for elements A's entries and then, on V N(A), the constrained block's
-upper triangle read through J and the free block.  An image is read at
-its position in its point's fiber and must equal the point there: no
-sort and no search.  Orbits are labelled by their least point index:
-class_count_brute labels all elements, orbit_partition a batch of whole
-fibers at a time, orbit_of one dual's fiber.
+once per context (RadicalContext._h_frame).
+
+H fixes a dual's constrained block c and translates its fiber, the |H|
+duals sharing c: each H-generator's L - I maps the constrained
+coordinates to the others and is zero elsewhere, which _h_frame checks,
+so it sends (c, f) to (c, f + s(c)).  H is abelian, so the orbits in the
+fiber of c are the cosets of W(c), the F_p-span of the shifts s(c);
+orbit_partition and orbit_of read them off the leading columns of W(c)
+(falinalg.leading_columns), with no dual enumerated or labelled.
+
+The class count does label its points.  One engine (_Action,
+_orbit_labels) labels the orbits of all elements under conjugation by
+every generator of R_u, and coadjoint_permutation reads one generator's
+permutation of the whole dual space off it.  A point's position is the
+Horner sum of its fiber's index, then of its pivot digits: for duals the
+free block's, for elements (one fiber) A's entries and then, on V N(A),
+the constrained block's upper triangle read through J and the free
+block.  An image is read at its position in its point's fiber and must
+equal the point there: no sort and no search.  Orbits are labelled by
+their least point index.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ from .falinalg import (
     FfMatrix,
     class_blocks,
     in_class,
+    leading_columns,
     matmul,
     mirror_codes,
     mixed_radix,
@@ -353,8 +363,35 @@ class RadicalContext:
     @functools.cached_property
     def _h_frame(self) -> "_Frame":
         """H's generators as linear maps on the digits of the dual support, which holds every dual,
-        pivot and projected image: built and checked once per context."""
-        return _Frame(self.field, self._mask, self._h_pairs, self._mask)
+        pivot and projected image: built and checked once per context.
+
+        H translates each fiber: every generator's L - I has its nonzero rows on the constrained
+        block's coordinates, which H fixes, and its nonzero columns off them, so it sends (c, f) to
+        (c, f + s(c)); ValueError otherwise.
+        """
+        frame = _Frame(self.field, self._mask, self._h_pairs, self._mask)
+        constrained = np.repeat(self._slot_mask(self._roles(self._dual_slots)[:1]).ravel()[frame.entries], self.field.degree)
+        if any(not constrained[rows].all() or constrained[cols].any() for rows, cols, _ in frame.moves):
+            raise ValueError("H must act on each fiber by translations")
+        return frame
+
+    @functools.cached_property
+    def _fiber_basis(self) -> tuple[list[int], np.ndarray]:
+        """The coordinate of each fiber pivot digit, and the coordinates of the duals (0, u), u running over
+        the free blocks with one unit digit in pivot order, so that (c, f) is (c, 0) plus f's pivot digits
+        times these rows; ValueError unless the pivots read each u back as its own digit, which is what
+        numbering the fiber means."""
+        frame, f = self._h_frame, self.field
+        constrained_shape, free_shape, _ = self._roles(self._dual_shapes)
+        entries = math.prod(free_shape)
+        count = entries * f.degree
+        units = (np.eye(count, dtype=np.int16).reshape(count, entries, f.degree) * _powers(f)).sum(axis=-1, dtype=np.int16)
+        zero = np.zeros((count,) + constrained_shape, dtype=np.int16)
+        basis = frame.coordinates(self._dual_ambient(*self._tie(zero, units.reshape((count,) + free_shape))), _OFF_ENTRIES)
+        pivots = frame.columns(self._fiber_pivots)
+        if not np.array_equal(basis[:, pivots], np.eye(count)):
+            raise ValueError(_UNNUMBERED)
+        return pivots, basis
 
     def generators(self) -> list["RadicalElement"]:
         """One-parameter elements generating all of R_u."""
@@ -610,6 +647,8 @@ def _digits(field: FieldCtx, codes: np.ndarray) -> np.ndarray:
 
 # a wrong linear map passes this many pseudo-random points of the span with probability at most p^-32
 _SAMPLE = 32
+_OFF_ENTRIES = "points must lie on the entries of their coordinates"
+_UNNUMBERED = "points must be distinct, one at each position of their pivot digits"
 
 
 class _Frame:
@@ -636,8 +675,9 @@ class _Frame:
     @functools.cached_property
     def _sample(self) -> np.ndarray:
         """The coordinates of the _SAMPLE check points, drawn with a fixed seed when the probes are built."""
-        digits = random.Random(0).choices(range(self.field.p), k=_SAMPLE * len(self.entries) * self.field.degree)
-        return np.array(digits, dtype=np.min_scalar_type(self.field.p - 1)).reshape(_SAMPLE, -1)
+        width = len(self.entries) * self.field.degree
+        digits = random.Random(0).choices(range(self.field.p), k=_SAMPLE * width)
+        return np.array(digits, dtype=np.min_scalar_type(self.field.p - 1)).reshape(_SAMPLE, width)
 
     @functools.cached_property
     def _probes(self) -> np.ndarray:
@@ -656,14 +696,21 @@ class _Frame:
         """The digits on the entries, a row per matrix of a stack, in the least unsigned dtype;
         ValueError(message) if some matrix is nonzero off the entries."""
         f = self.field
-        values = stack.reshape(len(stack), -1)[:, self.entries]
+        values = stack.reshape(len(stack), self.size ** 2)[:, self.entries]
         if np.count_nonzero(values) != np.count_nonzero(stack):
             raise ValueError(message)
-        return _digits(f, values).reshape(len(stack), -1).astype(np.min_scalar_type(f.p - 1), copy=False)
+        return _digits(f, values).reshape(len(stack), values.shape[1] * f.degree).astype(np.min_scalar_type(f.p - 1), copy=False)
+
+    def columns(self, pivots) -> list[int]:
+        """The coordinate of each (flat ambient index, digit) of pivots; ValueError if an entry is not the frame's."""
+        column, degree = {e: i for i, e in enumerate(self.entries.tolist())}, self.field.degree
+        if any(e not in column for e, _ in pivots):
+            raise ValueError(_UNNUMBERED)
+        return [column[e] * degree + degree - 1 - t for e, t in pivots]
 
     def read(self, build, chunks) -> np.ndarray:
         """The coordinates of build(*blocks) for each chunk of blocks, a row per matrix, one chunk built at a time."""
-        return np.concatenate([self.coordinates(build(*blocks), "points must lie on the entries of their coordinates") for blocks in chunks])
+        return np.concatenate([self.coordinates(build(*blocks), _OFF_ENTRIES) for blocks in chunks])
 
     def _linear_map(self, images: np.ndarray) -> np.ndarray:
         """L, row i the coordinates of the ambient image of unit i."""
@@ -707,17 +754,14 @@ class _Action:
 
     def __init__(self, frame: _Frame, coords: np.ndarray, pivots):
         self.frame, self.coords = frame, coords
-        column = {e: i for i, e in enumerate(frame.entries.tolist())}
-        degree = frame.field.degree
         self._fiber = frame.field.p ** len(pivots)
-        unnumbered = "points must be distinct, one at each position of their pivot digits"
-        if len(coords) % self._fiber or any(e not in column for e, _ in pivots):
-            raise ValueError(unnumbered)
+        if len(coords) % self._fiber:
+            raise ValueError(_UNNUMBERED)
         # the coordinate of each pivot digit, most significant first
-        self._pivots = [column[e] * degree + degree - 1 - t for e, t in pivots]
+        self._pivots = frame.columns(pivots)
         positions = self._positions(coords)
         if (np.bincount(positions, minlength=len(coords)) != 1).any():
-            raise ValueError(unnumbered)
+            raise ValueError(_UNNUMBERED)
         self._order = np.empty_like(positions)
         self._order[positions] = np.arange(len(coords))
 
@@ -786,22 +830,20 @@ def _coefficient_codes(ctx: RadicalContext, constrained: np.ndarray) -> np.ndarr
     return M.reshape(len(constrained), c * d, c * d)
 
 
-def _records(ctx: RadicalContext, reps: tuple, sizes) -> list[OrbitRecord]:
-    """One checked record per orbit, from the stacked blocks (b1, b3, b2) of the representatives;
-    one ranks call covers all the stabilizer systems."""
+def _records(ctx: RadicalContext, reps: tuple, sizes: list[int], system_ranks) -> list[OrbitRecord]:
+    """One checked record per orbit, from the stacked blocks (b1, b3, b2) of the representatives, the
+    orbit sizes and the ranks of the representatives' stabilizer systems."""
     h_order = ctx.q ** ctx.params.h_exponent
-    records, exponents = [], {ctx.k_order ** e: e for e in range(max(sizes).bit_length())}
-    system_ranks = ranks(ctx.field, _coefficient_codes(ctx, ctx._roles(reps)[0]))
-    for blocks, size, system_rank in zip(zip(*reps), sizes, system_ranks):
+    exponents = {ctx.k_order ** e: e for e in range(max(sizes).bit_length())}
+    for size in dict.fromkeys(sizes):
         if size not in exponents:
             raise ValueError(f"{size} is not a power of {ctx.k_order}")
-        e = exponents[size]
         if h_order % size:
             raise ValueError("orbit size must divide the acting group order")
-        if e != system_rank:
-            raise ValueError("orbit size must match the stabilizer system rank")
-        records.append(OrbitRecord(DualElement(ctx, *blocks), size, h_order // size, e))
-    return records
+    es = [exponents[size] for size in sizes]
+    if es != list(system_ranks):
+        raise ValueError("orbit size must match the stabilizer system rank")
+    return [OrbitRecord(DualElement(ctx, *blocks), size, h_order // size, e) for blocks, size, e in zip(zip(*reps), sizes, es)]
 
 
 def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str, labelled: int, generators: int, entries: int, records: int = 0) -> int:
@@ -813,6 +855,7 @@ def _check_walk(ctx: RadicalContext, points: int, budget: int, what: str, labell
     if it reads a generator, its frame's probes (a matrix per digit and per sample point) and their images; and for
     `records` orbit records (orbit_of's one is among the fixed bytes), _RECORD_BYTES and the representative's codes
     each, a batch's representatives as ambient codes, and their stabilizer systems, BLOCK of them under elimination.
+    orbit_partition and orbit_of no longer label points but are still charged as walks that do.
     """
     if points > budget:
         raise BudgetExceeded(f"enumeration too large: {what} exceeds budget {budget}")
@@ -830,43 +873,81 @@ def _dual_action(ctx: RadicalContext, constrained: np.ndarray) -> "_Action":
     return _Action(ctx._h_frame, ctx._h_frame.read(ctx._dual_ambient, ctx._dual_chunks(constrained)), ctx._fiber_pivots)
 
 
+def _fibers(ctx: RadicalContext, constrained: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a stack of constrained blocks c: the coordinates of the duals (c, 0), the leading columns over
+    F_p of W(c), the span of H's shifts of c's fiber cut to the fiber pivots, a bool row each, and the
+    ranks of c's stabilizer systems (coefficient_matrix), which every orbit in the fiber shares.
+
+    A generator moves (c, f) to (c, f + s(c)) (RadicalContext._h_frame), and s(c) is the image of (c, 0)
+    less (c, 0): coords[:, rows] @ moved on its moved columns.
+    """
+    frame, (pivots, _) = ctx._h_frame, ctx._fiber_basis
+    zero = np.zeros((len(constrained),) + ctx._roles(ctx._dual_shapes)[1], dtype=np.int16)
+    coords = frame.coordinates(ctx._dual_ambient(*ctx._tie(constrained, zero)), _OFF_ENTRIES)
+    shifts = np.zeros((len(coords), len(frame.moves), coords.shape[1]), dtype=coords.dtype)
+    for g, (rows, cols, moved) in enumerate(frame.moves):
+        shifts[:, g, cols] = coords[:, rows].astype(moved.dtype) @ moved % ctx.field.p
+    prime = ctx.base_field.base or ctx.base_field  # F_q is F_p or its quadratic extension
+    return coords, leading_columns(prime, shifts[..., pivots]), ranks(ctx.field, _coefficient_codes(ctx, constrained))
+
+
 def orbit_of(alpha: DualElement, budget: int = DEFAULT_ORBIT_BUDGET) -> OrbitRecord:
     """Orbit of a dual element under the H-coadjoint action.
 
-    The engine labels the fiber of alpha, the |H| duals sharing its
-    constrained block, which H fixes; the orbit is alpha's label class.
+    H translates alpha's fiber, the |H| duals sharing its constrained block,
+    so the orbit is alpha + W(c), of size p^r for r the rank of W(c).
     """
     ctx = alpha.ctx
     h_order = ctx.q ** ctx.params.h_exponent
     _check_walk(ctx, h_order, budget, f"orbit bound {h_order}", h_order, ctx.params.h_exponent * ctx.base_field.degree, ctx._dual_entries)
-    action = _dual_action(ctx, ctx._roles(alpha._blocks())[0][None])
-    labels = _orbit_labels(action)
-    (where,) = action.lookup(alpha._ambient_codes()[None])
+    _, leading, system_ranks = _fibers(ctx, ctx._roles(alpha._blocks())[0][None])
     reps = tuple(block[None] for block in alpha._blocks())
-    return _records(ctx, reps, [int(np.count_nonzero(labels == labels[where]))])[0]
+    return _records(ctx, reps, [ctx.field.p ** int(leading.sum())], system_ranks)[0]
+
+
+def _orbit_partition_check(ctx: RadicalContext, budget: int):
+    """orbit_partition's up-front refusal; returns the check of the records made, which it runs after each batch.
+
+    An orbit has at most |H| duals, so #duals / |H| records are charged before any batch.
+    """
+    h_order, duals = ctx.q ** ctx.params.h_exponent, ctx.dual_count()
+    labelled = min(duals, max(1, _CHUNK // h_order) * h_order)
+    check = functools.partial(_check_walk, ctx, duals, budget, f"{duals} duals", labelled, ctx.params.h_exponent * ctx.base_field.degree, ctx._dual_entries)
+    check(duals // h_order)
+    return check
 
 
 def orbit_partition(ctx: RadicalContext, budget: int = DEFAULT_ORBIT_BUDGET) -> list[OrbitRecord]:
     """Partition of the whole dual space into coadjoint orbits.
 
     One record per orbit, in the order of its first dual in ctx.duals(),
-    which is also its representative.  H fixes each fiber, so the walk
-    labels as many whole fibers at a time as _CHUNK duals hold, at least one.
+    which is also its representative.  H translates each fiber, so the
+    orbits in the fiber of c are the cosets of W(c).  Take its leading
+    columns L, pivot digits most significant first: the least dual of a
+    coset is the one with 0 at every digit in L, so the fiber's records are
+    the run of its other digits, each orbit of size p^|L|.  The records are
+    made in batches of as many whole fibers as _CHUNK duals hold, at least
+    one, each batch charged as it is made; the spans and stabilizer systems
+    of about _CHUNK fibers are ranked at a time.
     """
-    h_order, duals = ctx.q ** ctx.params.h_exponent, ctx.dual_count()
-    labelled = min(duals, max(1, _CHUNK // h_order) * h_order)
-    check = functools.partial(_check_walk, ctx, duals, budget, f"{duals} duals", labelled, ctx.params.h_exponent * ctx.base_field.degree, ctx._dual_entries)
-    check(duals // h_order)  # an orbit has at most |H| duals; the records made are charged after each batch
-    blocks, records = ctx._v_stack(), []
-    for start in range(0, len(blocks), labelled // h_order):
-        action = _dual_action(ctx, blocks[start : start + labelled // h_order])
-        labels = _orbit_labels(action)
-        roots = np.flatnonzero(labels == np.arange(len(labels)))
-        matrices = action.frame._matrices(action.coords[roots])  # the representatives, read back from their coordinates
-        reps = tuple(np.array(matrices[slot]) for slot in ctx._dual_slots)
-        ctx._validate_dual_blocks(*reps)
-        records += _records(ctx, reps, np.bincount(labels)[roots].tolist())
-        check(len(records))
+    check, p, fibers = _orbit_partition_check(ctx, budget), ctx.field.p, max(1, _CHUNK // ctx.q ** ctx.params.h_exponent)
+    blocks, (_, basis), records = ctx._v_stack(), ctx._fiber_basis, []
+    step = fibers * max(1, _CHUNK // fibers)  # whole batches, about _CHUNK fibers
+    for start in range(0, len(blocks), step):
+        coords, leading, system_ranks = _fibers(ctx, blocks[start : start + step])
+        for batch in (slice(first, first + fibers) for first in range(0, len(coords), fibers)):
+            # a fiber's records are 0 .. p^(free digits) - 1 written in its free digits; a digit's weight is p to the free digits after it
+            free = ~leading[batch]
+            counts = p ** free.sum(axis=-1)
+            fiber = np.repeat(np.arange(len(free)), counts)
+            index = np.arange(len(fiber)) - np.repeat(np.cumsum(counts) - counts, counts)
+            weights = p ** (np.cumsum(free[:, ::-1], axis=-1)[:, ::-1] - free)
+            digits = np.where(free[fiber], index[:, None] // weights[fiber] % p, 0)
+            matrices = ctx._h_frame._matrices((coords[batch][fiber] + digits @ basis) % p)  # the representatives, read back from their coordinates
+            reps = tuple(np.array(matrices[slot]) for slot in ctx._dual_slots)
+            ctx._validate_dual_blocks(*reps)
+            records += _records(ctx, reps, np.repeat(p ** leading[batch].sum(axis=-1), counts).tolist(), system_ranks[batch][fiber])
+            check(len(records))
     if sum(r.size for r in records) != ctx.dual_count():
         raise ValueError("orbits must partition the dual space")
     return records
@@ -918,18 +999,24 @@ def orbit_census(params: RadicalParams, q, budget: int = DEFAULT_ORBIT_BUDGET) -
     return census
 
 
+def _class_count_check(ctx: RadicalContext, budget: int) -> int:
+    """class_count_brute's up-front refusal; returns the group order."""
+    order = ctx.q ** ctx.params.order_exponent
+    _check_walk(ctx, order, budget, f"group order {order}", order, ctx.params.order_exponent * ctx.base_field.degree, ctx._element_entries)
+    return order
+
+
 def class_count_brute(params: RadicalParams, q, budget: int = DEFAULT_CLASS_BUDGET) -> int:
     """Number of conjugacy classes of R_u by exhaustive enumeration.
 
     Independent of the coadjoint orbit machinery (duals, stabilizer
     ranks): reads g - I for all group elements g, a chunk at a time, on
     the support the layout states for it (_element_mask), and counts the
-    orbits of every one-parameter generator of R_u with the engine
-    orbit_partition uses: the orbits of conjugation are the classes.
+    orbits of every one-parameter generator of R_u with the labelling
+    engine (_Action, _orbit_labels): the orbits of conjugation are the classes.
     """
     ctx = _context(params, q)
-    order = ctx.q ** params.order_exponent
-    _check_walk(ctx, order, budget, f"group order {order}", order, params.order_exponent * ctx.base_field.degree, ctx._element_entries)
+    order = _class_count_check(ctx, budget)
 
     def minus_identity(*blocks) -> np.ndarray:
         points = ctx._element_ambient(*blocks)

@@ -385,6 +385,22 @@ def test_walks_past_the_stack_cap_exit_two_before_allocating(capsys, argv, point
     assert peak < 5_000_000
 
 
+def test_the_orbit_refusal_comes_before_the_class_walk(capsys):
+    # C(3,3) over F_11: H is trivial, so the orbit partition's 11^6 records, one per dual, pass the walk cap;
+    # the class walk over its 11^6 elements is under the cap, but both routes refuse before either walks
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "census", "--type", "C", "--n", "3", "--d", "3", "--q", "11", "--oracle", "--budget", "100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration too large: the walk over 1771561 duals holds 1166784866 bytes, over the cap 1073741824\n"
+    assert peak < 5_000_000
+
+
 def test_a_walk_under_the_stack_cap_takes_at_most_three_stacks(capsys):
     # the trivial group U(300, 0) has one element and one dual, each a
     # 600x600 point: its walks make no array per ambient entry beyond a

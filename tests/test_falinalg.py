@@ -16,6 +16,7 @@ from radchar.falinalg import (
     class_size,
     enumerate_class,
     in_class,
+    leading_columns,
     matmul,
     mirror_codes,
     rank,
@@ -110,32 +111,26 @@ def test_matmul_matches_table_lookup_reference(operands):
     assert np.array_equal(got, _stacked_reference(field, A, B))
 
 
-def _rank_reference(field, A):
-    """The former scalar rank: one matrix, row swaps, elimination below each pivot."""
+def _rref_reference(field, A):
+    """The leading columns of one matrix's reduced row echelon form, by scalar elimination: row swaps,
+    each pivot row scaled to a leading 1 and its column cleared from every other row."""
     A = np.array(A, dtype=np.int16, copy=True)
     nrows, ncols = A.shape
-    if nrows == 0 or ncols == 0:
-        return 0
     MUL, SUB, INV = field._mul, field._sub, field._inv
-    r = 0
+    pivots = []
     for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if A[i, c]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if A[i, c]), -1)
         if piv < 0:
             continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r, c:] = MUL[int(INV[A[r, c]]), A[r, c:]]
-        below = A[r + 1 :, c]
-        if below.size:
-            A[r + 1 :, c:] = SUB[A[r + 1 :, c:], MUL[below[:, None], A[r, c:][None, :]]]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        A[[r, piv]] = A[[piv, r]]
+        A[r] = MUL[int(INV[A[r, c]]), A[r]]
+        others = np.arange(nrows) != r
+        A[others] = SUB[A[others], MUL[A[others, c][:, None], A[r][None, :]]]
+        pivots.append(c)
+    if any(A[i, c] != (i == r) for r, c in enumerate(pivots) for i in range(nrows)) or A[len(pivots) :].any():
+        raise AssertionError("not in reduced row echelon form")
+    return pivots
 
 
 # F_25 and F_49 take ranks' flat table reads at a * q + b past q = 9; F_289
@@ -174,10 +169,28 @@ def test_ranks_match_scalar_elimination(stack):
     got = ranks(field, A)
     assert np.array_equal(A, before)
     assert got.shape == A.shape[:-2]
-    expected = [_rank_reference(field, M) for M in A.reshape((math.prod(A.shape[:-2]),) + A.shape[-2:])]
+    expected = [len(_rref_reference(field, M)) for M in A.reshape((math.prod(A.shape[:-2]),) + A.shape[-2:])]
     assert got.ravel().tolist() == expected
     if A.ndim == 2:
         assert rank(FfMatrix(field, A)) == expected[0]
+
+
+def test_leading_columns_match_a_scalar_rref():
+    # zero, full-rank and low-rank stacks, square, tall and wide, over a prime, an
+    # extension and a large prime field: the mask marks the reduced form's leading columns
+    rng = np.random.default_rng(11)
+    for field in (F3, F9, RANK_FIELDS[1021]):
+        for m, n in ((4, 4), (6, 3), (3, 6), (1, 5), (5, 1)):
+            full = np.stack([random_invertible(field, max(m, n), random.Random(int(seed)))[:m, :n] for seed in rng.integers(0, 2 ** 31, 20)])
+            low = matmul(field, rng.integers(0, field.q, (20, m, 2)).astype(np.int16), rng.integers(0, field.q, (20, 2, n)).astype(np.int16))
+            low[::3, :, 0] = 0  # some without a leading first column
+            for A in (np.zeros((3, m, n), dtype=np.int16), full, low):
+                expected = np.zeros(A.shape[:-2] + (n,), dtype=bool)
+                for k, M in enumerate(A):
+                    expected[k, _rref_reference(field, M)] = True
+                assert np.array_equal(leading_columns(field, A), expected)
+    assert (leading_columns(F3, np.zeros((2, 0, 3), dtype=np.int16)) == np.zeros((2, 3), dtype=bool)).all()
+    assert leading_columns(F3, np.zeros((2, 3, 0), dtype=np.int16)).shape == (2, 0)
 
 
 def test_ranks_scale_by_every_inverse_in_large_fields():

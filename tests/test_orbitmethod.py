@@ -7,6 +7,7 @@ small coadjoint orbit structures that can be checked by hand.
 
 import hashlib
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from radchar import falinalg, orbitmethod
+from radchar.cli import CLASS_TRIPLES, ORBIT_TRIPLES
 from radchar.falinalg import FfMatrix, matmul, rank, ranks
+from radchar.gf import field_for_order
 from radchar.params import BudgetExceeded
 from radchar.qpoly import QPoly
 from radchar.orbitmethod import (
@@ -477,10 +480,10 @@ def test_the_walk_rule_reads_generators_and_entries_off_the_layout(x, n, d, q):
 )
 def test_orbit_records_past_the_cap_are_refused(monkeypatch, x, n, d, q, cap, up_front):
     monkeypatch.setattr(orbitmethod, "_MAX_WALK_BYTES", cap)
-    batches = []
-    real = orbitmethod._orbit_labels
-    monkeypatch.setattr(orbitmethod, "_orbit_labels", lambda action: batches.append(len(action.coords)) or real(action))
     ctx = ctx_for(x, n, d, q)
+    # the duals in the orbits of each batch of records made
+    batches, real = [], orbitmethod._records
+    monkeypatch.setattr(orbitmethod, "_records", lambda ctx, reps, sizes, system_ranks: batches.append(sum(sizes)) or real(ctx, reps, sizes, system_ranks))
     start = time.perf_counter()
     tracemalloc.start()
     try:
@@ -513,7 +516,9 @@ def test_the_walk_rule_admits_the_orbit_walk_of_c63(monkeypatch):
 def test_no_walk_builds_the_ambient_codes_of_more_than_one_chunk(monkeypatch):
     # 3^9 elements of D(4,2) and 3^9 duals of C(4,3) at q = 3, five chunks
     # each: every ambient stack a walk builds holds at most one chunk (the
-    # generators are built one matrix at a time)
+    # generators are built one matrix at a time); orbit_partition builds the
+    # three unit duals (0, u) of its fiber basis and the duals (c, 0) of all
+    # 729 fibers, one stack each
     sizes = []
 
     def recording(name):
@@ -534,7 +539,7 @@ def test_no_walk_builds_the_ambient_codes_of_more_than_one_chunk(monkeypatch):
     ctx = ctx_for("C", 4, 3, 3)
     orbit_partition(ctx)
     coadjoint_permutation(ctx, ctx.generators()[-1])
-    assert len(sizes) == 10 and max(sizes) == orbitmethod._CHUNK
+    assert len(sizes) == 7 and max(sizes) == orbitmethod._CHUNK
 
 
 def test_a_dual_stream_builds_the_class_grid_once(monkeypatch):
@@ -801,6 +806,90 @@ def test_orbit_partition_records_are_pinned(x, n, d, count, digest):
     assert _records_digest(records) == digest
 
 
+def _walked_records(ctx):
+    """orbit_partition's records as the walk defines them: H's generators permute each fiber and label every
+    orbit by its least dual (_Action, _orbit_labels), a batch of whole fibers at a time, as (representative
+    key, size, stabilizer order, e).  Also checks that every orbit in a fiber has size p^r, r the rank over
+    F_p of the fiber's shifts, each generator's image of (c, 0) less (c, 0) on the fiber pivots."""
+    h_order, p = ctx.q ** ctx.params.h_exponent, ctx.field.p
+    fibers, blocks, walked = max(1, orbitmethod._CHUNK // h_order), ctx._v_stack(), []
+    frame = ctx._h_frame
+    pivots = frame.columns(ctx._fiber_pivots)
+    for start in range(0, len(blocks), fibers):
+        action = orbitmethod._dual_action(ctx, blocks[start : start + fibers])
+        labels = _orbit_labels(action)
+        roots = np.flatnonzero(labels == np.arange(len(labels)))
+        sizes = np.bincount(labels)[roots]
+        zero_free = action.coords[::h_order]  # the first dual of a fiber is (c, 0)
+        shifts = np.zeros((len(zero_free), len(frame.moves), len(pivots)), dtype=np.int16)
+        for g, moves in enumerate(frame.moves):
+            shifts[:, g] = ((frame.apply(zero_free, moves).astype(int) - zero_free) % p)[:, pivots]
+        r = ranks(field_for_order(p), shifts)
+        assert (sizes == p ** r[roots // h_order]).all()
+        matrices = frame._matrices(action.coords[roots])
+        keys = [b"".join(M[slot].tobytes() for slot in ctx._dual_slots) for M in matrices]
+        walked += [(key, size, h_order // size, round(math.log(size, ctx.k_order))) for key, size in zip(keys, sizes.tolist())]
+    return walked
+
+
+@pytest.mark.parametrize(
+    "x, n, d, q",
+    [(x, n, d, q) for x, n, d in dict.fromkeys(ORBIT_TRIPLES + CLASS_TRIPLES) for q in (3, 5, 9)]
+    # several batches of fibers: C(4,3) and C(5,2) as pinned above, C(4,4) (H trivial) in several spans of fibers
+    + [("C", 4, 3, 3), ("C", 5, 2, 3), ("D", 6, 3, 3), ("C", 4, 4, 3)],
+)
+def test_the_spans_give_the_walks_records(x, n, d, q):
+    # the walk is the definition: the records read off the spans equal it, order included
+    ctx = ctx_for(x, n, d, q)
+    records = [(r.representative.key(), r.size, r.stabilizer_order, r.e) for r in orbit_partition(ctx)]
+    assert records == _walked_records(ctx_for(x, n, d, q))
+
+
+def _moved_one_entry(monkeypatch, where):
+    """A context each of whose frames has one entry of its first generator's L - I moved into a free row or
+    a constrained column, after the frame has checked the generator against the ambient action."""
+    ctx = ctx_for("C", 3, 2, 3)
+    free = ctx._h_frame.columns(ctx._fiber_pivots)[0]
+    constrained = ctx._h_frame.moves[0][0][0]
+    real, frames = orbitmethod._Frame.moves_of, set()
+
+    def moves_of(self, g, g_inv):
+        rows, cols, moved = real(self, g, g_inv)
+        if id(self) in frames:
+            return rows, cols, moved
+        frames.add(id(self))
+        i, j = np.argwhere(moved)[0]
+        entry, moved = moved[i, j], moved.copy()
+        moved[i, j] = 0
+        if where == "row":
+            extra = np.zeros((1, len(cols)), dtype=moved.dtype)
+            extra[0, j] = entry
+            return np.append(rows, free), cols, np.vstack([moved, extra])
+        extra = np.zeros((len(rows), 1), dtype=moved.dtype)
+        extra[i, 0] = entry
+        return rows, np.append(cols, constrained), np.hstack([moved, extra])
+
+    monkeypatch.setattr(orbitmethod._Frame, "moves_of", moves_of)
+    return ctx_for("C", 3, 2, 3)
+
+
+@pytest.mark.parametrize("where", ["row", "column"])
+def test_a_generator_that_does_not_translate_the_fibers_is_refused(monkeypatch, where):
+    # H fixes the constrained block: L - I has its rows on the constrained
+    # coordinates and its columns off them, so each fiber is translated
+    ctx = _moved_one_entry(monkeypatch, where)
+    for run in (lambda: orbit_partition(ctx), lambda: orbit_of(next(ctx.duals()))):
+        with pytest.raises(ValueError, match="H must act on each fiber by translations"):
+            run()
+
+
+def test_a_permutation_of_a_dual_space_with_no_coordinates_is_the_identity():
+    # U(2,0): d = 0, so the one dual has no coordinates and the frame reads no unit
+    ctx = ctx_for("U", 2, 0, 3)
+    for g in (ctx.identity(), *ctx.generators()):
+        assert coadjoint_permutation(ctx, g).tolist() == [0]
+
+
 def test_walks_make_no_dense_product(monkeypatch):
     # matmul still builds the generators and the element stack, but no
     # conjugation of a point stack runs through it
@@ -920,14 +1009,19 @@ def test_oracle_checks_raise_value_error(monkeypatch):
 
 
 def test_orbit_partition_validates_its_representatives(monkeypatch):
-    # with no generators every dual is a representative; the zero dual
-    # with a corrupted b3 passes the record checks but not validation
+    # the representatives' coordinates are those of (c, 0) plus digits; with
+    # b3 corrupted in every dual (c, 0) built, the zero dual, a singleton
+    # orbit, passes the record checks but not validation
     ctx = ctx_for("C", 3, 2, 3)
-    b1, b3, b2 = _dual_blocks(ctx)
-    b3 = b3.copy()
-    b3[0, 0, 0] = 1
-    monkeypatch.setattr(ctx, "_dual_chunks", lambda constrained=None: iter([(b1, b3, b2)]))
-    monkeypatch.setattr(ctx, "h_generators", lambda: [])
+    real = ctx._tie
+
+    def corrupted(constrained, free):
+        b1, b3, b2 = real(constrained, free)
+        b3 = b3.copy()
+        b3[:, 0, 0] = 1
+        return b1, b3, b2
+
+    monkeypatch.setattr(ctx, "_tie", corrupted)
     with pytest.raises(ValueError, match="b3 must equal b2 transposed"):
         orbit_partition(ctx)
 
@@ -984,14 +1078,16 @@ def test_orbit_census_checks_raise_value_error(monkeypatch):
 
 def test_orbit_census_per_orbit_checks_raise_value_error(monkeypatch):
     # orbit_census takes its sizes from orbit_partition, which refuses an
-    # orbit whose size is no power of |k| or does not divide |H|
+    # orbit whose size is no power of |k| or does not divide |H|; the spans
+    # give only sizes p^r, so the sizes are changed on their way to the checks
     params = RadicalParams("C", 2, 1)
-    for labels, message in [
-        ([0, 0, 2, 3, 4, 5, 6, 7, 8], "2 is not a power of 3"),
-        ([0] * 9, "must divide the acting group order"),
+    real = orbitmethod._records
+    for change, message in [
+        (lambda sizes: [2] + sizes[1:], "2 is not a power of 3"),
+        (lambda sizes: [9] * len(sizes), "must divide the acting group order"),
     ]:
         with monkeypatch.context() as m:
-            m.setattr(orbitmethod, "_orbit_labels", lambda *args, labels=labels: np.array(labels))
+            m.setattr(orbitmethod, "_records", lambda ctx, reps, sizes, system_ranks, change=change: real(ctx, reps, change(sizes), system_ranks))
             with pytest.raises(ValueError, match=message):
                 orbit_census(params, 3)
 
