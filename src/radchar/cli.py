@@ -45,9 +45,9 @@ import sys
 import time
 
 from .census import CLASSES, MAX_DIGITS, VARIANTS, attainable_ranks, brute_rank_census, census_polynomial, check_degree, rank_censuses
-from .charcensus import DegreeCensus, census_table, qminus1_report
+from .charcensus import DegreeCensus, census_table
 from .params import DEFAULT_ENUM_BUDGET, BudgetExceeded, RadicalParams, class_dimension, d_range, odd_prime_power
-from .qpoly import QPoly, format_terms, qminus1_expansions
+from .qpoly import PACK_BYTES, PACK_MIN, QPoly, format_terms, qminus1_expansions
 
 __all__ = ["main", "build_parser"]
 
@@ -318,19 +318,46 @@ def _oracle_suite(triples, check, args, qs):
 
 
 def _suite_pairings(args, qs):
-    from .orbitmethod import pairing_nondegeneracy_check
+    """Every instance of the grid in one stacked check (orbitmethod._pairing_checks)."""
+    from .orbitmethod import _pairing_checks
 
-    grid = []
-    for x in ("C", "D", "U"):
-        for n in range(1, _capped(4, args.max_n) + 1):
-            for d in d_range(x, n):
-                for q in qs or (3, 5):
-                    grid.append((x, n, d, q))
+    grid = sorted(
+        (x, n, d, q)
+        for x in ("C", "D", "U")
+        for n in range(1, _capped(4, args.max_n) + 1)
+        for d in d_range(x, n)
+        for q in qs or (3, 5)
+    )
     field = functools.cache(_field_for)
-    for x, n, d, q in sorted(grid):
-        ok = pairing_nondegeneracy_check(RadicalParams(x, n, d), field(q))
+    verdicts = _pairing_checks([(RadicalParams(x, n, d), field(q)) for x, n, d, q in grid])
+    for (x, n, d, q), ok in zip(grid, verdicts):
         detail = "trace pairing Gram matrix invertible" if ok else "degenerate trace pairing"
         yield f"{x} n={n} d={d} q={q}", ok, detail
+
+
+def _lane_bytes(poly: QPoly) -> int:
+    """The bytes of poly's lane in a packed (q-1) expansion (qminus1_expansions), 0 for a row expanded alone."""
+    cs = poly.coeffs
+    return (len(cs) + sum(map(abs, cs)).bit_length() + 7) // 8 if len(cs) >= PACK_MIN else 0
+
+
+def _table_runs(x: str, n: int):
+    """The rows of the census tables of (x, n, d), d ascending, as runs of (d, row) pairs to expand in one call.
+
+    The rows of consecutive d share one qminus1_expansions call, and so its
+    packed running sums, while their long rows fit in one pack: a table that
+    would pass PACK_BYTES starts a new run, which bounds the rows held at once.
+    """
+    run, used = [], 0
+    for d in d_range(x, n):
+        table = [(d, row) for row in census_table(RadicalParams(x, n, d)).rows]
+        width = sum(_lane_bytes(row.count) for _, row in table)
+        if run and used + width > PACK_BYTES:
+            yield run
+            run, used = [], 0
+        run += table
+        used += width
+    yield run
 
 
 def _suite_positivity(args, qs):
@@ -341,11 +368,12 @@ def _suite_positivity(args, qs):
             check_degree(RadicalParams(x, max_n, d).order_exponent)
     for x in ("C", "D", "U"):
         for n in range(1, max_n + 1):
-            bad = []
-            for d in d_range(x, n):
-                for r, e, coeffs in qminus1_report(RadicalParams(x, n, d)):
-                    if any(c < 0 for c in coeffs):
-                        bad.append((d, e))
+            bad = [
+                (d, row.e)
+                for run in _table_runs(x, n)
+                for (d, row), coeffs in zip(run, qminus1_expansions([row.count for _, row in run]))
+                if min(coeffs, default=0) < 0
+            ]
             ok = not bad
             detail = (
                 "all counts have nonnegative (q-1) coefficients"

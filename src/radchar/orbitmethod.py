@@ -780,10 +780,6 @@ class _Action:
             raise ValueError("an image escapes the point set")
         return at
 
-    def lookup(self, stack: np.ndarray) -> np.ndarray:
-        """The index of each matrix of a stack among the points, row i sought in point i's fiber; raises if one is not a point."""
-        return self._find(self.frame.coordinates(stack, "an image escapes the point set"))
-
     def permutation(self, moves) -> np.ndarray:
         """perm[i] = index of the image of point i under the generator with these moves."""
         perm = self._find(self.frame.apply(self.coords, moves))
@@ -1038,15 +1034,35 @@ def pairing_nondegeneracy_check(params: RadicalParams, q) -> bool:
     tr(XY) + tr(XY)^q, which takes values in the base field (so its rank
     over k is its rank over F_q).  For Y = Z^t, tr(XY) sums the entrywise
     products of X and Z, so the Gram matrix is one product of the
-    flattened basis with its transpose.
+    flattened basis with its transpose.  The one-instance case of
+    _pairing_checks.
     """
-    ctx = _context(params, q)
-    f = ctx.field
-    basis = _lie_a_basis(ctx)
-    G = matmul(f, basis, basis.T)
-    if params.x == "U":
-        G = f._add[G, f._frob[G]]
-    return int(ranks(f, G)) == len(basis)
+    return _pairing_checks([(params, q)])[0]
+
+
+def _pairing_checks(instances) -> list[bool]:
+    """pairing_nondegeneracy_check of each (params, q), one stacked Gram elimination per entry field.
+
+    Each basis is cut to the ambient entries some basis matrix meets, which
+    are all a trace reads, and the bases over one field are zero-padded
+    into one stack: zero rows and columns leave each rank as it is.  The
+    twist is read off the layout: it applies where k is F_q's extension.
+    """
+    contexts = [_context(params, q) for params, q in instances]
+    bases = [basis[:, basis.any(axis=0)] for basis in map(_lie_a_basis, contexts)]
+    verdicts = [False] * len(contexts)
+    for f in dict.fromkeys(ctx.field for ctx in contexts):
+        members = [i for i, ctx in enumerate(contexts) if ctx.field == f]
+        B = np.zeros((len(members), *np.max([bases[i].shape for i in members], axis=0)), dtype=np.int16)
+        for stacked, i in zip(B, members):
+            stacked[: len(bases[i]), : bases[i].shape[1]] = bases[i]
+        G = matmul(f, B, B.swapaxes(-1, -2))
+        twisted = np.array([contexts[i].field is not contexts[i].base_field for i in members])
+        if twisted.any():
+            G[twisted] = f._add[G[twisted], f._frob[G[twisted]]]
+        for i, r in zip(members, ranks(f, G).tolist()):
+            verdicts[i] = r == len(bases[i])
+    return verdicts
 
 
 def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
@@ -1054,11 +1070,13 @@ def _lie_a_basis(ctx: RadicalContext) -> np.ndarray:
 
     The pairing downstream is F_q-bilinear, so the directions take an
     F_q-basis of k: 1 for types C and D, 1 and t for type U (t alone on
-    the constrained diagonal).
+    the constrained diagonal).  One _with_v call writes the stacked directions.
     """
     size = 2 * ctx.n
     directions = ctx._a_directions([ctx.base_field.q ** i for i in range(ctx.params.k_exponent)])
-    return np.array([ctx._with_v(np.zeros((size, size), dtype=np.int16), b1, b2) for b1, b2 in directions], dtype=np.int16).reshape(-1, size * size)
+    m = len(directions)
+    b1, b2 = (np.array([pair[k] for pair in directions], dtype=np.int16).reshape(m, *shape) for k, shape in enumerate(ctx._v_shapes))
+    return ctx._with_v(np.zeros((m, size, size), dtype=np.int16), b1, b2).reshape(m, size * size)
 
 
 def coadjoint_permutation(ctx: RadicalContext, g: RadicalElement) -> np.ndarray:

@@ -18,6 +18,7 @@ from radchar.cli import main
 from radchar.falinalg import DEFAULT_ENUM_BUDGET
 from radchar.gf import BudgetExceeded
 from radchar.orbitmethod import RadicalParams, d_range
+from radchar.qpoly import QPoly
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +235,22 @@ def test_verify_pairings_and_positivity(capsys):
     assert code == 0 and record["ok"] is True
     code, record = run_json(capsys, "verify", "--suite", "positivity", "--max-n", "6")
     assert code == 0 and record["ok"] is True
+
+
+def test_batched_positivity_names_the_negative_row(capsys, monkeypatch):
+    # one row of U(10,4), whose d share one expansion with d = 0 .. 8, counts q - 2 = (q-1) - 1
+    target = RadicalParams("U", 10, 4)
+    table = cli.census_table(target)
+    bad = table.rows[2]
+    patched = table._replace(rows=tuple(row._replace(count=QPoly([-2, 1])) if row is bad else row for row in table.rows))
+    assert QPoly([-2, 1]).to_qminus1_basis() == [-1, 1]
+    real = cli.census_table
+    monkeypatch.setattr(cli, "census_table", lambda params, *args: patched if params == target else real(params, *args))
+    code, record = run_json(capsys, "verify", "--suite", "positivity")
+    assert code == 1 and record["failures"] == ["U n=10"]
+    details = {c["name"]: c["detail"] for c in record["checks"] if not c["ok"]}
+    assert details == {"U n=10": f"negative (q-1) coefficients at (d, e) in [(4, {bad.e})]"}
+    assert len(record["checks"]) == 30
 
 
 def test_verify_md_has_per_check_lines(capsys):

@@ -749,6 +749,36 @@ def test_pairing_nondegeneracy():
         assert pairing_nondegeneracy_check(RadicalParams(x, n, d), q), (x, n, d, q)
 
 
+# entry fields F_3, F_5, F_9, F_25 and F_81 (U over F_9), all three types, an empty basis (U(1,0)) and d = n
+PAIRING_GRID = (
+    ("C", 2, 1, 3), ("C", 3, 3, 5), ("C", 2, 1, 9), ("C", 3, 2, 25),
+    ("D", 4, 2, 3), ("D", 3, 3, 9), ("D", 4, 1, 5),
+    ("U", 1, 0, 3), ("U", 3, 1, 3), ("U", 2, 1, 5), ("U", 2, 1, 9), ("U", 3, 2, 3),
+)
+
+
+def test_stacked_pairing_checks_match_one_at_a_time():
+    instances = [(RadicalParams(x, n, d), field_for_order(q)) for x, n, d, q in PAIRING_GRID]
+    assert len(orbitmethod._lie_a_basis(RadicalContext(*instances[7]))) == 0
+    assert orbitmethod._pairing_checks(instances) == [pairing_nondegeneracy_check(*i) for i in instances] == [True] * len(instances)
+
+
+@pytest.mark.parametrize("corrupt", [1, 4, 11])
+def test_a_degenerate_basis_fails_its_own_pairing_check_alone(monkeypatch, corrupt):
+    # a repeated row in one member's basis, over F_5, F_3 and F_9, each entry field shared with other members
+    instances = [(RadicalParams(x, n, d), field_for_order(q)) for x, n, d, q in PAIRING_GRID]
+    real = orbitmethod._lie_a_basis
+
+    def lie_a_basis(ctx):
+        basis = real(ctx)
+        return np.concatenate([basis, basis[:1]]) if (ctx.params, ctx.base_field) == instances[corrupt] else basis
+
+    monkeypatch.setattr(orbitmethod, "_lie_a_basis", lie_a_basis)
+    expected = [i != corrupt for i in range(len(instances))]
+    assert orbitmethod._pairing_checks(instances) == expected
+    assert [pairing_nondegeneracy_check(*i) for i in instances] == expected
+
+
 def test_budget_errors():
     with pytest.raises(ValueError, match="enumeration too large"):
         class_count_brute(RadicalParams("C", 4, 2), 3, budget=100)
